@@ -4,9 +4,9 @@ system and its subsonic (large sound speed) limit on periodic boxes."""
 __version__ = "0.1.0"
 
 from .grid import Grid, make_grid
-from .field import (Field, Rep, complex_field, dealias, real_field,
-                    spectral_field, to_physical, to_spectral)
-from .operators import MultiplierKind, apply_multiplier, multiplier_symbol
+from .field import (Field, complex_field, dealias, real_field, spectral_field,
+                    to_physical, to_spectral)
+from .operators import apply_multiplier
 from .norms import l2_norm, sobolev_norm, weighted_norm
 from .state import (InitialData, PresetParams, SchrodingerState, SimConfig,
                     ZakharovState, compatibility_defect, preset_initial_data)
@@ -23,9 +23,9 @@ from .cli import run_cli
 
 __all__ = [
     "Grid", "make_grid",
-    "Field", "Rep", "real_field", "complex_field", "spectral_field",
+    "Field", "real_field", "complex_field", "spectral_field",
     "to_spectral", "to_physical", "dealias",
-    "MultiplierKind", "apply_multiplier", "multiplier_symbol",
+    "apply_multiplier",
     "l2_norm", "sobolev_norm", "weighted_norm",
     "SimConfig", "ZakharovState", "SchrodingerState", "InitialData",
     "PresetParams", "preset_initial_data", "compatibility_defect",

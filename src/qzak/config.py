@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -28,11 +28,7 @@ _TOP_KEYS = {
     "probe_points", "k_max", "out_dir", "emit_plots",
 }
 
-_DATA_KEYS = {
-    "kind", "amplitude", "width", "k0", "chirp", "center",
-    "n_amplitude", "n_width", "n_k0", "n_center", "n1_amplitude", "n1_width",
-    "n1_center", "n0_zero_mean", "min_points_per_width", "edge_tol",
-}
+_DATA_KEYS = {"kind"} | {f.name for f in fields(PresetParams)}
 
 
 @dataclass(frozen=True)
@@ -220,16 +216,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         "c_lambda": c_lambda, "m": m, "dimension": dimension, "N": N, "L": L,
         "dealias": dealias, "num_samples": num_samples, "solver": solver,
         "lambdas": list(lambdas),
-        "data": {
-            "kind": kind, "amplitude": params.amplitude, "width": params.width,
-            "k0": params.k0, "chirp": params.chirp, "center": list(params.center),
-            "n_amplitude": params.n_amplitude, "n_width": params.n_width,
-            "n_k0": params.n_k0, "n_center": list(params.n_center), "n1_amplitude": params.n1_amplitude,
-            "n1_width": params.n1_width, "n1_center": list(params.n1_center),
-            "n0_zero_mean": params.n0_zero_mean,
-            "min_points_per_width": params.min_points_per_width,
-            "edge_tol": params.edge_tol,
-        },
+        "data": {"kind": kind, **asdict(params)},
         "dt_list": list(dt_list), "oracle_refinement": oracle_refinement,
         "tolerance": tolerance, "lambda_times": list(lambda_times),
         "probe_points": list(probe_points), "k_max": k_max,

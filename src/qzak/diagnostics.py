@@ -12,7 +12,7 @@ from .errors import ParameterError
 from .field import (Field, dealias_values, ensure_spectral, forward_values,
                     spectral_field)
 from .norms import l2_norm, weighted_norm
-from .operators import check_zero_mean, omega_eps_values
+from .operators import check_zero_mean, i_eps, omega_eps
 from .state import ZakharovState
 
 
@@ -61,7 +61,7 @@ def hamiltonian_qmnls(E: Field, eps: float) -> float:
     grad_E = float(np.sum(k2 * np.abs(E_hat) ** 2))
     lap_E = float(np.sum(k2**2 * np.abs(E_hat) ** 2))
     S_hat = forward_values(grid, dealias_values(grid, np.abs(E.values) ** 2))
-    quartic = float(np.sum(np.abs(S_hat) ** 2 / (1.0 + eps**2 * k2)))
+    quartic = float(np.sum(i_eps(grid, eps) * np.abs(S_hat) ** 2))
     return 0.5 * grad_E + 0.5 * eps**2 * lap_E - 0.25 * quartic
 
 
@@ -75,7 +75,7 @@ def n_variable(s: ZakharovState, eps: float, lam: float) -> Field:
     n_hat = ensure_spectral(s.n).values
     nt_hat = ensure_spectral(s.nt).values
     check_zero_mean(nt_hat, "n_variable")
-    om = omega_eps_values(grid, eps)
+    om = omega_eps(grid, eps)
     coeffs = n_hat.astype(np.complex128, copy=True)
     nz = om > 0.0
     coeffs[nz] += 1j * nt_hat[nz] / (lam * om[nz])

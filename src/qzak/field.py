@@ -7,44 +7,35 @@ resolved fields match their continuum integrals.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from .errors import InconsistentGridError, RepresentationError
 from .grid import Grid
 
-_REAL_IMAG_TOL = 1e-12
-
-
-class Rep(Enum):
-    PHYSICAL_REAL = "physical-real"
-    PHYSICAL_COMPLEX = "physical-complex"
-    SPECTRAL = "spectral"
-
 
 class Field:
-    """Immutable sampled function on a grid, physical or spectral."""
+    """Immutable sampled function on a grid, physical or spectral.
 
-    __slots__ = ("grid", "rep", "values")
+    Physical values are float64 (a real field) or complex128; spectral
+    values are always complex128. The Field wraps a read-only view of
+    the array it is given and copies only to convert the dtype or to make
+    a strided view contiguous, so that the real part of a complex array
+    does not keep the complex buffer alive.
+    """
 
-    def __init__(self, grid: Grid, rep: Rep, values: np.ndarray):
+    __slots__ = ("grid", "spectral", "values")
+
+    def __init__(self, grid: Grid, values: np.ndarray, spectral: bool = False):
         values = np.asarray(values)
         if values.shape != grid.shape:
             raise InconsistentGridError(
                 f"values shape {values.shape} does not match grid shape {grid.shape}"
             )
-        if rep is Rep.PHYSICAL_REAL:
-            if np.iscomplexobj(values):
-                if np.any(values.imag != 0.0):
-                    raise RepresentationError("physical-real field has nonzero imaginary part")
-                values = values.real
-            values = values.astype(np.float64, copy=True)
-        else:
-            values = values.astype(np.complex128, copy=True)
+        dtype = np.complex128 if spectral or np.iscomplexobj(values) else np.float64
+        values = np.ascontiguousarray(values, dtype=dtype).view()
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "spectral", bool(spectral))
         object.__setattr__(self, "values", values)
 
     def __setattr__(self, name, value):
@@ -52,30 +43,33 @@ class Field:
 
     @property
     def is_physical(self) -> bool:
-        return self.rep in (Rep.PHYSICAL_REAL, Rep.PHYSICAL_COMPLEX)
+        return not self.spectral
 
     @property
     def is_spectral(self) -> bool:
-        return self.rep is Rep.SPECTRAL
+        return self.spectral
 
     def __repr__(self):
-        return f"Field(d={self.grid.d}, N={self.grid.N}, L={self.grid.L:g}, rep={self.rep.value})"
+        kind = "spectral" if self.spectral else "physical"
+        return (f"Field(d={self.grid.d}, N={self.grid.N}, L={self.grid.L:g}, "
+                f"{kind}, {self.values.dtype})")
 
 
 def real_field(grid: Grid, values: np.ndarray) -> Field:
-    return Field(grid, Rep.PHYSICAL_REAL, values)
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        if np.any(values.imag != 0.0):
+            raise RepresentationError("real field has nonzero imaginary part")
+        values = values.real
+    return Field(grid, values)
 
 
 def complex_field(grid: Grid, values: np.ndarray) -> Field:
-    return Field(grid, Rep.PHYSICAL_COMPLEX, values)
+    return Field(grid, np.asarray(values, dtype=np.complex128))
 
 
 def spectral_field(grid: Grid, values: np.ndarray) -> Field:
-    return Field(grid, Rep.SPECTRAL, values)
-
-
-def zeros_like(f: Field) -> Field:
-    return Field(f.grid, f.rep, np.zeros(f.grid.shape))
+    return Field(grid, values, spectral=True)
 
 
 def _forward_factor(grid: Grid) -> float:
@@ -97,18 +91,14 @@ def to_spectral(f: Field) -> Field:
     """Forward transform; requires a physical-representation field."""
     if not f.is_physical:
         raise RepresentationError("to_spectral expects a physical field")
-    return Field(f.grid, Rep.SPECTRAL, forward_values(f.grid, f.values))
+    return spectral_field(f.grid, forward_values(f.grid, f.values))
 
 
 def to_physical(f: Field) -> Field:
-    """Inverse transform; lands on physical-real when conjugate symmetry holds."""
+    """Inverse transform; the result is complex whatever the data."""
     if not f.is_spectral:
         raise RepresentationError("to_physical expects a spectral field")
-    phys = inverse_values(f.grid, f.values)
-    scale = np.max(np.abs(phys))
-    if scale == 0.0 or np.max(np.abs(phys.imag)) <= _REAL_IMAG_TOL * scale:
-        return Field(f.grid, Rep.PHYSICAL_REAL, phys.real)
-    return Field(f.grid, Rep.PHYSICAL_COMPLEX, phys)
+    return Field(f.grid, inverse_values(f.grid, f.values))
 
 
 def ensure_spectral(f: Field) -> Field:
@@ -132,7 +122,7 @@ def dealias(f: Field) -> Field:
     """Zero all coefficients with any axis index |j| > N/3. Idempotent."""
     if not f.is_spectral:
         raise RepresentationError("dealias expects a spectral field")
-    return Field(f.grid, Rep.SPECTRAL, f.values * dealias_mask(f.grid))
+    return spectral_field(f.grid, f.values * dealias_mask(f.grid))
 
 
 def dealias_values(grid: Grid, phys_values: np.ndarray) -> np.ndarray:

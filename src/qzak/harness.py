@@ -80,7 +80,7 @@ def _run_one_lambda(config: SimConfig, data: InitialData, m: int,
     max_tail = 0.0
     masses = []
     for (t, state), E_inf in zip(traj.samples, reference_E):
-        diff = Field(grid, state.E.rep, state.E.values - E_inf)
+        diff = Field(grid, state.E.values - E_inf)
         sup_err_E = max(sup_err_E, sobolev_norm(diff, m))
         q = q_field(state, eps)
         q0 = q0_exact(t, config.lam, eps, f0)

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, WrapAroundError, ZeroModeError
-from .field import (Field, Rep, dealias_values, ensure_spectral, real_field,
-                    require_same_grid, to_physical)
+from .field import (Field, complex_field, dealias_values, ensure_spectral,
+                    real_field, require_same_grid)
 from .norms import l2_norm, sobolev_norm
-from .operators import (MultiplierKind, apply_multiplier, check_zero_mean,
-                        derivative_fields, gradient)
+from .operators import (apply_multiplier, check_zero_mean, delta_eps,
+                        derivative_fields, gradient, i_eps, wave_cos, wave_sinc)
 from .state import InitialData, ZakharovState, layer_velocity_source
 from .dynamics import Trajectory
 
@@ -29,26 +29,26 @@ def q_field(s: ZakharovState, eps: float) -> Field:
     """n + I_eps |E|^2 with the dealiased quadratic product."""
     grid = s.grid
     intensity = real_field(grid, dealias_values(grid, np.abs(s.E.values) ** 2))
-    smoothed = apply_multiplier(intensity, MultiplierKind.I_EPS, eps=eps)
+    smoothed = apply_multiplier(intensity, i_eps(grid, eps))
     return real_field(grid, s.n.values + smoothed.values)
 
 
 def q0_exact(t: float, lam: float, eps: float, f0: Field) -> Field:
     """Cosine-propagated layer: cos(lam t omega_eps) f0, evaluated in one shot."""
-    return apply_multiplier(f0, MultiplierKind.WAVE_COS, eps=eps, lam=lam, t=t)
+    return apply_multiplier(f0, wave_cos(f0.grid, eps, lam, t))
 
 
 def q1_exact(t: float, lam: float, eps: float, g: Field) -> Field:
     """Sinc-propagated velocity term; g must have zero mean."""
     check_zero_mean(ensure_spectral(g).values, "q1_exact")
-    return apply_multiplier(g, MultiplierKind.WAVE_SINC, eps=eps, lam=lam, t=t)
+    return apply_multiplier(g, wave_sinc(g.grid, eps, lam, t))
 
 
 def layer_initial_fields(data: InitialData, eps: float) -> tuple[Field, Field]:
     """(f0, g): the layer's initial value and initial velocity sources."""
     grid = data.grid
     intensity = real_field(grid, dealias_values(grid, np.abs(data.E0.values) ** 2))
-    smoothed = apply_multiplier(intensity, MultiplierKind.I_EPS, eps=eps)
+    smoothed = apply_multiplier(intensity, i_eps(grid, eps))
     f0 = real_field(grid, data.n0.values + smoothed.values)
     g = real_field(grid, data.n1.values + layer_velocity_source(data.E0, eps).values)
     return f0, g
@@ -100,22 +100,20 @@ def compute_f2(E: Field, n: Field, eps: float) -> list[Field]:
            + 2 eps^2 Re sum_k [ d_k conj(G) grad d_k E + d_k conj(E) grad d_k (-G) ].
     """
     grid = require_same_grid(E, n)
-    if n.rep is not Rep.PHYSICAL_REAL:
-        raise ParameterError("n must be a physical-real field")
+    if np.iscomplexobj(n.values):
+        raise ParameterError("n must be a real physical field")
 
     def deal(values):
         return dealias_values(grid, values)
 
-    delta_E = apply_multiplier(E, MultiplierKind.DELTA_EPS, eps=eps).values
+    delta_E = apply_multiplier(E, delta_eps(grid, eps)).values
     G = delta_E - deal(n.values * E.values)
-    G_field = Field(grid, Rep.PHYSICAL_COMPLEX, G)
+    G_field = complex_field(grid, G)
 
     def grad_ieps_inv(f: Field) -> list[np.ndarray]:
         # grad (1 - eps^2 Lap) f, all derivatives spectral
-        spec = ensure_spectral(f)
-        base = Field(grid, Rep.SPECTRAL,
-                     spec.values * (1.0 + eps * eps * grid.k_squared))
-        return [c.values for c in gradient(to_physical(base))]
+        base = apply_multiplier(f, 1.0 + eps * eps * grid.k_squared)
+        return [c.values for c in gradient(base)]
 
     grad_ii_E = grad_ieps_inv(E)
     grad_ii_G = grad_ieps_inv(G_field)
@@ -127,8 +125,8 @@ def compute_f2(E: Field, n: Field, eps: float) -> list[Field]:
     grad_E = [c.values for c in gradient(E)]
     grad_G = [c.values for c in gradient(G_field)]
     for k in range(grid.d):
-        grad_dk_E = [c.values for c in gradient(Field(grid, Rep.PHYSICAL_COMPLEX, grad_E[k]))]
-        grad_dk_G = [c.values for c in gradient(Field(grid, Rep.PHYSICAL_COMPLEX, grad_G[k]))]
+        grad_dk_E = [c.values for c in gradient(complex_field(grid, grad_E[k]))]
+        grad_dk_G = [c.values for c in gradient(complex_field(grid, grad_G[k]))]
         for j in range(grid.d):
             components[j] = components[j] + 2.0 * eps * eps * np.real(
                 np.conj(grad_G[k]) * grad_dk_E[j] - np.conj(grad_E[k]) * grad_dk_G[j])

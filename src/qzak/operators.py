@@ -1,65 +1,25 @@
-"""Fourier multipliers for the fourth-order Schrodinger/wave calculus.
+"""Fourier symbols for the fourth-order Schrodinger/wave calculus.
 
-Symbols on the wavenumber lattice, with k2 = |xi|^2:
+Every symbol the solvers and measurements use is built here, on the
+wavenumber lattice with k2 = |xi|^2:
 
-    laplacian            -k2
     delta_eps            -(k2 + eps^2 k2^2)
     i_eps                1 / (1 + eps^2 k2)
     omega_eps            sqrt(k2) sqrt(1 + eps^2 k2)
-    sqrt_ieps_neglap     sqrt(k2) / sqrt(1 + eps^2 k2)
-    inv_grad             1/(i xi) in d=1; 1/|xi| representative in d=2
     schrodinger_group    exp(-i t (k2 + eps^2 k2^2))
     wave_cos             cos(lam t omega_eps)
     wave_sinc            sin(lam t omega_eps) / (lam omega_eps), value t at xi=0
-    sobolev_weight       (1 + k2)^(m/2)
-    homogeneous_weight   |xi|^p with the zero mode forced to 0
-
-inv_grad and negative-power homogeneous weights require a (numerically)
-zero-mean input; their zero mode is defined as 0.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from .errors import ParameterError, ZeroModeError
-from .field import Field, Rep, ensure_physical, ensure_spectral, to_physical
+from .field import Field, ensure_physical, ensure_spectral, inverse_values, spectral_field
 from .grid import Grid
 
 ZERO_MODE_TOL = 1e-10
-
-
-class MultiplierKind(Enum):
-    LAPLACIAN = "laplacian"
-    DELTA_EPS = "delta_eps"
-    I_EPS = "i_eps"
-    OMEGA_EPS = "omega_eps"
-    SQRT_IEPS_NEGLAP = "sqrt_ieps_neglap"
-    INV_GRAD = "inv_grad"
-    SCHRODINGER_GROUP = "schrodinger_group"
-    WAVE_COS = "wave_cos"
-    WAVE_SINC = "wave_sinc"
-    SOBOLEV_WEIGHT = "sobolev_weight"
-    HOMOGENEOUS_WEIGHT = "homogeneous_weight"
-
-
-_NEEDS_EPS = {
-    MultiplierKind.DELTA_EPS,
-    MultiplierKind.I_EPS,
-    MultiplierKind.OMEGA_EPS,
-    MultiplierKind.SQRT_IEPS_NEGLAP,
-    MultiplierKind.SCHRODINGER_GROUP,
-    MultiplierKind.WAVE_COS,
-    MultiplierKind.WAVE_SINC,
-}
-
-# Kinds whose symbol sends real fields to real fields.
-_PRESERVES_REAL = frozenset(MultiplierKind) - {MultiplierKind.SCHRODINGER_GROUP}
-
-# Kinds requiring a zero-mean input.
-_NEEDS_ZERO_MEAN = {MultiplierKind.INV_GRAD}
 
 
 def _check_eps(eps) -> float:
@@ -74,15 +34,51 @@ def _check_lam(lam) -> float:
     return float(lam)
 
 
-def omega_eps_values(grid: Grid, eps: float) -> np.ndarray:
+def _check_t(t, name: str) -> None:
+    if t is None:
+        raise ParameterError(f"{name} requires t")
+
+
+def delta_eps(grid: Grid, eps: float) -> np.ndarray:
+    """Fourth-order Laplacian Lap - eps^2 Lap^2."""
+    eps = _check_eps(eps)
+    k2 = grid.k_squared
+    return -(k2 + eps * eps * k2 * k2)
+
+
+def i_eps(grid: Grid, eps: float) -> np.ndarray:
+    """Smoothing inverse (1 - eps^2 Lap)^-1."""
+    eps = _check_eps(eps)
+    return 1.0 / (1.0 + eps * eps * grid.k_squared)
+
+
+def omega_eps(grid: Grid, eps: float) -> np.ndarray:
     """Fourth-order wave frequency |xi| sqrt(1 + eps^2 |xi|^2)."""
+    eps = _check_eps(eps)
     k2 = grid.k_squared
     return np.sqrt(k2) * np.sqrt(1.0 + eps * eps * k2)
 
 
-def wave_sinc_values(grid: Grid, eps: float, lam: float, t: float) -> np.ndarray:
+def schrodinger_group(grid: Grid, eps: float, t: float) -> np.ndarray:
+    """Free propagator exp(i t Delta_eps) of the envelope."""
+    eps = _check_eps(eps)
+    _check_t(t, "schrodinger_group")
+    k2 = grid.k_squared
+    return np.exp(-1j * t * (k2 + eps * eps * k2 * k2))
+
+
+def wave_cos(grid: Grid, eps: float, lam: float, t: float) -> np.ndarray:
+    """Cosine propagator cos(lam t omega_eps) of the density wave."""
+    lam = _check_lam(lam)
+    _check_t(t, "wave_cos")
+    return np.cos(lam * t * omega_eps(grid, eps))
+
+
+def wave_sinc(grid: Grid, eps: float, lam: float, t: float) -> np.ndarray:
     """sin(lam t omega)/(lam omega) with the removable xi=0 limit t."""
-    om = omega_eps_values(grid, eps)
+    lam = _check_lam(lam)
+    _check_t(t, "wave_sinc")
+    om = omega_eps(grid, eps)
     out = np.empty_like(om)
     nz = om > 0.0
     out[nz] = np.sin(lam * t * om[nz]) / (lam * om[nz])
@@ -90,65 +86,14 @@ def wave_sinc_values(grid: Grid, eps: float, lam: float, t: float) -> np.ndarray
     return out
 
 
-def multiplier_symbol(grid: Grid, kind: MultiplierKind, *, eps=None, lam=None,
-                      t=None, m=None, power=None) -> np.ndarray:
-    """Symbol array for ``kind`` on the grid's wavenumber lattice."""
-    if kind in _NEEDS_EPS:
-        eps = _check_eps(eps)
-    k2 = grid.k_squared
-    if kind is MultiplierKind.LAPLACIAN:
-        return -k2
-    if kind is MultiplierKind.DELTA_EPS:
-        return -(k2 + eps * eps * k2 * k2)
-    if kind is MultiplierKind.I_EPS:
-        return 1.0 / (1.0 + eps * eps * k2)
-    if kind is MultiplierKind.OMEGA_EPS:
-        return omega_eps_values(grid, eps)
-    if kind is MultiplierKind.SQRT_IEPS_NEGLAP:
-        return np.sqrt(k2) / np.sqrt(1.0 + eps * eps * k2)
-    if kind is MultiplierKind.INV_GRAD:
-        if grid.d == 1:
-            xi = grid.wavenumber_mesh[0]
-            sym = np.zeros(grid.shape, dtype=np.complex128)
-            nz = xi != 0.0
-            sym[nz] = 1.0 / (1j * xi[nz])
-            # Unpaired Nyquist mode zeroed to keep real fields real.
-            sym[grid.mode_indices_1d == -grid.N // 2] = 0.0
-            return sym
-        # d=2 scalar contract: the |xi|^{-1} norm representative of the
-        # Helmholtz vector -i xi/|xi|^2, zero mode 0.
-        sym = np.zeros(grid.shape)
-        nz = k2 > 0.0
-        sym[nz] = 1.0 / np.sqrt(k2[nz])
-        return sym
-    if kind is MultiplierKind.SCHRODINGER_GROUP:
-        if t is None:
-            raise ParameterError("schrodinger_group requires t")
-        return np.exp(-1j * t * (k2 + eps * eps * k2 * k2))
-    if kind is MultiplierKind.WAVE_COS:
-        lam = _check_lam(lam)
-        if t is None:
-            raise ParameterError("wave_cos requires t")
-        return np.cos(lam * t * omega_eps_values(grid, eps))
-    if kind is MultiplierKind.WAVE_SINC:
-        lam = _check_lam(lam)
-        if t is None:
-            raise ParameterError("wave_sinc requires t")
-        return wave_sinc_values(grid, eps, lam, t)
-    if kind is MultiplierKind.SOBOLEV_WEIGHT:
-        if m is None or m < 0:
-            raise ParameterError(f"sobolev_weight requires m >= 0, got {m}")
-        return (1.0 + k2) ** (m / 2.0)
-    if kind is MultiplierKind.HOMOGENEOUS_WEIGHT:
-        if power is None or power == 0.0 or not (abs(power) < 2.0):
-            raise ParameterError(
-                f"homogeneous_weight requires exponent with 0 < |p| < 2, got {power}"
-            )
-        sym = np.zeros(grid.shape)
-        nz = k2 > 0.0
-        sym[nz] = k2[nz] ** (power / 2.0)
-        return sym
-    raise ParameterError(f"unknown multiplier kind {kind}")
+def _derivative_symbol(grid: Grid, axis: int) -> np.ndarray:
+    """i xi along one axis, with the unpaired Nyquist line zeroed so that
+    real fields stay real."""
+    sym = 1j * grid.wavenumber_mesh[axis]
+    index = [slice(None)] * grid.d
+    index[axis] = grid.mode_indices_1d == -grid.N // 2
+    sym[tuple(index)] = 0.0
+    return sym
 
 
 def check_zero_mean(coeffs: np.ndarray, what: str) -> None:
@@ -160,77 +105,47 @@ def check_zero_mean(coeffs: np.ndarray, what: str) -> None:
                             f"(|zero mode| = {zero:.3e}, norm = {total:.3e})")
 
 
-def apply_multiplier(f: Field, kind: MultiplierKind, *, eps=None, lam=None,
-                     t=None, m=None, power=None) -> Field:
-    """Multiply spectral coefficients by the kind's symbol.
-
-    Physical input comes back physical (real stays real for real
-    symbols); spectral input stays spectral.
-    """
-    spec = ensure_spectral(f)
-    needs_zero_mean = kind in _NEEDS_ZERO_MEAN or (
-        kind is MultiplierKind.HOMOGENEOUS_WEIGHT and power is not None and power < 0
-    )
-    if needs_zero_mean:
-        check_zero_mean(spec.values, kind.value)
-    sym = multiplier_symbol(f.grid, kind, eps=eps, lam=lam, t=t, m=m, power=power)
-    out = Field(f.grid, Rep.SPECTRAL, spec.values * sym)
+def _like(f: Field, coeffs: np.ndarray, real: bool) -> Field:
+    """Coefficients in f's representation; physical output is real when
+    ``real`` holds, which drops the rounding-level imaginary part."""
     if f.is_spectral:
-        return out
-    phys = to_physical(out)
-    if f.rep is Rep.PHYSICAL_REAL and kind in _PRESERVES_REAL and phys.rep is not Rep.PHYSICAL_REAL:
-        # Real symbol on a real field: discard rounding-level imaginary junk.
-        phys = Field(f.grid, Rep.PHYSICAL_REAL, phys.values.real)
-    return phys
+        return spectral_field(f.grid, coeffs)
+    phys = inverse_values(f.grid, coeffs)
+    return Field(f.grid, phys.real if real else phys)
+
+
+def apply_multiplier(f: Field, symbol: np.ndarray) -> Field:
+    """Multiply spectral coefficients by a symbol array.
+
+    Spectral input stays spectral. Physical input comes back physical,
+    and real when both f and the symbol are real.
+    """
+    coeffs = ensure_spectral(f).values * symbol
+    return _like(f, coeffs, np.isrealobj(f.values) and np.isrealobj(symbol))
 
 
 def gradient(f: Field) -> list[Field]:
     """Spectral gradient, one Field per axis (Nyquist zeroed per axis)."""
-    spec = ensure_spectral(f)
-    grid = f.grid
-    nyq = grid.mode_indices_1d == -grid.N // 2
-    out = []
-    for axis, k in enumerate(grid.wavenumber_mesh):
-        coeffs = 1j * k * spec.values
-        if grid.d == 1:
-            coeffs[nyq] = 0.0
-        else:
-            index = [slice(None)] * grid.d
-            index[axis] = nyq
-            coeffs[tuple(index)] = 0.0
-        g = Field(grid, Rep.SPECTRAL, coeffs)
-        out.append(g if f.is_spectral else to_physical(g))
-    return out
+    spec = ensure_spectral(f).values
+    real = np.isrealobj(f.values)
+    return [_like(f, _derivative_symbol(f.grid, axis) * spec, real)
+            for axis in range(f.grid.d)]
 
 
 def divergence(components: list[Field]) -> Field:
     """Spectral divergence of a vector of fields."""
     grid = components[0].grid
     total = np.zeros(grid.shape, dtype=np.complex128)
-    nyq = grid.mode_indices_1d == -grid.N // 2
     for axis, comp in enumerate(components):
-        spec = ensure_spectral(comp)
-        coeffs = 1j * grid.wavenumber_mesh[axis] * spec.values
-        if grid.d == 1:
-            coeffs[nyq] = 0.0
-        else:
-            index = [slice(None)] * grid.d
-            index[axis] = nyq
-            coeffs[tuple(index)] = 0.0
-        total += coeffs
-    out = Field(grid, Rep.SPECTRAL, total)
-    return out if components[0].is_spectral else to_physical(out)
+        total += _derivative_symbol(grid, axis) * ensure_spectral(comp).values
+    real = all(np.isrealobj(c.values) for c in components)
+    return _like(components[0], total, real)
 
 
 def derivative_fields(f: Field, k: int) -> list[Field]:
     """k-th derivative: Lap^{k/2} f for even k, the d components of
-    grad Lap^{(k-1)/2} f for odd k."""
+    grad Lap^{(k-1)/2} f for odd k. Physical output, real for real f."""
     if k == 0:
         return [ensure_physical(f)]
-    spec = ensure_spectral(f)
-    grid = f.grid
-    half = k // 2
-    base = spec.values * (-grid.k_squared) ** half
-    if k % 2 == 0:
-        return [to_physical(Field(grid, Rep.SPECTRAL, base))]
-    return gradient(to_physical(Field(grid, Rep.SPECTRAL, base)))
+    base = ensure_physical(apply_multiplier(f, (-f.grid.k_squared) ** (k // 2)))
+    return [base] if k % 2 == 0 else gradient(base)

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResolutionError
-from .field import (Field, Rep, complex_field, dealias_values, real_field,
+from .field import (Field, complex_field, dealias_values, real_field,
                     require_same_grid)
 from .grid import Grid
 from .norms import l2_norm, sobolev_norm
-from .operators import MultiplierKind, apply_multiplier
+from .operators import apply_multiplier, delta_eps, i_eps
 
 MEAN_TOL = 1e-12
 COMPAT_TOL = 1e-10
@@ -74,8 +74,8 @@ class ZakharovState:
 
     def __post_init__(self):
         require_same_grid(self.E, self.n, self.nt)
-        if self.n.rep is not Rep.PHYSICAL_REAL or self.nt.rep is not Rep.PHYSICAL_REAL:
-            raise ParameterError("n and nt must be physical-real fields")
+        if np.iscomplexobj(self.n.values) or np.iscomplexobj(self.nt.values):
+            raise ParameterError("n and nt must be real physical fields")
         if not self.E.is_physical:
             raise ParameterError("E must be a physical field")
 
@@ -109,8 +109,8 @@ class InitialData:
         require_same_grid(self.E0, self.n0, self.n1)
         if self.kind not in ("generic", "compatible", "well-prepared"):
             raise ParameterError(f"unknown data kind {self.kind!r}")
-        if self.n0.rep is not Rep.PHYSICAL_REAL or self.n1.rep is not Rep.PHYSICAL_REAL:
-            raise ParameterError("n0 and n1 must be physical-real fields")
+        if np.iscomplexobj(self.n0.values) or np.iscomplexobj(self.n1.values):
+            raise ParameterError("n0 and n1 must be real physical fields")
         norm = l2_norm(self.n1)
         mean = abs(np.mean(self.n1.values))
         if norm > 0.0 and mean > MEAN_TOL * max(norm, 1.0):
@@ -171,16 +171,23 @@ def minus_ieps_intensity(E0: Field, eps: float) -> Field:
     """-I_eps |E0|^2 with the dealiased quadratic product."""
     grid = E0.grid
     intensity = real_field(grid, dealias_values(grid, np.abs(E0.values) ** 2))
-    smoothed = apply_multiplier(intensity, MultiplierKind.I_EPS, eps=eps)
+    smoothed = apply_multiplier(intensity, i_eps(grid, eps))
     return real_field(grid, -smoothed.values)
 
 
 def layer_velocity_source(E0: Field, eps: float) -> Field:
-    """2 Im(E0 conj(Delta_eps E0)), the envelope part of d/dt Q at t=0."""
+    """2 Im(E0 conj(Delta_eps E0)), the envelope part of d/dt Q at t=0.
+
+    With E0 = a + ib this is 2 (b Delta_eps a - a Delta_eps b). Taking a
+    and b as real fields makes the source exactly zero for a real
+    envelope, where the complex product would leave rounding noise.
+    """
     grid = E0.grid
-    delta_e = apply_multiplier(E0, MultiplierKind.DELTA_EPS, eps=eps)
-    product = dealias_values(grid, E0.values * np.conj(delta_e.values))
-    return real_field(grid, 2.0 * np.imag(product))
+    symbol = delta_eps(grid, eps)
+    a, b = E0.values.real, E0.values.imag
+    delta_a = apply_multiplier(real_field(grid, a), symbol).values
+    delta_b = apply_multiplier(real_field(grid, b), symbol).values
+    return real_field(grid, 2.0 * dealias_values(grid, b * delta_a - a * delta_b))
 
 
 def preset_initial_data(kind: str, params: PresetParams, grid: Grid, eps: float) -> InitialData:

@@ -251,16 +251,3 @@ def test_qz_evolve_2d_smoke(grid2d):
     traj = qz_evolve(cfg, data)
     m0 = mass(data.E0)
     assert abs(mass(traj.final_state().E) - m0) <= 1e-11 * m0
-
-
-def test_hooks_collect_per_step(grid64):
-    x = grid64.coordinates[0]
-    zero = real_field(grid64, np.zeros(64))
-    data = InitialData(E0=complex_field(grid64, np.zeros(64, dtype=complex)),
-                       n0=real_field(grid64, np.cos(x)), n1=zero)
-    cfg = SimConfig(eps=1.0, lam=2.0, T=0.01, grid=grid64, dt0=1e-3,
-                    sample_times=(0.01,))
-    traj = qz_evolve(cfg, data, hooks={"n_norm": lambda s: l2_norm(s.n)})
-    series = traj.hook_series["n_norm"]
-    assert len(series) == 10
-    assert all(v > 0 for _, v in series)

@@ -229,3 +229,15 @@ def test_decay_probe_rejects_bad_times(grid256):
     f0 = real_field(grid256, np.exp(-(grid256.coordinates[0] ** 2)))
     with pytest.raises(ParameterError):
         decay_probe(f0, 1.0, 8.0, [0.0, 0.1], 1, [0.0])
+
+
+def test_layer_decomposition_real_envelope_has_no_q1(grid256):
+    # compatible data with a real envelope: the layer velocity source
+    # 2 Im(E0 conj(Delta_eps E0)) is exactly zero, so Q1 is too
+    data = preset_initial_data("compatible", PresetParams(amplitude=0.8), grid256, eps=1.0)
+    _, g = layer_initial_fields(data, 1.0)
+    assert np.all(g.values == 0.0)
+    cfg = SimConfig(eps=1.0, lam=8.0, T=0.1, grid=grid256, dt0=1e-3,
+                    sample_times=(0.0, 0.1))
+    decomp = layer_decompose(qz_evolve(cfg, data), 1.0, 8.0, data, 2)
+    assert all(d.norm_q1 == 0.0 for d in decomp)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from qzak import MultiplierKind, apply_multiplier, multiplier_symbol, real_field, complex_field, to_spectral
-from qzak.errors import ParameterError, ZeroModeError
-from qzak.field import Rep, spectral_field
-from qzak.operators import divergence, gradient, omega_eps_values, wave_sinc_values
+from qzak import apply_multiplier, complex_field, real_field
+from qzak.errors import ParameterError
+from qzak.field import spectral_field
+from qzak.operators import (delta_eps, derivative_fields, divergence, gradient,
+                            i_eps, omega_eps, schrodinger_group, wave_cos,
+                            wave_sinc)
 
 from conftest import random_real_values
 
@@ -17,46 +19,40 @@ def single_mode(grid, j):
 
 def test_delta_eps_single_mode(grid16):
     f = single_mode(grid16, 1)
-    out = apply_multiplier(f, MultiplierKind.DELTA_EPS, eps=1.0)
+    out = apply_multiplier(f, delta_eps(grid16, 1.0))
     assert np.isclose(out.values[grid16.mode_indices_1d == 1][0], -2.0)
 
 
 def test_i_eps_and_omega_single_mode(grid16):
     f = single_mode(grid16, 1)
-    ieps = apply_multiplier(f, MultiplierKind.I_EPS, eps=1.0)
-    om = apply_multiplier(f, MultiplierKind.OMEGA_EPS, eps=1.0)
+    ieps = apply_multiplier(f, i_eps(grid16, 1.0))
+    om = apply_multiplier(f, omega_eps(grid16, 1.0))
     sel = grid16.mode_indices_1d == 1
     assert np.isclose(ieps.values[sel][0], 0.5)
     assert np.isclose(om.values[sel][0], np.sqrt(2.0))
 
 
-def test_sqrt_ieps_neglap_symbol(grid16):
-    sym = multiplier_symbol(grid16, MultiplierKind.SQRT_IEPS_NEGLAP, eps=0.5)
-    k = np.abs(grid16.wavenumbers_1d)
-    np.testing.assert_allclose(sym, k / np.sqrt(1.0 + 0.25 * k**2), atol=1e-14)
-
-
 def test_wave_propagators_at_t0(rng, grid64):
     f = real_field(grid64, random_real_values(rng, grid64))
-    zero = apply_multiplier(f, MultiplierKind.WAVE_SINC, eps=1.0, lam=10.0, t=0.0)
-    ident = apply_multiplier(f, MultiplierKind.WAVE_COS, eps=1.0, lam=10.0, t=0.0)
+    zero = apply_multiplier(f, wave_sinc(grid64, 1.0, 10.0, 0.0))
+    ident = apply_multiplier(f, wave_cos(grid64, 1.0, 10.0, 0.0))
     assert np.max(np.abs(zero.values)) == 0.0
     np.testing.assert_allclose(ident.values, f.values, atol=1e-14)
 
 
 def test_schrodinger_group_inverse(rng, grid64):
     f = complex_field(grid64, random_real_values(rng, grid64) + 0.5j)
-    fwd = apply_multiplier(f, MultiplierKind.SCHRODINGER_GROUP, eps=0.7, t=0.3)
-    back = apply_multiplier(fwd, MultiplierKind.SCHRODINGER_GROUP, eps=0.7, t=-0.3)
+    fwd = apply_multiplier(f, schrodinger_group(grid64, 0.7, 0.3))
+    back = apply_multiplier(fwd, schrodinger_group(grid64, 0.7, -0.3))
     assert np.max(np.abs(back.values - f.values)) < 1e-12 * np.max(np.abs(f.values))
 
 
 def test_wave_energy_identity(grid64):
     # per-mode rotation invariant: cos^2 + (lam*omega*sinc)^2 = 1 off the zero mode
     lam, t, eps = 7.0, 0.37, 0.8
-    om = omega_eps_values(grid64, eps)
-    cos = multiplier_symbol(grid64, MultiplierKind.WAVE_COS, eps=eps, lam=lam, t=t)
-    sinc = wave_sinc_values(grid64, eps, lam, t)
+    om = omega_eps(grid64, eps)
+    cos = wave_cos(grid64, eps, lam, t)
+    sinc = wave_sinc(grid64, eps, lam, t)
     nz = om > 0
     np.testing.assert_allclose(cos[nz] ** 2 + (lam * om[nz] * sinc[nz]) ** 2,
                                np.ones(nz.sum()), atol=1e-12)
@@ -64,67 +60,44 @@ def test_wave_energy_identity(grid64):
 
 def test_real_symbols_preserve_realness(rng, grid64):
     f = real_field(grid64, random_real_values(rng, grid64))
-    for kind, kw in [
-        (MultiplierKind.LAPLACIAN, {}),
-        (MultiplierKind.DELTA_EPS, dict(eps=0.5)),
-        (MultiplierKind.I_EPS, dict(eps=0.5)),
-        (MultiplierKind.OMEGA_EPS, dict(eps=0.5)),
-        (MultiplierKind.SQRT_IEPS_NEGLAP, dict(eps=0.5)),
-        (MultiplierKind.WAVE_COS, dict(eps=0.5, lam=3.0, t=0.2)),
-        (MultiplierKind.WAVE_SINC, dict(eps=0.5, lam=3.0, t=0.2)),
-        (MultiplierKind.SOBOLEV_WEIGHT, dict(m=2)),
-    ]:
-        out = apply_multiplier(f, kind, **kw)
-        assert out.rep is Rep.PHYSICAL_REAL, kind
+    for symbol in (delta_eps(grid64, 0.5), i_eps(grid64, 0.5), omega_eps(grid64, 0.5),
+                   wave_cos(grid64, 0.5, 3.0, 0.2), wave_sinc(grid64, 0.5, 3.0, 0.2)):
+        out = apply_multiplier(f, symbol)
+        assert out.is_physical and out.values.dtype == np.float64
 
 
-def test_inv_grad_is_antiderivative(grid64):
+def test_realness_follows_dtype(grid64):
     x = grid64.coordinates[0]
     f = real_field(grid64, np.cos(x))
-    out = apply_multiplier(f, MultiplierKind.INV_GRAD)
-    assert out.rep is Rep.PHYSICAL_REAL
-    np.testing.assert_allclose(out.values, np.sin(x), atol=1e-12)
-
-
-def test_inv_grad_zero_mode_violation(grid64):
-    f = real_field(grid64, np.ones(64))
-    with pytest.raises(ZeroModeError):
-        apply_multiplier(f, MultiplierKind.INV_GRAD)
-
-
-def test_homogeneous_weight_inverse_pair(rng, grid64):
-    vals = random_real_values(rng, grid64)
-    vals -= vals.mean()
-    f = real_field(grid64, vals)
-    smoothed = apply_multiplier(f, MultiplierKind.HOMOGENEOUS_WEIGHT, power=-1.0)
-    back = apply_multiplier(smoothed, MultiplierKind.HOMOGENEOUS_WEIGHT, power=1.0)
-    assert np.max(np.abs(back.values - vals)) < 1e-10 * np.max(np.abs(vals))
-
-
-def test_homogeneous_weight_needs_zero_mean(grid64):
-    f = real_field(grid64, np.ones(64))
-    with pytest.raises(ZeroModeError):
-        apply_multiplier(f, MultiplierKind.HOMOGENEOUS_WEIGHT, power=-0.5)
-    # positive powers kill the mean without complaint
-    out = apply_multiplier(f, MultiplierKind.HOMOGENEOUS_WEIGHT, power=0.5)
-    assert np.max(np.abs(out.values)) < 1e-12
+    for k in range(4):
+        for comp in derivative_fields(f, k):
+            assert comp.values.dtype == np.float64, k
+    # a complex symbol, or a complex field, gives a complex result
+    assert apply_multiplier(f, schrodinger_group(grid64, 1.0, 0.1)).values.dtype == np.complex128
+    E = complex_field(grid64, np.cos(x))
+    assert apply_multiplier(E, i_eps(grid64, 1.0)).values.dtype == np.complex128
 
 
 @pytest.mark.parametrize("kw", [dict(eps=0.0), dict(eps=1.5), dict(eps=-0.2)])
 def test_invalid_eps(grid16, kw):
-    f = real_field(grid16, np.ones(16))
+    for symbol in (delta_eps, i_eps, omega_eps):
+        with pytest.raises(ParameterError):
+            symbol(grid16, **kw)
     with pytest.raises(ParameterError):
-        apply_multiplier(f, MultiplierKind.I_EPS, **kw)
+        schrodinger_group(grid16, t=0.1, **kw)
+    for symbol in (wave_cos, wave_sinc):
+        with pytest.raises(ParameterError):
+            symbol(grid16, lam=2.0, t=0.1, **kw)
 
 
 def test_invalid_lam_and_sigma(grid16):
-    f = real_field(grid16, np.ones(16))
+    for symbol in (wave_cos, wave_sinc):
+        with pytest.raises(ParameterError):
+            symbol(grid16, 1.0, 0.5, 0.1)
+        with pytest.raises(ParameterError):
+            symbol(grid16, 1.0, 2.0, None)
     with pytest.raises(ParameterError):
-        apply_multiplier(f, MultiplierKind.WAVE_COS, eps=1.0, lam=0.5, t=0.1)
-    with pytest.raises(ParameterError):
-        apply_multiplier(f, MultiplierKind.HOMOGENEOUS_WEIGHT, power=2.5)
-    with pytest.raises(ParameterError):
-        apply_multiplier(f, MultiplierKind.SOBOLEV_WEIGHT, m=-1)
+        schrodinger_group(grid16, 1.0, None)
 
 
 def test_gradient_divergence_roundtrip_2d(rng, grid2d):
@@ -133,21 +106,10 @@ def test_gradient_divergence_roundtrip_2d(rng, grid2d):
     f = real_field(grid2d, vals)
     grads = gradient(f)
     lap = divergence(grads)
-    ref = apply_multiplier(f, MultiplierKind.LAPLACIAN)
+    ref = apply_multiplier(f, -grid2d.k_squared)
     # gradient zeroes the unpaired Nyquist line, the laplacian keeps it
     j = grid2d.mode_indices_1d
     mask = np.logical_and.outer(np.abs(j) < 16, np.abs(j) < 16)
     a = np.fft.fftn(lap.values) * mask
     b = np.fft.fftn(ref.values) * mask
     assert np.max(np.abs(a - b)) < 1e-9 * max(1.0, np.max(np.abs(b)))
-
-
-def test_inv_grad_2d_norm_representative(rng, grid2d):
-    vals = random_real_values(rng, grid2d)
-    vals -= vals.mean()
-    f = real_field(grid2d, vals)
-    out = apply_multiplier(f, MultiplierKind.INV_GRAD)
-    sym = multiplier_symbol(grid2d, MultiplierKind.INV_GRAD)
-    expected = np.abs(to_spectral(f).values) * sym
-    got = np.abs(to_spectral(out).values)
-    np.testing.assert_allclose(got, expected, atol=1e-12)

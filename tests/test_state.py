@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from qzak import (InitialData, MultiplierKind, PresetParams, SimConfig,
-                  apply_multiplier, compatibility_defect, complex_field,
-                  l2_norm, make_grid, preset_initial_data, real_field)
+from qzak import (InitialData, PresetParams, SimConfig, apply_multiplier,
+                  compatibility_defect, complex_field, l2_norm, make_grid,
+                  preset_initial_data, real_field)
 from qzak.errors import ParameterError, ResolutionError
+from qzak.operators import delta_eps
 
 
 def test_compatible_defect_vanishes(grid256):
@@ -24,7 +25,7 @@ def test_well_prepared_real_envelope_has_zero_n1(grid256):
 def test_well_prepared_chirped_kills_velocity_source(grid256):
     params = PresetParams(amplitude=0.7, width=2.0, chirp=0.2)
     data = preset_initial_data("well-prepared", params, grid256, eps=1.0)
-    delta_e = apply_multiplier(data.E0, MultiplierKind.DELTA_EPS, eps=1.0)
+    delta_e = apply_multiplier(data.E0, delta_eps(grid256, 1.0))
     source = 2.0 * np.imag(data.E0.values * np.conj(delta_e.values))
     residual = data.n1.values + source
     # the sampled source is not dealiased here, so allow spectral-tail slack
