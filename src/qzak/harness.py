@@ -8,9 +8,7 @@ log-log slopes measure the lam asymptotics alone.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,9 +20,6 @@ from .layer import layer_initial_fields, q_field, q0_exact
 from .norms import sobolev_norm
 from .dynamics import oracle_evolve, qmnls_evolve, qz_evolve
 from .state import InitialData, SimConfig
-
-THREADS_ENV = "QZAK_THREADS"
-
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -54,20 +49,6 @@ class RateFit:
     lambdas: tuple[float, ...]
 
 
-def _worker_count(n_tasks: int) -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ParameterError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise ParameterError(f"{THREADS_ENV} must be >= 1, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
-
-
 def _run_one_lambda(config: SimConfig, data: InitialData, m: int,
                     reference_E: list[np.ndarray], f0: Field,
                     eps: float) -> SweepRecord:
@@ -95,9 +76,9 @@ def _run_one_lambda(config: SimConfig, data: InitialData, m: int,
                        max_tail_E=max_tail, mass_drift=drift(masses))
 
 
-def lambda_sweep(config: SimConfig, data: InitialData, lambdas, m: int,
-                 parallel: bool = True) -> list[SweepRecord]:
-    """Run the ladder of sound speeds against one common reference.
+def lambda_sweep(config: SimConfig, data: InitialData, lambdas,
+                 m: int) -> list[SweepRecord]:
+    """Run the ladder of sound speeds, in order, against one common reference.
 
     The reference uses the step-size law of the smallest lam so its
     discretization bias is shared by every run.
@@ -113,16 +94,9 @@ def lambda_sweep(config: SimConfig, data: InitialData, lambdas, m: int,
     reference_E = [s.E.values for s in ref_traj.states]
     f0, _ = layer_initial_fields(data, config.eps)
 
-    configs = [replace(config, lam=lam) for lam in lambdas]
-    if parallel and len(configs) > 1:
-        with ThreadPoolExecutor(max_workers=_worker_count(len(configs))) as pool:
-            records = list(pool.map(
-                lambda c: _run_one_lambda(c, data, m, reference_E, f0, config.eps),
-                configs))
-    else:
-        records = [_run_one_lambda(c, data, m, reference_E, f0, config.eps)
-                   for c in configs]
-    return sorted(records, key=lambda r: r.lam)
+    return [_run_one_lambda(replace(config, lam=lam), data, m, reference_E, f0,
+                            config.eps)
+            for lam in lambdas]
 
 
 def fit_rate(records: list[SweepRecord], which: str = "E-error") -> RateFit:

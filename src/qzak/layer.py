@@ -20,17 +20,15 @@ from .field import (Field, complex_field, dealias_values, ensure_spectral,
                     real_field, require_same_grid)
 from .norms import l2_norm, sobolev_norm
 from .operators import (apply_multiplier, check_zero_mean, delta_eps,
-                        derivative_fields, gradient, i_eps, wave_cos, wave_sinc)
-from .state import InitialData, ZakharovState, layer_velocity_source
+                        derivative_fields, gradient, wave_cos, wave_sinc)
+from .state import (InitialData, ZakharovState, ieps_intensity,
+                    layer_velocity_source)
 from .dynamics import Trajectory
 
 
 def q_field(s: ZakharovState, eps: float) -> Field:
     """n + I_eps |E|^2 with the dealiased quadratic product."""
-    grid = s.grid
-    intensity = real_field(grid, dealias_values(grid, np.abs(s.E.values) ** 2))
-    smoothed = apply_multiplier(intensity, i_eps(grid, eps))
-    return real_field(grid, s.n.values + smoothed.values)
+    return real_field(s.grid, s.n.values + ieps_intensity(s.E, eps).values)
 
 
 def q0_exact(t: float, lam: float, eps: float, f0: Field) -> Field:
@@ -46,11 +44,8 @@ def q1_exact(t: float, lam: float, eps: float, g: Field) -> Field:
 
 def layer_initial_fields(data: InitialData, eps: float) -> tuple[Field, Field]:
     """(f0, g): the layer's initial value and initial velocity sources."""
-    grid = data.grid
-    intensity = real_field(grid, dealias_values(grid, np.abs(data.E0.values) ** 2))
-    smoothed = apply_multiplier(intensity, i_eps(grid, eps))
-    f0 = real_field(grid, data.n0.values + smoothed.values)
-    g = real_field(grid, data.n1.values + layer_velocity_source(data.E0, eps).values)
+    f0 = q_field(data.initial_state(), eps)
+    g = real_field(data.grid, data.n1.values + layer_velocity_source(data.E0, eps).values)
     return f0, g
 
 

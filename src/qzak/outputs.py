@@ -187,26 +187,17 @@ def write_decay_report(out_dir, reports: list[DecayProbeReport]) -> list[str]:
 
 
 def write_outputs(out_dir, records: list[SweepRecord], resolved_config: dict,
-                  fits: dict[str, RateFit] | None = None,
-                  trajectory: Trajectory | None = None,
-                  emit_plots: bool = True) -> list[str]:
+                  fits: dict[str, RateFit], emit_plots: bool = True) -> list[str]:
     """Persist a sweep's full file set and its manifest.
 
-    Writes sweep.csv, ratefit.json (E error), ratefit_q.json (corrected
-    density error), optional binary snapshots, and the plot script.
-    Returns the list of files written (manifest included).
+    Writes sweep.csv, ratefit.json (fits["E"], E error), ratefit_q.json
+    (fits["Q"], corrected density error) and the plot script. Returns
+    the list of files written (manifest included).
     """
-    files = []
     write_sweep_csv(out_dir, records)
-    files.append("sweep.csv")
-    fits = fits or {}
     write_ratefit(out_dir, fits["E"], "ratefit.json")
-    files.append("ratefit.json")
-    if "Q" in fits:
-        write_ratefit(out_dir, fits["Q"], "ratefit_q.json")
-        files.append("ratefit_q.json")
-    if trajectory is not None:
-        files.extend(write_snapshots(out_dir, trajectory))
+    write_ratefit(out_dir, fits["Q"], "ratefit_q.json")
+    files = ["sweep.csv", "ratefit.json", "ratefit_q.json"]
     if emit_plots:
         write_plot_script(out_dir, records)
         files.append("plots.gp")

@@ -167,12 +167,16 @@ def _check_resolution(grid: Grid, width: float, center: tuple[float, ...],
         )
 
 
+def ieps_intensity(E: Field, eps: float) -> Field:
+    """I_eps |E|^2 with the dealiased quadratic product."""
+    grid = E.grid
+    intensity = real_field(grid, dealias_values(grid, np.abs(E.values) ** 2))
+    return apply_multiplier(intensity, i_eps(grid, eps))
+
+
 def minus_ieps_intensity(E0: Field, eps: float) -> Field:
-    """-I_eps |E0|^2 with the dealiased quadratic product."""
-    grid = E0.grid
-    intensity = real_field(grid, dealias_values(grid, np.abs(E0.values) ** 2))
-    smoothed = apply_multiplier(intensity, i_eps(grid, eps))
-    return real_field(grid, -smoothed.values)
+    """-I_eps |E0|^2, the density of compatible data."""
+    return real_field(E0.grid, -ieps_intensity(E0, eps).values)
 
 
 def layer_velocity_source(E0: Field, eps: float) -> Field:

@@ -135,6 +135,14 @@ def test_nonfinite_detection(grid64):
     state = zero_E_state(grid64, huge.values)
     with pytest.raises(NonFiniteFieldError):
         qz_step(qz_step(state, 1.0, 1.0, 1.0), 1.0, 1.0, 1.0)
+    # The march checks every step: nothing is sampled before T.
+    cfg = SimConfig(eps=1.0, lam=1.0, T=2.0, grid=grid64, dt0=1.0, c_lam=1.0,
+                    sample_times=(2.0,))
+    data = InitialData(E0=state.E, n0=state.n, n1=state.nt)
+    with pytest.raises(NonFiniteFieldError):
+        qz_evolve(cfg, data)
+    with pytest.raises(NonFiniteFieldError):
+        qmnls_evolve(cfg, complex_field(grid64, np.full(64, 1e200 + 0j)))
 
 
 def test_qmnls_plane_wave_phase(grid64):

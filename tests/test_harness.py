@@ -30,18 +30,19 @@ def synthetic_records(errors, lams):
 
 def test_sweep_errors_decrease_and_start_zero():
     cfg, data = small_sweep_setup()
-    records = lambda_sweep(cfg, data, [4.0, 8.0, 16.0], 2, parallel=False)
+    records = lambda_sweep(cfg, data, [4.0, 8.0, 16.0], 2)
     errs = [r.sup_err_E_Hm for r in records]
     assert errs[0] > errs[1] > errs[2] > 0.0
     assert all(r.mass_drift <= 1e-10 for r in records)
     assert all(r.dt <= 0.2 / r.lam + 1e-15 for r in records)
 
 
-def test_sweep_deterministic_and_parallel_equivalent():
+def test_sweep_deterministic():
     cfg, data = small_sweep_setup()
-    seq = lambda_sweep(cfg, data, [4.0, 8.0, 16.0], 2, parallel=False)
-    par = lambda_sweep(cfg, data, [4.0, 8.0, 16.0], 2, parallel=True)
-    for a, b in zip(seq, par):
+    first = lambda_sweep(cfg, data, [4.0, 8.0, 16.0], 2)
+    second = lambda_sweep(cfg, data, [4.0, 8.0, 16.0], 2)
+    assert [r.lam for r in first] == [4.0, 8.0, 16.0]
+    for a, b in zip(first, second):
         assert a.lam == b.lam
         assert a.sup_err_E_Hm == b.sup_err_E_Hm
         assert a.sup_err_Q_Hm == b.sup_err_Q_Hm
@@ -51,7 +52,7 @@ def test_sweep_deterministic_and_parallel_equivalent():
 def test_sweep_resolution_robustness():
     # doubling N or L moves each recorded error by < 5%
     cfg, data = small_sweep_setup()
-    base = lambda_sweep(cfg, data, [4.0, 8.0], 2, parallel=False)
+    base = lambda_sweep(cfg, data, [4.0, 8.0], 2)
     for N, L in ((512, 20.0 * np.pi), (512, 40.0 * np.pi)):
         g2 = make_grid(1, N, L)
         cfg2 = replace(cfg, grid=g2)
@@ -59,7 +60,7 @@ def test_sweep_resolution_robustness():
                               n_width=2.2, n_k0=1.6, n_center=(0.0,),
                               n1_amplitude=0.3, n1_width=2.0, n1_center=(-2.0,))
         data2 = preset_initial_data("generic", params, g2, eps=1.0)
-        other = lambda_sweep(cfg2, data2, [4.0, 8.0], 2, parallel=False)
+        other = lambda_sweep(cfg2, data2, [4.0, 8.0], 2)
         for a, b in zip(base, other):
             assert abs(a.sup_err_E_Hm - b.sup_err_E_Hm) < 0.05 * a.sup_err_E_Hm
             assert abs(a.sup_err_Q_Hm - b.sup_err_Q_Hm) < 0.05 * a.sup_err_Q_Hm
@@ -162,8 +163,7 @@ def test_sup_error_insensitive_to_dt_halving():
     errs = []
     for dt0 in (1e-3, 5e-4):
         run = replace(cfg, lam=64.0, dt0=dt0, c_lam=64.0 * dt0)
-        errs.append(lambda_sweep(run, data, [64.0], 2,
-                                 parallel=False)[0].sup_err_E_Hm)
+        errs.append(lambda_sweep(run, data, [64.0], 2)[0].sup_err_E_Hm)
     assert abs(errs[0] - errs[1]) <= 0.02 * errs[1]
 
 
@@ -173,16 +173,6 @@ def test_sup_error_insensitive_to_sampling_density():
     for ns in (64, 128):
         run = replace(cfg, lam=64.0,
                       sample_times=tuple(np.linspace(0.0, cfg.T, ns)))
-        sups.append(lambda_sweep(run, data, [64.0], 2,
-                                 parallel=False)[0].sup_err_E_Hm)
+        sups.append(lambda_sweep(run, data, [64.0], 2)[0].sup_err_E_Hm)
     assert abs(sups[0] - sups[1]) <= 0.02 * sups[1]
 
-
-def test_threads_env_validation(monkeypatch):
-    cfg, data = small_sweep_setup()
-    monkeypatch.setenv("QZAK_THREADS", "not-a-number")
-    with pytest.raises(ParameterError):
-        lambda_sweep(cfg, data, [4.0, 8.0, 16.0], 2, parallel=True)
-    monkeypatch.setenv("QZAK_THREADS", "1")
-    records = lambda_sweep(cfg, data, [4.0, 8.0], 2, parallel=True)
-    assert len(records) == 2
