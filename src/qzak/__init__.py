@@ -4,8 +4,7 @@ system and its subsonic (large sound speed) limit on periodic boxes."""
 __version__ = "0.1.0"
 
 from .grid import Grid, make_grid
-from .field import (Field, complex_field, dealias, real_field, spectral_field,
-                    to_physical, to_spectral)
+from .field import Field, complex_field, real_field, to_spectral
 from .operators import apply_multiplier
 from .norms import l2_norm, sobolev_norm, weighted_norm
 from .state import (InitialData, PresetParams, SchrodingerState, SimConfig,
@@ -23,8 +22,7 @@ from .cli import run_cli
 
 __all__ = [
     "Grid", "make_grid",
-    "Field", "real_field", "complex_field", "spectral_field",
-    "to_spectral", "to_physical", "dealias",
+    "Field", "real_field", "complex_field", "to_spectral",
     "apply_multiplier",
     "l2_norm", "sobolev_norm", "weighted_norm",
     "SimConfig", "ZakharovState", "SchrodingerState", "InitialData",

@@ -84,22 +84,17 @@ def _say(quiet: bool, message: str) -> None:
 def _run_simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     sim = cfg.sim
     data = preset_initial_data(cfg.data_kind, cfg.data_params, sim.grid, sim.eps)
-    files = []
     if cfg.solver == "qz":
         traj = qz_evolve(sim, data)
-        diag_lines = ["t,mass,hamiltonian"]
-        for t, state in traj.samples:
-            diag_lines.append(f"{t!r},{mass(state.E)!r},"
-                              f"{hamiltonian_qz(state, sim.eps, sim.lam)!r}")
+        energy = lambda state: hamiltonian_qz(state, sim.eps, sim.lam)
     else:
         traj = qmnls_evolve(sim, data.E0)
-        diag_lines = ["t,mass,hamiltonian"]
-        for t, state in traj.samples:
-            diag_lines.append(f"{t!r},{mass(state.E)!r},"
-                              f"{hamiltonian_qmnls(state.E, sim.eps)!r}")
+        energy = lambda state: hamiltonian_qmnls(state.E, sim.eps)
+    diag_lines = ["t,mass,hamiltonian"]
+    for t, state in traj.samples:
+        diag_lines.append(f"{t!r},{mass(state.E)!r},{energy(state)!r}")
     (out / "diagnostics.csv").write_text("\n".join(diag_lines) + "\n")
-    files.append("diagnostics.csv")
-    files.extend(write_snapshots(out, traj))
+    files = ["diagnostics.csv"] + write_snapshots(out, traj)
     write_manifest(out, cfg.resolved, files + ["manifest.json"])
     _say(quiet, f"lambda={sim.lam:g} solver={cfg.solver} samples={len(traj.samples)} "
                 f"final_mass={mass(traj.final_state().E):.12e}")
@@ -214,13 +209,11 @@ def run_cli(argv: list[str]) -> int:
         out.mkdir(parents=True, exist_ok=True)
         (out / "error.txt").unlink(missing_ok=True)
         return _RUNNERS[args.command](cfg, out, args.quiet)
-    except QzakError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        write_error(out, str(exc))
-        return EXIT_RUNTIME
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        write_error(out, str(exc))
+    except (QzakError, OSError, MemoryError) as exc:
+        # a bare MemoryError() has no message; name it instead
+        message = str(exc) or type(exc).__name__
+        print(f"error: {message}", file=sys.stderr)
+        write_error(out, message)
         return EXIT_RUNTIME
 
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .field import (Field, dealias_values, ensure_spectral, forward_values,
-                    spectral_field)
+from .field import (Field, complex_field, dealias_values, forward_values,
+                    inverse_values, to_spectral)
 from .norms import l2_norm, weighted_norm
 from .operators import check_zero_mean, i_eps, omega_eps
 from .state import ZakharovState
@@ -29,9 +29,9 @@ def hamiltonian_qz(s: ZakharovState, eps: float, lam: float) -> float:
     """
     grid = s.grid
     k2 = grid.k_squared
-    E_hat = ensure_spectral(s.E).values
-    n_hat = ensure_spectral(s.n).values
-    nt_hat = ensure_spectral(s.nt).values
+    E_hat = to_spectral(s.E)
+    n_hat = to_spectral(s.n)
+    nt_hat = to_spectral(s.nt)
     check_zero_mean(nt_hat, "hamiltonian_qz (d_t n term)")
 
     grad_E = float(np.sum(k2 * np.abs(E_hat) ** 2))
@@ -57,7 +57,7 @@ def hamiltonian_qmnls(E: Field, eps: float) -> float:
     """
     grid = E.grid
     k2 = grid.k_squared
-    E_hat = ensure_spectral(E).values
+    E_hat = to_spectral(E)
     grad_E = float(np.sum(k2 * np.abs(E_hat) ** 2))
     lap_E = float(np.sum(k2**2 * np.abs(E_hat) ** 2))
     S_hat = forward_values(grid, dealias_values(grid, np.abs(E.values) ** 2))
@@ -72,14 +72,13 @@ def n_variable(s: ZakharovState, eps: float, lam: float) -> Field:
     along the coupled flow its H^1 size stays bounded uniformly in lam.
     """
     grid = s.grid
-    n_hat = ensure_spectral(s.n).values
-    nt_hat = ensure_spectral(s.nt).values
+    coeffs = to_spectral(s.n)
+    nt_hat = to_spectral(s.nt)
     check_zero_mean(nt_hat, "n_variable")
     om = omega_eps(grid, eps)
-    coeffs = n_hat.astype(np.complex128, copy=True)
     nz = om > 0.0
     coeffs[nz] += 1j * nt_hat[nz] / (lam * om[nz])
-    return spectral_field(grid, coeffs)
+    return complex_field(grid, inverse_values(grid, coeffs))
 
 
 def spectral_tail(f: Field, fraction: float) -> float:
@@ -87,7 +86,7 @@ def spectral_tail(f: Field, fraction: float) -> float:
     if not (0.0 < fraction < 1.0):
         raise ParameterError(f"fraction must lie in (0, 1), got {fraction}")
     grid = f.grid
-    coeffs = ensure_spectral(f).values
+    coeffs = to_spectral(f)
     j = np.abs(grid.mode_indices_1d)
     outer = j >= fraction * grid.N / 2.0
     sel = outer if grid.d == 1 else np.logical_or.outer(outer, outer)

@@ -10,7 +10,8 @@ class GridSpecError(QzakError, ValueError):
 
 
 class RepresentationError(QzakError, TypeError):
-    """Field representation does not match the requested operation."""
+    """Values cannot form the requested field: a real field was given a
+    nonzero imaginary part."""
 
 
 class InconsistentGridError(QzakError, ValueError):

@@ -14,45 +14,34 @@ from .grid import Grid
 
 
 class Field:
-    """Immutable sampled function on a grid, physical or spectral.
+    """Immutable physical sampled function on a grid, float64 or complex128.
 
-    Physical values are float64 (a real field) or complex128; spectral
-    values are always complex128. The Field wraps a read-only view of
-    the array it is given and copies only to convert the dtype or to make
-    a strided view contiguous, so that the real part of a complex array
-    does not keep the complex buffer alive.
+    Spectral coefficients are plain arrays (see ``to_spectral``). The Field
+    wraps a read-only view of the array it is given and copies only to
+    convert the dtype or to make a strided view contiguous, so that the
+    real part of a complex array does not keep the complex buffer alive.
     """
 
-    __slots__ = ("grid", "spectral", "values")
+    __slots__ = ("grid", "values")
 
-    def __init__(self, grid: Grid, values: np.ndarray, spectral: bool = False):
+    def __init__(self, grid: Grid, values: np.ndarray):
         values = np.asarray(values)
         if values.shape != grid.shape:
             raise InconsistentGridError(
                 f"values shape {values.shape} does not match grid shape {grid.shape}"
             )
-        dtype = np.complex128 if spectral or np.iscomplexobj(values) else np.float64
+        dtype = np.complex128 if np.iscomplexobj(values) else np.float64
         values = np.ascontiguousarray(values, dtype=dtype).view()
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "spectral", bool(spectral))
         object.__setattr__(self, "values", values)
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
 
-    @property
-    def is_physical(self) -> bool:
-        return not self.spectral
-
-    @property
-    def is_spectral(self) -> bool:
-        return self.spectral
-
     def __repr__(self):
-        kind = "spectral" if self.spectral else "physical"
         return (f"Field(d={self.grid.d}, N={self.grid.N}, L={self.grid.L:g}, "
-                f"{kind}, {self.values.dtype})")
+                f"{self.values.dtype})")
 
 
 def real_field(grid: Grid, values: np.ndarray) -> Field:
@@ -66,10 +55,6 @@ def real_field(grid: Grid, values: np.ndarray) -> Field:
 
 def complex_field(grid: Grid, values: np.ndarray) -> Field:
     return Field(grid, np.asarray(values, dtype=np.complex128))
-
-
-def spectral_field(grid: Grid, values: np.ndarray) -> Field:
-    return Field(grid, values, spectral=True)
 
 
 def _forward_factor(grid: Grid) -> float:
@@ -87,26 +72,9 @@ def inverse_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(coeffs) / _forward_factor(grid)
 
 
-def to_spectral(f: Field) -> Field:
-    """Forward transform; requires a physical-representation field."""
-    if not f.is_physical:
-        raise RepresentationError("to_spectral expects a physical field")
-    return spectral_field(f.grid, forward_values(f.grid, f.values))
-
-
-def to_physical(f: Field) -> Field:
-    """Inverse transform; the result is complex whatever the data."""
-    if not f.is_spectral:
-        raise RepresentationError("to_physical expects a spectral field")
-    return Field(f.grid, inverse_values(f.grid, f.values))
-
-
-def ensure_spectral(f: Field) -> Field:
-    return f if f.is_spectral else to_spectral(f)
-
-
-def ensure_physical(f: Field) -> Field:
-    return f if f.is_physical else to_physical(f)
+def to_spectral(f: Field) -> np.ndarray:
+    """Forward transform: the complex coefficient array of a field."""
+    return forward_values(f.grid, f.values)
 
 
 def dealias_mask(grid: Grid) -> np.ndarray:
@@ -116,13 +84,6 @@ def dealias_mask(grid: Grid) -> np.ndarray:
     if grid.d == 1:
         return keep
     return np.logical_and.outer(keep, keep)
-
-
-def dealias(f: Field) -> Field:
-    """Zero all coefficients with any axis index |j| > N/3. Idempotent."""
-    if not f.is_spectral:
-        raise RepresentationError("dealias expects a spectral field")
-    return spectral_field(f.grid, f.values * dealias_mask(f.grid))
 
 
 def dealias_values(grid: Grid, phys_values: np.ndarray) -> np.ndarray:

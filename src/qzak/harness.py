@@ -50,11 +50,11 @@ class RateFit:
 
 
 def _run_one_lambda(config: SimConfig, data: InitialData, m: int,
-                    reference_E: list[np.ndarray], f0: Field,
-                    eps: float) -> SweepRecord:
+                    reference_E: list[np.ndarray], f0: Field) -> SweepRecord:
     start = time.perf_counter()
     traj = qz_evolve(config, data)
     grid = config.grid
+    eps = config.eps
     sup_err_E = 0.0
     sup_err_Q = 0.0
     sup_Q = 0.0
@@ -94,8 +94,7 @@ def lambda_sweep(config: SimConfig, data: InitialData, lambdas,
     reference_E = [s.E.values for s in ref_traj.states]
     f0, _ = layer_initial_fields(data, config.eps)
 
-    return [_run_one_lambda(replace(config, lam=lam), data, m, reference_E, f0,
-                            config.eps)
+    return [_run_one_lambda(replace(config, lam=lam), data, m, reference_E, f0)
             for lam in lambdas]
 
 

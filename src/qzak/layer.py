@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, WrapAroundError, ZeroModeError
-from .field import (Field, complex_field, dealias_values, ensure_spectral,
-                    real_field, require_same_grid)
+from .field import (Field, complex_field, dealias_values, real_field,
+                    require_same_grid, to_spectral)
 from .norms import l2_norm, sobolev_norm
 from .operators import (apply_multiplier, check_zero_mean, delta_eps,
                         derivative_fields, gradient, wave_cos, wave_sinc)
@@ -38,7 +38,7 @@ def q0_exact(t: float, lam: float, eps: float, f0: Field) -> Field:
 
 def q1_exact(t: float, lam: float, eps: float, g: Field) -> Field:
     """Sinc-propagated velocity term; g must have zero mean."""
-    check_zero_mean(ensure_spectral(g).values, "q1_exact")
+    check_zero_mean(to_spectral(g), "q1_exact")
     return apply_multiplier(g, wave_sinc(g.grid, eps, lam, t))
 
 
@@ -96,7 +96,7 @@ def compute_f2(E: Field, n: Field, eps: float) -> list[Field]:
     """
     grid = require_same_grid(E, n)
     if np.iscomplexobj(n.values):
-        raise ParameterError("n must be a real physical field")
+        raise ParameterError("n must be a real field")
 
     def deal(values):
         return dealias_values(grid, values)
@@ -161,8 +161,7 @@ def _group_speed(eps: float, xi: float) -> float:
 
 def _effective_cutoff(f0: Field, tol: float = 1e-12) -> float:
     """Largest wavenumber at which the data still carries amplitude."""
-    spec = ensure_spectral(f0)
-    mags = np.abs(spec.values)
+    mags = np.abs(to_spectral(f0))
     peak = float(np.max(mags))
     if peak == 0.0:
         return 0.0

@@ -9,14 +9,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .field import Field, ensure_physical, ensure_spectral
+from .field import Field, to_spectral
 from .operators import derivative_fields
 
 
 def l2_norm(f: Field) -> float:
-    """Discrete L^2 norm, identical in either representation."""
-    if f.is_spectral:
-        return float(np.sqrt(np.sum(np.abs(f.values) ** 2)))
+    """Discrete L^2 norm with the (L/N)^d measure."""
     return float(np.sqrt(f.grid.cell_volume * np.sum(np.abs(f.values) ** 2)))
 
 
@@ -24,9 +22,8 @@ def sobolev_norm(f: Field, m: int) -> float:
     """Bessel-weighted H^m norm (sum_xi (1+|xi|^2)^m |fhat|^2)^(1/2)."""
     if m < 0:
         raise ParameterError(f"Sobolev index must be >= 0, got {m}")
-    spec = ensure_spectral(f)
     weight = (1.0 + f.grid.k_squared) ** m
-    return float(np.sqrt(np.sum(weight * np.abs(spec.values) ** 2)))
+    return float(np.sqrt(np.sum(weight * np.abs(to_spectral(f)) ** 2)))
 
 
 def weighted_norm(f: Field, ell: int, k: int) -> float:
@@ -37,8 +34,7 @@ def weighted_norm(f: Field, ell: int, k: int) -> float:
     weight = grid.radius_from_center**ell if ell > 0 else 1.0
     total = 0.0
     for comp in derivative_fields(f, k):
-        vals = ensure_physical(comp).values
-        total += grid.cell_volume * np.sum(np.abs(weight * vals) ** 2)
+        total += grid.cell_volume * np.sum(np.abs(weight * comp.values) ** 2)
     return float(np.sqrt(total))
 
 

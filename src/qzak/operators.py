@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, ZeroModeError
-from .field import Field, ensure_physical, ensure_spectral, inverse_values, spectral_field
+from .field import Field, inverse_values, to_spectral
 from .grid import Grid
 
 ZERO_MODE_TOL = 1e-10
@@ -105,30 +105,27 @@ def check_zero_mean(coeffs: np.ndarray, what: str) -> None:
                             f"(|zero mode| = {zero:.3e}, norm = {total:.3e})")
 
 
-def _like(f: Field, coeffs: np.ndarray, real: bool) -> Field:
-    """Coefficients in f's representation; physical output is real when
-    ``real`` holds, which drops the rounding-level imaginary part."""
-    if f.is_spectral:
-        return spectral_field(f.grid, coeffs)
+def _physical(f: Field, coeffs: np.ndarray, real: bool) -> Field:
+    """Coefficients back on f's grid; real when ``real`` holds, which drops
+    the rounding-level imaginary part."""
     phys = inverse_values(f.grid, coeffs)
     return Field(f.grid, phys.real if real else phys)
 
 
 def apply_multiplier(f: Field, symbol: np.ndarray) -> Field:
-    """Multiply spectral coefficients by a symbol array.
+    """Multiply the spectral coefficients of f by a symbol array.
 
-    Spectral input stays spectral. Physical input comes back physical,
-    and real when both f and the symbol are real.
+    The result is real when both f and the symbol are real.
     """
-    coeffs = ensure_spectral(f).values * symbol
-    return _like(f, coeffs, np.isrealobj(f.values) and np.isrealobj(symbol))
+    coeffs = to_spectral(f) * symbol
+    return _physical(f, coeffs, np.isrealobj(f.values) and np.isrealobj(symbol))
 
 
 def gradient(f: Field) -> list[Field]:
     """Spectral gradient, one Field per axis (Nyquist zeroed per axis)."""
-    spec = ensure_spectral(f).values
+    spec = to_spectral(f)
     real = np.isrealobj(f.values)
-    return [_like(f, _derivative_symbol(f.grid, axis) * spec, real)
+    return [_physical(f, _derivative_symbol(f.grid, axis) * spec, real)
             for axis in range(f.grid.d)]
 
 
@@ -137,15 +134,15 @@ def divergence(components: list[Field]) -> Field:
     grid = components[0].grid
     total = np.zeros(grid.shape, dtype=np.complex128)
     for axis, comp in enumerate(components):
-        total += _derivative_symbol(grid, axis) * ensure_spectral(comp).values
+        total += _derivative_symbol(grid, axis) * to_spectral(comp)
     real = all(np.isrealobj(c.values) for c in components)
-    return _like(components[0], total, real)
+    return _physical(components[0], total, real)
 
 
 def derivative_fields(f: Field, k: int) -> list[Field]:
     """k-th derivative: Lap^{k/2} f for even k, the d components of
-    grad Lap^{(k-1)/2} f for odd k. Physical output, real for real f."""
+    grad Lap^{(k-1)/2} f for odd k. Real for real f."""
     if k == 0:
-        return [ensure_physical(f)]
-    base = ensure_physical(apply_multiplier(f, (-f.grid.k_squared) ** (k // 2)))
+        return [f]
+    base = apply_multiplier(f, (-f.grid.k_squared) ** (k // 2))
     return [base] if k % 2 == 0 else gradient(base)

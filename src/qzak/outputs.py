@@ -86,16 +86,19 @@ def write_snapshots(out_dir, traj: Trajectory, stem: str = "snapshots") -> list[
     states = traj.states
     files = []
 
-    def dump(name: str, stack: np.ndarray, dtype: str):
+    def dump(name: str, dtype: str):
+        # one sample at a time, so writing holds no stacked copy
         fname = f"{stem}_{name}.bin"
-        stack.astype(dtype).tofile(out / fname)
+        with open(out / fname, "wb") as fh:
+            for s in states:
+                np.asarray(getattr(s, name).values, dtype=dtype).tofile(fh)
         files.append(fname)
         return fname, dtype
 
-    entries = [dump("E", np.stack([s.E.values for s in states]), "<c16")]
+    entries = [dump("E", "<c16")]
     if hasattr(states[0], "n"):
-        entries.append(dump("n", np.stack([s.n.values for s in states]), "<f8"))
-        entries.append(dump("nt", np.stack([s.nt.values for s in states]), "<f8"))
+        entries.append(dump("n", "<f8"))
+        entries.append(dump("nt", "<f8"))
 
     sidecar = [
         "layout: row-major, little-endian, 64-bit floats",

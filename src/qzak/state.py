@@ -75,9 +75,7 @@ class ZakharovState:
     def __post_init__(self):
         require_same_grid(self.E, self.n, self.nt)
         if np.iscomplexobj(self.n.values) or np.iscomplexobj(self.nt.values):
-            raise ParameterError("n and nt must be real physical fields")
-        if not self.E.is_physical:
-            raise ParameterError("E must be a physical field")
+            raise ParameterError("n and nt must be real fields")
 
     @property
     def grid(self) -> Grid:
@@ -110,7 +108,7 @@ class InitialData:
         if self.kind not in ("generic", "compatible", "well-prepared"):
             raise ParameterError(f"unknown data kind {self.kind!r}")
         if np.iscomplexobj(self.n0.values) or np.iscomplexobj(self.n1.values):
-            raise ParameterError("n0 and n1 must be real physical fields")
+            raise ParameterError("n0 and n1 must be real fields")
         norm = l2_norm(self.n1)
         mean = abs(np.mean(self.n1.values))
         if norm > 0.0 and mean > MEAN_TOL * max(norm, 1.0):

@@ -183,3 +183,16 @@ def test_layer_decay_cli(tmp_path):
     assert len(payload["per_lambda"]) == 2
     assert all(rec["inner_exponent"] < -1.0 for rec in payload["per_lambda"])
     assert (out / "decay.csv").exists()
+
+
+def test_memory_error_exits_two(tmp_path, capsys, monkeypatch):
+    from qzak import cli
+
+    def exhausted(cfg, out, quiet):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._RUNNERS, "simulate", exhausted)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--out", str(out), "--quiet"]) == 2
+    assert "MemoryError" in capsys.readouterr().err
+    assert (out / "error.txt").read_text() == "MemoryError\n"

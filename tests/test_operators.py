@@ -3,7 +3,7 @@ import pytest
 
 from qzak import apply_multiplier, complex_field, real_field
 from qzak.errors import ParameterError
-from qzak.field import spectral_field
+from qzak.field import inverse_values, to_spectral
 from qzak.operators import (delta_eps, derivative_fields, divergence, gradient,
                             i_eps, omega_eps, schrodinger_group, wave_cos,
                             wave_sinc)
@@ -14,22 +14,22 @@ from conftest import random_real_values
 def single_mode(grid, j):
     coeffs = np.zeros(grid.shape, dtype=complex)
     coeffs[grid.mode_indices_1d == j] = 1.0
-    return spectral_field(grid, coeffs)
+    return complex_field(grid, inverse_values(grid, coeffs))
 
 
 def test_delta_eps_single_mode(grid16):
     f = single_mode(grid16, 1)
-    out = apply_multiplier(f, delta_eps(grid16, 1.0))
-    assert np.isclose(out.values[grid16.mode_indices_1d == 1][0], -2.0)
+    out = to_spectral(apply_multiplier(f, delta_eps(grid16, 1.0)))
+    assert np.isclose(out[grid16.mode_indices_1d == 1][0], -2.0)
 
 
 def test_i_eps_and_omega_single_mode(grid16):
     f = single_mode(grid16, 1)
-    ieps = apply_multiplier(f, i_eps(grid16, 1.0))
-    om = apply_multiplier(f, omega_eps(grid16, 1.0))
+    ieps = to_spectral(apply_multiplier(f, i_eps(grid16, 1.0)))
+    om = to_spectral(apply_multiplier(f, omega_eps(grid16, 1.0)))
     sel = grid16.mode_indices_1d == 1
-    assert np.isclose(ieps.values[sel][0], 0.5)
-    assert np.isclose(om.values[sel][0], np.sqrt(2.0))
+    assert np.isclose(ieps[sel][0], 0.5)
+    assert np.isclose(om[sel][0], np.sqrt(2.0))
 
 
 def test_wave_propagators_at_t0(rng, grid64):
@@ -63,7 +63,7 @@ def test_real_symbols_preserve_realness(rng, grid64):
     for symbol in (delta_eps(grid64, 0.5), i_eps(grid64, 0.5), omega_eps(grid64, 0.5),
                    wave_cos(grid64, 0.5, 3.0, 0.2), wave_sinc(grid64, 0.5, 3.0, 0.2)):
         out = apply_multiplier(f, symbol)
-        assert out.is_physical and out.values.dtype == np.float64
+        assert out.values.dtype == np.float64
 
 
 def test_realness_follows_dtype(grid64):
