@@ -54,10 +54,12 @@ def _load_config(args, command: str) -> ExperimentConfig:
     raw: dict = {}
     if args.config is not None:
         path = Path(args.config)
-        if not path.exists():
-            raise FileNotFoundError(f"config file not found: {path}")
         try:
-            raw = json.loads(path.read_text())
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("$", f"cannot read config file {path}: {exc}") from exc
+        try:
+            raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError("$", f"invalid JSON in {path}: {exc}") from exc
     raw = apply_overrides(raw, args.override)
@@ -198,7 +200,7 @@ def run_cli(argv: list[str]) -> int:
 
     try:
         cfg = _load_config(args, args.command)
-    except (FileNotFoundError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if args.out:
             write_error(Path(args.out), str(exc))

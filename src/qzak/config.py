@@ -242,6 +242,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     """Apply repeatable ``key=value`` overrides with dotted key paths."""
+    _expect(isinstance(raw, dict), "$", "top-level config must be an object")
     out = json.loads(json.dumps(raw))
     for item in overrides:
         if "=" not in item:

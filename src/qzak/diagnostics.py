@@ -9,10 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .field import (Field, complex_field, dealias_values, forward_values,
+from .field import (Field, complex_field, dealias_mask, forward_values,
                     inverse_values, to_spectral)
 from .norms import l2_norm, weighted_norm
-from .operators import check_zero_mean, i_eps, omega_eps
+from .operators import check_zero_mean, omega_eps, potential_symbol
 from .state import ZakharovState
 
 
@@ -42,8 +42,11 @@ def hamiltonian_qz(s: ZakharovState, eps: float, lam: float) -> float:
     wave_kinetic = float(np.sum(inv_grad_nt))
     n_l2 = float(np.sum(np.abs(n_hat) ** 2))
     grad_n = float(np.sum(k2 * np.abs(n_hat) ** 2))
-    intensity = dealias_values(grid, np.abs(s.E.values) ** 2)
-    coupling = float(grid.cell_volume * np.sum(s.n.values * intensity))
+    # int n |E|^2 dx over the 2/3 band, by Plancherel. An elementwise sum,
+    # not np.vdot: vdot runs on BLAS worker threads, which raised the CPU
+    # time of a d=2 N=256 simulate run by a quarter on a 2-core machine.
+    S_hat = forward_values(grid, np.abs(s.E.values) ** 2)
+    coupling = float(np.sum((np.conj(n_hat) * S_hat).real[dealias_mask(grid)]))
 
     return (grad_E + eps**2 * lap_E + 0.5 * wave_kinetic / lam**2
             + 0.5 * n_l2 + 0.5 * eps**2 * grad_n + coupling)
@@ -60,8 +63,8 @@ def hamiltonian_qmnls(E: Field, eps: float) -> float:
     E_hat = to_spectral(E)
     grad_E = float(np.sum(k2 * np.abs(E_hat) ** 2))
     lap_E = float(np.sum(k2**2 * np.abs(E_hat) ** 2))
-    S_hat = forward_values(grid, dealias_values(grid, np.abs(E.values) ** 2))
-    quartic = float(np.sum(i_eps(grid, eps) * np.abs(S_hat) ** 2))
+    S_hat = forward_values(grid, np.abs(E.values) ** 2)
+    quartic = float(np.sum(potential_symbol(grid, eps) * np.abs(S_hat) ** 2))
     return 0.5 * grad_E + 0.5 * eps**2 * lap_E - 0.25 * quartic
 
 

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import InstabilityError, NonFiniteFieldError, ParameterError
 from .field import Field, complex_field, dealias_mask, real_field
 from .grid import Grid
-from .operators import (delta_eps, i_eps, omega_eps, schrodinger_group, wave_cos,
-                        wave_sinc)
+from .operators import (delta_eps, i_eps, omega_eps, potential_symbol,
+                        schrodinger_group, wave_cos, wave_sinc)
 from .state import InitialData, SchrodingerState, SimConfig, ZakharovState
 
 _LANDING_TOL = 1e-12
@@ -52,7 +52,7 @@ class Trajectory:
 class _QZKernel:
     """Symbol arrays for one (grid, eps, lam, dt) step."""
 
-    __slots__ = ("schrod_half", "cos", "sinc", "lam_om_sin", "i_eps", "mask")
+    __slots__ = ("schrod_half", "cos", "sinc", "lam_om_sin", "potential")
 
     def __init__(self, grid: Grid, eps: float, lam: float, dt: float, dealias: bool):
         om = omega_eps(grid, eps)
@@ -60,18 +60,16 @@ class _QZKernel:
         self.cos = wave_cos(grid, eps, lam, dt)
         self.sinc = wave_sinc(grid, eps, lam, dt)
         self.lam_om_sin = lam * om * np.sin(lam * dt * om)
-        self.i_eps = i_eps(grid, eps)
-        self.mask = dealias_mask(grid) if dealias else None
+        self.potential = potential_symbol(grid, eps, dealias)
 
 
 @lru_cache(maxsize=512)
 class _QMNLSKernel:
-    __slots__ = ("schrod", "i_eps", "mask")
+    __slots__ = ("schrod", "potential")
 
     def __init__(self, grid: Grid, eps: float, dt: float, dealias: bool):
         self.schrod = schrodinger_group(grid, eps, dt)
-        self.i_eps = i_eps(grid, eps)
-        self.mask = dealias_mask(grid) if dealias else None
+        self.potential = potential_symbol(grid, eps, dealias)
 
 
 # Every march and single step shares one protocol: the fields travel as
@@ -90,10 +88,7 @@ def _qz_advance(grid: Grid, eps: float, lam: float, dealias: bool):
         # second order.
         E = E * np.exp(-0.5j * h * n)
         E = np.fft.ifftn(np.fft.fftn(E) * kern.schrod_half)
-        S_hat = np.fft.fftn(np.abs(E) ** 2)
-        if kern.mask is not None:
-            S_hat = S_hat * kern.mask
-        IS_hat = kern.i_eps * S_hat
+        IS_hat = np.fft.fftn(np.abs(E) ** 2) * kern.potential
         Q_hat = np.fft.fftn(n) + IS_hat
         Qt_hat = np.fft.fftn(nt)
         Q_new = kern.cos * Q_hat + kern.sinc * Qt_hat
@@ -110,17 +105,15 @@ def _qmnls_advance(grid: Grid, eps: float, dealias: bool):
     def advance(arrays: tuple, h: float) -> tuple:
         kern = _QMNLSKernel(grid, eps, h, dealias)
 
-        def potential(field):
-            S_hat = np.fft.fftn(np.abs(field) ** 2)
-            if kern.mask is not None:
-                S_hat = S_hat * kern.mask
-            return -np.fft.ifftn(kern.i_eps * S_hat).real
+        def kick(E):
+            # the potential is -I_eps |E|^2
+            V = -np.fft.ifftn(np.fft.fftn(np.abs(E) ** 2) * kern.potential).real
+            return E * np.exp(-0.5j * h * V)
 
         (E,) = arrays
-        E = E * np.exp(-0.5j * h * potential(E))
+        E = kick(E)
         E = np.fft.ifftn(np.fft.fftn(E) * kern.schrod)
-        E = E * np.exp(-0.5j * h * potential(E))
-        return (E,)
+        return (kick(E),)
     return advance
 
 

@@ -84,8 +84,9 @@ def lambda_sweep(config: SimConfig, data: InitialData, lambdas,
     discretization bias is shared by every run.
     """
     lambdas = [float(l) for l in lambdas]
-    if lambdas != sorted(lambdas) or any(l < 1.0 for l in lambdas):
-        raise ParameterError("lambda list must be sorted with every entry >= 1")
+    if not lambdas or lambdas != sorted(lambdas) or any(l < 1.0 for l in lambdas):
+        raise ParameterError("lambda list must be nonempty and sorted with every "
+                             "entry >= 1")
     if data.grid != config.grid:
         raise ParameterError("data grid does not match config grid")
 

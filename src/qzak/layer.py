@@ -21,14 +21,8 @@ from .field import (Field, complex_field, dealias_values, real_field,
 from .norms import l2_norm, sobolev_norm
 from .operators import (apply_multiplier, check_zero_mean, delta_eps,
                         derivative_fields, gradient, wave_cos, wave_sinc)
-from .state import (InitialData, ZakharovState, ieps_intensity,
-                    layer_velocity_source)
+from .state import InitialData, layer_velocity_source, q_field
 from .dynamics import Trajectory
-
-
-def q_field(s: ZakharovState, eps: float) -> Field:
-    """n + I_eps |E|^2 with the dealiased quadratic product."""
-    return real_field(s.grid, s.n.values + ieps_intensity(s.E, eps).values)
 
 
 def q0_exact(t: float, lam: float, eps: float, f0: Field) -> Field:
@@ -187,6 +181,11 @@ def decay_probe(f0: Field, eps: float, lam: float, times, k_max: int,
     times = sorted(float(t) for t in times)
     if not times or times[0] <= 0.0:
         raise ParameterError("probe times must be positive")
+
+    for p in probe_points:
+        if not (-grid.L / 2.0 <= float(p) < grid.L / 2.0):
+            raise ParameterError(f"probe point {p} lies outside the box "
+                                 f"[{-grid.L / 2.0:.6g}, {grid.L / 2.0:.6g})")
 
     xi_eff = _effective_cutoff(f0)
     horizon = lam * times[-1] * _group_speed(eps, xi_eff)

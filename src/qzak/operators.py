@@ -9,6 +9,7 @@ wavenumber lattice with k2 = |xi|^2:
     schrodinger_group    exp(-i t (k2 + eps^2 k2^2))
     wave_cos             cos(lam t omega_eps)
     wave_sinc            sin(lam t omega_eps) / (lam omega_eps), value t at xi=0
+    potential_symbol     i_eps on the 2/3 band (all of i_eps without dealiasing)
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, ZeroModeError
-from .field import Field, inverse_values, to_spectral
+from .field import Field, dealias_mask, inverse_values, to_spectral
 from .grid import Grid
 
 ZERO_MODE_TOL = 1e-10
@@ -50,6 +51,13 @@ def i_eps(grid: Grid, eps: float) -> np.ndarray:
     """Smoothing inverse (1 - eps^2 Lap)^-1."""
     eps = _check_eps(eps)
     return 1.0 / (1.0 + eps * eps * grid.k_squared)
+
+
+def potential_symbol(grid: Grid, eps: float, dealias: bool = True) -> np.ndarray:
+    """Takes fftn(|E|^2) to the coefficients of I_eps |E|^2, with the
+    quadratic product dealiased by the 2/3 rule when ``dealias`` holds."""
+    symbol = i_eps(grid, eps)
+    return symbol * dealias_mask(grid) if dealias else symbol
 
 
 def omega_eps(grid: Grid, eps: float) -> np.ndarray:

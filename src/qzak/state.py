@@ -20,7 +20,7 @@ from .field import (Field, complex_field, dealias_values, real_field,
                     require_same_grid)
 from .grid import Grid
 from .norms import l2_norm, sobolev_norm
-from .operators import apply_multiplier, delta_eps, i_eps
+from .operators import apply_multiplier, delta_eps, potential_symbol
 
 MEAN_TOL = 1e-12
 COMPAT_TOL = 1e-10
@@ -165,16 +165,15 @@ def _check_resolution(grid: Grid, width: float, center: tuple[float, ...],
         )
 
 
-def ieps_intensity(E: Field, eps: float) -> Field:
-    """I_eps |E|^2 with the dealiased quadratic product."""
-    grid = E.grid
-    intensity = real_field(grid, dealias_values(grid, np.abs(E.values) ** 2))
-    return apply_multiplier(intensity, i_eps(grid, eps))
+def ieps_intensity(E: Field, eps: float) -> np.ndarray:
+    """Samples of I_eps |E|^2 with the dealiased quadratic product."""
+    symbol = potential_symbol(E.grid, eps)
+    return np.fft.ifftn(np.fft.fftn(np.abs(E.values) ** 2) * symbol).real
 
 
-def minus_ieps_intensity(E0: Field, eps: float) -> Field:
-    """-I_eps |E0|^2, the density of compatible data."""
-    return real_field(E0.grid, -ieps_intensity(E0, eps).values)
+def q_field(s: ZakharovState, eps: float) -> Field:
+    """The compatibility variable Q = n + I_eps |E|^2."""
+    return real_field(s.grid, s.n.values + ieps_intensity(s.E, eps))
 
 
 def layer_velocity_source(E0: Field, eps: float) -> Field:
@@ -225,7 +224,7 @@ def preset_initial_data(kind: str, params: PresetParams, grid: Grid, eps: float)
         n1 = real_field(grid, _remove_tiny_mean(n1_vals))
         return InitialData(E0=E0, n0=n0, n1=n1, kind=kind)
 
-    n0 = minus_ieps_intensity(E0, eps)
+    n0 = real_field(grid, -ieps_intensity(E0, eps))
     if kind == "compatible":
         n1 = real_field(grid, np.zeros(grid.shape))
     else:
@@ -248,6 +247,4 @@ def _remove_tiny_mean(values: np.ndarray) -> np.ndarray:
 
 def compatibility_defect(data: InitialData, eps: float, m: int) -> float:
     """H^m size of n0 + I_eps |E0|^2 (zero exactly for compatible data)."""
-    grid = data.grid
-    residual = data.n0.values - minus_ieps_intensity(data.E0, eps).values
-    return sobolev_norm(real_field(grid, residual), m)
+    return sobolev_norm(q_field(data.initial_state(), eps), m)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import qzak
 from qzak import run_cli
 
 ORACLE_CONFIG = {
@@ -196,3 +201,56 @@ def test_memory_error_exits_two(tmp_path, capsys, monkeypatch):
     assert run_cli(["simulate", "--out", str(out), "--quiet"]) == 2
     assert "MemoryError" in capsys.readouterr().err
     assert (out / "error.txt").read_text() == "MemoryError\n"
+
+
+def test_config_array_exits_one(tmp_path, capsys):
+    path = write_config(tmp_path, [SWEEP_CONFIG])
+    out = tmp_path / "out"
+    for extra in ([], ["--override", "T=0.1"], ["--override", "data.width=3.0"]):
+        assert run_cli(["sweep", "--config", path, "--out", str(out)] + extra) == 1
+        assert "top-level config must be an object" in capsys.readouterr().err
+        assert (out / "error.txt").exists()
+
+
+def test_config_directory_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--config", str(tmp_path), "--out", str(out)]) == 1
+    assert str(tmp_path) in capsys.readouterr().err
+    assert (out / "error.txt").exists()
+
+
+def test_config_not_utf8_exits_one(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"experiment": "sweep", "out_dir": "caf\xe9"}')
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--config", str(path), "--out", str(out)]) == 1
+    assert "latin1.json" in capsys.readouterr().err
+    assert (out / "error.txt").exists()
+
+
+def test_layer_decay_probe_outside_box_exits_two(tmp_path, capsys):
+    cfg = {
+        "experiment": "layer-decay",
+        "N": 1024,
+        "lambdas": [8.0],
+        "lambda_times": [0.5, 1.0],
+        "probe_points": [0.0, 1000.0],
+        "data": {"width": 4.5},
+    }
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert run_cli(["layer-decay", "--config", path, "--out", str(out),
+                    "--quiet"]) == 2
+    assert "probe point 1000.0" in capsys.readouterr().err
+    assert "probe point 1000.0" in (out / "error.txt").read_text()
+    assert not (out / "decay.csv").exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(qzak.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "qzak", "version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.strip() == f"qzak {qzak.__version__}"

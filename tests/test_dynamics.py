@@ -165,6 +165,29 @@ def test_qmnls_step_unitary_and_reversible(grid256, generic_data):
     assert np.max(np.abs(back.E.values - s.E.values)) < 1e-12
 
 
+def test_qmnls_step_potential_follows_dealias(rng, grid64):
+    # one Strang step by hand: kick by -I_eps |E|^2, dealiased or not
+    from qzak import SchrodingerState
+    from qzak.field import dealias_mask
+    from qzak.operators import i_eps, schrodinger_group
+    E0 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    s = SchrodingerState(t=0.0, E=complex_field(grid64, E0))
+    h = 1e-3
+    outs = []
+    for dealias, band in ((True, dealias_mask(grid64)), (False, 1.0)):
+        symbol = i_eps(grid64, 0.5) * band
+
+        def kick(E):
+            V = -np.fft.ifft(np.fft.fft(np.abs(E) ** 2) * symbol).real
+            return E * np.exp(-0.5j * h * V)
+
+        E = kick(np.fft.ifft(np.fft.fft(kick(E0)) * schrodinger_group(grid64, 0.5, h)))
+        out = qmnls_step(s, h, 0.5, dealias=dealias).E.values
+        assert np.max(np.abs(out - E)) <= 1e-14
+        outs.append(out)
+    assert np.max(np.abs(outs[0] - outs[1])) > 1e-6
+
+
 def test_qmnls_mass_conservation(grid256, generic_data):
     cfg = SimConfig(eps=1.0, lam=1.0, T=0.3, grid=grid256, dt0=1e-3,
                     sample_times=tuple(np.linspace(0.0, 0.3, 7)))

@@ -72,6 +72,12 @@ def test_sweep_rejects_unsorted(grid256):
         lambda_sweep(cfg, data, [8.0, 4.0], 2)
 
 
+def test_sweep_rejects_empty_lambda_list():
+    cfg, data = small_sweep_setup()
+    with pytest.raises(ParameterError, match="nonempty"):
+        lambda_sweep(cfg, data, [], 2)
+
+
 def test_fit_exact_power_laws():
     lams = [4.0, 8.0, 16.0]
     fit = fit_rate(synthetic_records([0.25, 0.125, 0.0625], lams), "E-error")

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from qzak import (PresetParams, SimConfig, ZakharovState,
+from qzak import (PresetParams, SimConfig, ZakharovState, apply_multiplier,
                   complex_field, compute_f2, decay_probe, l2_norm,
                   layer_decompose, make_grid, preset_initial_data, q0_exact,
                   q1_exact, q_field, qz_evolve, real_field, sobolev_norm)
 from qzak.errors import ParameterError, WrapAroundError, ZeroModeError
 from qzak.field import dealias_values
 from qzak.layer import layer_initial_fields
-from qzak.operators import divergence
+from qzak.operators import divergence, i_eps
 from qzak.state import compatibility_defect
 from qzak.dynamics import oracle_evolve
 
@@ -32,6 +32,28 @@ def test_q_field_matches_defect(grid256, generic_data):
     q = q_field(generic_data.initial_state(), 1.0)
     assert np.isclose(sobolev_norm(q, 2), compatibility_defect(generic_data, 1.0, 2),
                       rtol=1e-12)
+
+
+def test_q_field_one_transform_pair(rng, grid256, monkeypatch):
+    # Q = n + I_eps |E|^2 in one spectral pass: mask and I_eps applied to
+    # the same coefficients, one fftn and one ifftn
+    E = complex_field(grid256, rng.standard_normal(256) + 1j * rng.standard_normal(256))
+    n = real_field(grid256, rng.standard_normal(256))
+    state = ZakharovState(t=0.0, E=E, n=n, nt=real_field(grid256, np.zeros(256)))
+    intensity = real_field(grid256, dealias_values(grid256, np.abs(E.values) ** 2))
+    old = n.values + apply_multiplier(intensity, i_eps(grid256, 0.7)).values
+
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    q = q_field(state, 0.7)
+    monkeypatch.undo()
+
+    assert sorted(calls) == ["fftn", "ifftn"]
+    assert np.max(np.abs(q.values - old)) <= 1e-14 * np.max(np.abs(old))
 
 
 def test_q0_q1_at_time_zero(grid256, generic_data):
@@ -223,6 +245,16 @@ def test_decay_probe_wrap_guard():
     f0 = real_field(g, np.exp(-((x / 2.0) ** 2)))
     with pytest.raises(WrapAroundError):
         decay_probe(f0, 1.0, 32.0, [2.0], 1, [0.0])
+
+
+def test_decay_probe_rejects_points_outside_box(grid256):
+    f0 = real_field(grid256, np.exp(-(grid256.coordinates[0] ** 2)))
+    half = grid256.L / 2.0
+    for point in (1000.0, half, -half - 1e-9):
+        with pytest.raises(ParameterError, match="probe point"):
+            decay_probe(f0, 1.0, 8.0, [0.1], 0, [0.0, point])
+    rep = decay_probe(f0, 1.0, 8.0, [0.1], 0, [-half, 0.0])
+    assert rep.rows[0].x0 == -half
 
 
 def test_decay_probe_rejects_bad_times(grid256):

@@ -3,10 +3,10 @@ import pytest
 
 from qzak import apply_multiplier, complex_field, real_field
 from qzak.errors import ParameterError
-from qzak.field import inverse_values, to_spectral
+from qzak.field import dealias_mask, inverse_values, to_spectral
 from qzak.operators import (delta_eps, derivative_fields, divergence, gradient,
-                            i_eps, omega_eps, schrodinger_group, wave_cos,
-                            wave_sinc)
+                            i_eps, omega_eps, potential_symbol,
+                            schrodinger_group, wave_cos, wave_sinc)
 
 from conftest import random_real_values
 
@@ -30,6 +30,13 @@ def test_i_eps_and_omega_single_mode(grid16):
     sel = grid16.mode_indices_1d == 1
     assert np.isclose(ieps[sel][0], 0.5)
     assert np.isclose(om[sel][0], np.sqrt(2.0))
+    # the potential symbol is I_eps, zeroed outside the 2/3 band when dealiased
+    plain = i_eps(grid16, 1.0)
+    np.testing.assert_array_equal(potential_symbol(grid16, 1.0, dealias=False), plain)
+    keep = dealias_mask(grid16)
+    banded = potential_symbol(grid16, 1.0)
+    np.testing.assert_array_equal(banded[keep], plain[keep])
+    assert not keep.all() and np.all(banded[~keep] == 0.0)
 
 
 def test_wave_propagators_at_t0(rng, grid64):
@@ -80,7 +87,7 @@ def test_realness_follows_dtype(grid64):
 
 @pytest.mark.parametrize("kw", [dict(eps=0.0), dict(eps=1.5), dict(eps=-0.2)])
 def test_invalid_eps(grid16, kw):
-    for symbol in (delta_eps, i_eps, omega_eps):
+    for symbol in (delta_eps, i_eps, omega_eps, potential_symbol):
         with pytest.raises(ParameterError):
             symbol(grid16, **kw)
     with pytest.raises(ParameterError):
