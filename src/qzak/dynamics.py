@@ -47,19 +47,21 @@ class Trajectory:
 
 
 # lru_cache on a kernel class returns the cached instance for arguments
-# seen before, so each (grid, eps, lam, dt) is built once.
+# seen before, so each (grid, eps, lam, dt) is built once per process.
+# The call hashes the grid, so a march looks each kernel up once and
+# keeps it in a dict keyed by the step size.
 @lru_cache(maxsize=512)
 class _QZKernel:
     """Symbol arrays for one (grid, eps, lam, dt) step."""
 
-    __slots__ = ("schrod_half", "cos", "sinc", "lam_om_sin", "potential")
+    __slots__ = ("schrod_half", "cos", "sinc", "minus_lam_om_sin", "potential")
 
     def __init__(self, grid: Grid, eps: float, lam: float, dt: float, dealias: bool):
         om = omega_eps(grid, eps)
         self.schrod_half = schrodinger_group(grid, eps, 0.5 * dt)
         self.cos = wave_cos(grid, eps, lam, dt)
         self.sinc = wave_sinc(grid, eps, lam, dt)
-        self.lam_om_sin = lam * om * np.sin(lam * dt * om)
+        self.minus_lam_om_sin = -(lam * om * np.sin(lam * dt * om))
         self.potential = potential_symbol(grid, eps, dealias)
 
 
@@ -75,45 +77,122 @@ class _QMNLSKernel:
 # Every march and single step shares one protocol: the fields travel as
 # a tuple of plain arrays, (E, n, nt) for the coupled system and (E,) for
 # the limit equation, and advance(arrays, h) returns them one step of
-# size h later. No advance writes into its inputs, so a march starts
-# from the read-only arrays of the initial data without copying them.
+# size h later. An advance allocates its work buffers once and returns
+# arrays that live in them, so its next call overwrites what it returned
+# before: a caller copies what it keeps. It writes into no other array,
+# so a march starts from the read-only arrays of the initial data
+# without copying them.
+#
+# At d=1 the transforms are np.fft.fft/ifft, which give the same bits as
+# fftn/ifftn without fftn's per-call axis bookkeeping (a few us per call,
+# about as long as the transform itself at N=1024). They are looked up
+# when the advance is built, not at import, so that a caller who wraps
+# the functions in numpy.fft (a counter or a tracer) sees every call.
+#
+# A kick is np.multiply(E, phase) in that order on every grid. Complex
+# products round differently when their operands swap, and E * np.exp(...)
+# does not fix the order: for arrays of 256 KiB and more numpy reuses the
+# exp temporary as the output and computes exp(...) * E.
+
+def _transforms(grid: Grid) -> tuple:
+    if grid.d == 1:
+        return np.fft.fft, np.fft.ifft
+    return np.fft.fftn, np.fft.ifftn
+
 
 def _qz_advance(grid: Grid, eps: float, lam: float, dealias: bool):
+    fft, ifft = _transforms(grid)
+    kernels = {}
+    # Six complex buffers. E_out, n_buf and nt_buf hold the returned
+    # fields (n and nt are the real parts of the last two); E_hat,
+    # IS_hat and phase are work space, and the steps below reuse every
+    # buffer whose contents are spent.
+    E_out, E_hat, IS_hat, n_buf, nt_buf, phase = (
+        np.empty(grid.shape, dtype=np.complex128) for _ in range(6))
+    n_out, nt_out = n_buf.real, nt_buf.real
+    # The trailing kick of a step and the leading kick of the next one
+    # apply the same phase when h repeats: phase keeps it for the n it
+    # was computed from.
+    phase_of = None
+
+    def set_phase(h: float, n: np.ndarray) -> None:
+        np.multiply(-0.5j * h, n, out=phase)
+        np.exp(phase, out=phase)
+
     def advance(arrays: tuple, h: float) -> tuple:
+        nonlocal phase_of
         E, n, nt = arrays
-        kern = _QZKernel(grid, eps, lam, h, dealias)
+        kern = kernels.get(h)
+        if kern is None:
+            kern = kernels[h] = _QZKernel(grid, eps, lam, h, dealias)
         # Palindromic sequence: kick / half linear / exact wave / half
         # linear / kick. The wave substep reads S at the half-evolved
         # (midpoint) envelope, which keeps the composition symmetric and
         # second order.
-        E = E * np.exp(-0.5j * h * n)
-        E = np.fft.ifftn(np.fft.fftn(E) * kern.schrod_half)
-        IS_hat = np.fft.fftn(np.abs(E) ** 2) * kern.potential
-        Q_hat = np.fft.fftn(n) + IS_hat
-        Qt_hat = np.fft.fftn(nt)
-        Q_new = kern.cos * Q_hat + kern.sinc * Qt_hat
-        Qt_new = -kern.lam_om_sin * Q_hat + kern.cos * Qt_hat
-        n = np.fft.ifftn(Q_new - IS_hat).real
-        nt = np.fft.ifftn(Qt_new).real
-        E = np.fft.ifftn(np.fft.fftn(E) * kern.schrod_half)
-        E = E * np.exp(-0.5j * h * n)
-        return E, n, nt
+        if phase_of is None or phase_of[0] != h or phase_of[1] is not n:
+            set_phase(h, n)
+        phase_of = None  # phase is scratch until the trailing kick
+        np.multiply(E, phase, out=E_out)
+        fft(E_out, out=E_hat)
+        np.multiply(E_hat, kern.schrod_half, out=E_hat)
+        ifft(E_hat, out=E_out)
+        S = E_hat.real  # |E|^2 in spent work space
+        np.abs(E_out, out=S)
+        np.square(S, out=S)
+        fft(S, out=IS_hat)
+        np.multiply(IS_hat, kern.potential, out=IS_hat)
+        Qt_hat = fft(nt, out=E_hat)
+        Q_hat = fft(n, out=nt_buf)
+        np.add(Q_hat, IS_hat, out=Q_hat)
+        # Q_new = cos Q_hat + sinc Qt_hat, Qt_new = -lam om sin Q_hat +
+        # cos Qt_hat, with phase as the scratch for the second products.
+        Q_new = np.multiply(kern.cos, Q_hat, out=n_buf)
+        np.add(Q_new, np.multiply(kern.sinc, Qt_hat, out=phase), out=Q_new)
+        np.multiply(kern.cos, Qt_hat, out=phase)
+        Qt_new = np.multiply(kern.minus_lam_om_sin, Q_hat, out=Q_hat)
+        np.add(Qt_new, phase, out=Qt_new)
+        np.subtract(Q_new, IS_hat, out=Q_new)
+        ifft(Q_new, out=n_buf)
+        ifft(Qt_new, out=nt_buf)
+        fft(E_out, out=E_hat)
+        np.multiply(E_hat, kern.schrod_half, out=E_hat)
+        ifft(E_hat, out=E_out)
+        set_phase(h, n_out)
+        phase_of = (h, n_out)
+        np.multiply(E_out, phase, out=E_out)
+        return E_out, n_out, nt_out
     return advance
 
 
 def _qmnls_advance(grid: Grid, eps: float, dealias: bool):
+    fft, ifft = _transforms(grid)
+    kernels = {}
+    E_out, work, phase = (np.empty(grid.shape, dtype=np.complex128) for _ in range(3))
+
+    def kick(E, h, kern):
+        # the potential is -I_eps |E|^2
+        S = phase.real
+        np.abs(E, out=S)
+        np.square(S, out=S)
+        fft(S, out=work)
+        np.multiply(work, kern.potential, out=work)
+        ifft(work, out=work)
+        V = np.negative(work.real, out=work.real)
+        np.multiply(-0.5j * h, V, out=phase)
+        np.exp(phase, out=phase)
+        np.multiply(E, phase, out=E_out)
+
     def advance(arrays: tuple, h: float) -> tuple:
-        kern = _QMNLSKernel(grid, eps, h, dealias)
-
-        def kick(E):
-            # the potential is -I_eps |E|^2
-            V = -np.fft.ifftn(np.fft.fftn(np.abs(E) ** 2) * kern.potential).real
-            return E * np.exp(-0.5j * h * V)
-
+        kern = kernels.get(h)
+        if kern is None:
+            kern = kernels[h] = _QMNLSKernel(grid, eps, h, dealias)
         (E,) = arrays
-        E = kick(E)
-        E = np.fft.ifftn(np.fft.fftn(E) * kern.schrod)
-        return (kick(E),)
+        kick(E, h, kern)
+        fft(E_out, out=work)
+        np.multiply(work, kern.schrod, out=work)
+        ifft(work, out=E_out)
+        kick(E_out, h, kern)
+        return (E_out,)
     return advance
 
 
@@ -168,11 +247,13 @@ def _march(config: SimConfig, arrays: tuple, advance) -> list:
     """Step arrays with advance, landing exactly on every sample time.
 
     Returns (t, arrays) per sample. A sample holds a contiguous copy of
-    each array, not the step's own buffer: n and nt are real parts of
-    complex step buffers, whose views keep twice their size alive, and
-    kept step buffers sit between the freed step temporaries. At d=2
-    N=256 with 64 samples, keeping the views of n and nt raised peak RSS
-    from 336 MB to 445 MB, and keeping E's buffer raised it by 7%.
+    each array: advance overwrites the buffers it returned at its next
+    call, and n and nt are real parts of complex buffers, whose views
+    would keep twice their size alive.
+
+    Finiteness is checked once per sample, not once per step. A
+    non-finite value reaches every mode within one FFT and stays, so no
+    non-finite sample can be returned; the error names the sample time.
     """
     dt = config.dt
     samples = []
@@ -189,8 +270,8 @@ def _march(config: SimConfig, arrays: tuple, advance) -> list:
             h = min(dt, target - t)
             arrays = advance(arrays, h)
             t += h
-            _check_finite(t, arrays)
         t = target
+        _check_finite(t, arrays)
         samples.append((t, tuple(a.copy() for a in arrays)))
     return samples
 

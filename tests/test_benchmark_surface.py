@@ -57,4 +57,6 @@ def test_traced_march_takes_the_counted_steps():
     assert traj.times == list(cfg.sample_times)
     assert tracer.counts["dynamics.qz_evolve.steps"] == steps
     assert tracer.counts["dynamics.trajectory_bytes"] > 0
+    # a tracer that saw no FFT would pass the equality below as 0 == 0
+    assert ffts_per_step > 0
     assert march_ffts == steps * ffts_per_step

@@ -250,7 +250,8 @@ def test_python_dash_m_runs_the_cli():
     src = str(Path(qzak.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "qzak", "version"], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0
-    assert done.stdout.strip() == f"qzak {qzak.__version__}"
+    for module in ("qzak", "qzak.cli"):
+        done = subprocess.run([sys.executable, "-m", module, "version"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, module
+        assert done.stdout.strip() == f"qzak {qzak.__version__}", module

@@ -3,11 +3,13 @@ import pytest
 
 from dataclasses import replace
 
-from qzak import (InitialData, PresetParams, SimConfig, ZakharovState,
-                  complex_field, l2_norm, make_grid, mass, oracle_evolve,
-                  preset_initial_data, qmnls_evolve, qmnls_step, qz_evolve,
-                  qz_step, real_field)
+from qzak import (InitialData, PresetParams, SchrodingerState, SimConfig,
+                  ZakharovState, complex_field, l2_norm, make_grid, mass,
+                  oracle_evolve, preset_initial_data, qmnls_evolve, qmnls_step,
+                  qz_evolve, qz_step, real_field)
 from qzak.errors import InstabilityError, NonFiniteFieldError, ParameterError
+from qzak.operators import (omega_eps, potential_symbol, schrodinger_group,
+                            wave_cos, wave_sinc)
 
 
 def zero_E_state(grid, n_vals, nt_vals=None):
@@ -77,6 +79,105 @@ def test_evolve_lands_on_sample_times(grid64, generic_data):
     assert traj.times == pytest.approx(list(times), abs=1e-12)
 
 
+def _smooth_data(grid):
+    x = grid.coordinates
+    phase = sum(np.cos(c + k) for k, c in enumerate(x))
+    n0 = 0.4 * np.prod([np.cos(c) for c in x], axis=0)
+    n1 = 0.2 * sum(np.sin(2.0 * c) for c in x)
+    return InitialData(E0=complex_field(grid, 0.6 * np.exp(1j * phase)),
+                       n0=real_field(grid, n0), n1=real_field(grid, n1))
+
+
+def _stepped_chain(cfg, state, step):
+    """The states a march should sample, from one fresh step call per step."""
+    t, tol, out = 0.0, 1e-12 * max(1.0, cfg.T), []
+    for target in cfg.sample_times:
+        while t < target - tol:
+            h = min(cfg.dt, target - t)
+            state = step(state, h)
+            t += h
+        out.append(state)
+    return out
+
+
+# d=1 N=64 and d=2 N=128 lie on either side of the 256 KiB size from
+# which numpy reuses temporaries, and the sample times force short
+# landing steps between full ones. Every
+# sample is compared after the march has stepped on past it, so a sample
+# that shared a buffer with the march would show the later state.
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 128)])
+def test_march_equals_chain_of_steps_bitwise(d, N):
+    grid = make_grid(d, N, 2.0 * np.pi)
+    data = _smooth_data(grid)
+    cfg = SimConfig(eps=1.0, lam=4.0, T=0.05, grid=grid, dt0=0.01, c_lam=1.0,
+                    sample_times=(0.013, 0.02, 0.037, 0.05))
+    traj = qz_evolve(cfg, data)
+    chain = _stepped_chain(cfg, data.initial_state(),
+                           lambda s, h: qz_step(s, h, cfg.eps, cfg.lam))
+    for (_, got), want in zip(traj.samples, chain, strict=True):
+        for name in ("E", "n", "nt"):
+            assert np.array_equal(getattr(got, name).values,
+                                  getattr(want, name).values), name
+
+    traj = qmnls_evolve(cfg, data.E0)
+    chain = _stepped_chain(cfg, SchrodingerState(t=0.0, E=data.E0),
+                           lambda s, h: qmnls_step(s, h, cfg.eps))
+    for (_, got), want in zip(traj.samples, chain, strict=True):
+        assert np.array_equal(got.E.values, want.E.values)
+
+
+# The steps as plain numpy expressions, reusing no buffer. Each kick is
+# np.multiply(E, phase): E * np.exp(...) would let numpy reuse the exp
+# temporary for arrays of 256 KiB and more (d=2 N=128) and compute
+# exp(...) * E, which rounds differently.
+def _plain_qz_step(grid, E, n, nt, h, eps, lam):
+    fft, ifft = np.fft.fftn, np.fft.ifftn
+    om = omega_eps(grid, eps)
+    half = schrodinger_group(grid, eps, 0.5 * h)
+    cos, sinc = wave_cos(grid, eps, lam, h), wave_sinc(grid, eps, lam, h)
+    E = np.multiply(E, np.exp(-0.5j * h * n))
+    E = ifft(fft(E) * half)
+    IS_hat = fft(np.abs(E) ** 2) * potential_symbol(grid, eps)
+    Q_hat = fft(n) + IS_hat
+    Qt_hat = fft(nt)
+    n = ifft(cos * Q_hat + sinc * Qt_hat - IS_hat).real
+    nt = ifft(-(lam * om * np.sin(lam * h * om)) * Q_hat + cos * Qt_hat).real
+    E = ifft(fft(E) * half)
+    return np.multiply(E, np.exp(-0.5j * h * n)), n, nt
+
+
+def _plain_qmnls_step(grid, E, h, eps):
+    fft, ifft = np.fft.fftn, np.fft.ifftn
+
+    def kick(E):
+        V = -ifft(fft(np.abs(E) ** 2) * potential_symbol(grid, eps)).real
+        return np.multiply(E, np.exp(-0.5j * h * V))
+
+    E = kick(E)
+    E = ifft(fft(E) * schrodinger_group(grid, eps, h))
+    return kick(E)
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 128)])
+def test_march_equals_plain_expressions_bitwise(d, N):
+    # Buffers, 1-D transforms and the reused phase change no bit.
+    grid = make_grid(d, N, 2.0 * np.pi)
+    data = _smooth_data(grid)
+    cfg = SimConfig(eps=1.0, lam=4.0, T=0.03, grid=grid, dt0=0.01, c_lam=1.0,
+                    sample_times=(0.03,))
+    got = qz_evolve(cfg, data).final_state()
+    (fields,) = _stepped_chain(
+        cfg, (data.E0.values, data.n0.values, data.n1.values),
+        lambda f, h: _plain_qz_step(grid, *f, h, cfg.eps, cfg.lam))
+    for name, want in zip(("E", "n", "nt"), fields, strict=True):
+        assert np.array_equal(getattr(got, name).values, want), name
+
+    got = qmnls_evolve(cfg, data.E0).final_state()
+    (want,) = _stepped_chain(cfg, data.E0.values,
+                             lambda E, h: _plain_qmnls_step(grid, E, h, cfg.eps))
+    assert np.array_equal(got.E.values, want)
+
+
 def test_mass_drift_over_many_steps():
     g = make_grid(1, 64, 16.0 * np.pi)
     params = PresetParams(amplitude=0.8, width=5.0, n_amplitude=0.4, n_width=5.0,
@@ -135,7 +236,9 @@ def test_nonfinite_detection(grid64):
     state = zero_E_state(grid64, huge.values)
     with pytest.raises(NonFiniteFieldError):
         qz_step(qz_step(state, 1.0, 1.0, 1.0), 1.0, 1.0, 1.0)
-    # The march checks every step: nothing is sampled before T.
+    # The march checks finiteness at each sample time, not at each step;
+    # the field blows up within the first steps and stays non-finite,
+    # so the check at the only sample, T, raises.
     cfg = SimConfig(eps=1.0, lam=1.0, T=2.0, grid=grid64, dt0=1.0, c_lam=1.0,
                     sample_times=(2.0,))
     data = InitialData(E0=state.E, n0=state.n, n1=state.nt)
