@@ -9,10 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .field import (Field, complex_field, dealias_mask, forward_values,
-                    inverse_values, to_spectral)
-from .norms import l2_norm, weighted_norm
-from .operators import check_zero_mean, omega_eps, potential_symbol
+from .field import Field, dealias_mask, forward_values, to_spectral
+from .norms import l2_norm
+from .operators import check_zero_mean, potential_symbol
 from .state import ZakharovState
 
 
@@ -68,22 +67,6 @@ def hamiltonian_qmnls(E: Field, eps: float) -> float:
     return 0.5 * grad_E + 0.5 * eps**2 * lap_E - 0.25 * quartic
 
 
-def n_variable(s: ZakharovState, eps: float, lam: float) -> Field:
-    """First-order complex wave variable n + i (lam omega_eps)^-1 d_t n.
-
-    Its per-mode modulus is exactly invariant under the free wave flow;
-    along the coupled flow its H^1 size stays bounded uniformly in lam.
-    """
-    grid = s.grid
-    coeffs = to_spectral(s.n)
-    nt_hat = to_spectral(s.nt)
-    check_zero_mean(nt_hat, "n_variable")
-    om = omega_eps(grid, eps)
-    nz = om > 0.0
-    coeffs[nz] += 1j * nt_hat[nz] / (lam * om[nz])
-    return complex_field(grid, inverse_values(grid, coeffs))
-
-
 def spectral_tail(f: Field, fraction: float) -> float:
     """Energy fraction carried by per-axis mode indices |j| >= fraction*N/2."""
     if not (0.0 < fraction < 1.0):
@@ -97,16 +80,6 @@ def spectral_tail(f: Field, fraction: float) -> float:
     if total == 0.0:
         return 0.0
     return float(np.sum(np.abs(coeffs[sel]) ** 2) / total)
-
-
-def weighted_envelope(E: Field, l_max: int, k_max: int) -> float:
-    """Sum of || |x|^l grad^k E || over l <= l_max, k <= k_max.
-
-    Monitors the localization of the envelope along a run; stays bounded
-    uniformly in lam for localized data.
-    """
-    return float(sum(weighted_norm(E, ell, k)
-                     for ell in range(l_max + 1) for k in range(k_max + 1)))
 
 
 def drift(series: list[float]) -> float:

@@ -81,11 +81,6 @@ class Grid:
             return (x,)
         return tuple(np.meshgrid(x, x, indexing="ij"))
 
-    @cached_property
-    def radius_from_center(self) -> np.ndarray:
-        """|x| measured from the box center."""
-        return np.sqrt(sum(x**2 for x in self.coordinates))
-
 
 def make_grid(d: int, N: int, L: float) -> Grid:
     """Build a validated periodic grid."""

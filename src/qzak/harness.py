@@ -137,6 +137,9 @@ def self_convergence(config: SimConfig, data: InitialData, dt_list,
 
     The last entry of dt_list is the reference; every dt must divide T.
     """
+    if target not in ("qz", "qmnls"):
+        raise ParameterError(
+            f"self-convergence target must be 'qz' or 'qmnls', got {target!r}")
     dts = [float(dt) for dt in dt_list]
     if len(dts) < 4:
         raise ParameterError("dt list needs >= 4 entries (>= 3 plus the reference)")

@@ -1,11 +1,10 @@
-"""Layer decomposition of the density compatibility variable.
+"""The initial layer of the density compatibility variable.
 
-Q = n + I_eps |E|^2 solves a forced fourth-order wave equation, so it
-splits into the cosine-propagated initial value Q0, the sinc-propagated
-initial velocity Q1, and a Duhamel residual Q2 = Q - Q0 - Q1 that is
-computed here exactly as a residual. Q0 carries the fast non-decaying
-oscillation created by incompatible data; the probe utilities measure
-its pointwise decay in the regions where the propagator has no
+Q = n + I_eps |E|^2 solves a forced fourth-order wave equation. Its
+cosine-propagated initial value Q0 = cos(lam t omega_eps) Q(0) carries
+the fast non-decaying oscillation created by incompatible data, and the
+sweep measures ||Q - Q0|| against it. The probe utilities measure the
+pointwise decay of Q0 in the regions where the propagator has no
 stationary phase.
 """
 
@@ -15,14 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, WrapAroundError, ZeroModeError
-from .field import (Field, complex_field, dealias_values, real_field,
-                    require_same_grid, to_spectral)
-from .norms import l2_norm, sobolev_norm
-from .operators import (apply_multiplier, check_zero_mean, delta_eps,
-                        derivative_fields, gradient, wave_cos, wave_sinc)
+from .errors import ParameterError, WrapAroundError
+from .field import Field, real_field, to_spectral
+from .operators import apply_multiplier, derivative_fields, wave_cos
 from .state import InitialData, layer_velocity_source, q_field
-from .dynamics import Trajectory
 
 
 def q0_exact(t: float, lam: float, eps: float, f0: Field) -> Field:
@@ -30,97 +25,16 @@ def q0_exact(t: float, lam: float, eps: float, f0: Field) -> Field:
     return apply_multiplier(f0, wave_cos(f0.grid, eps, lam, t))
 
 
-def q1_exact(t: float, lam: float, eps: float, g: Field) -> Field:
-    """Sinc-propagated velocity term; g must have zero mean."""
-    check_zero_mean(to_spectral(g), "q1_exact")
-    return apply_multiplier(g, wave_sinc(g.grid, eps, lam, t))
-
-
 def layer_initial_fields(data: InitialData, eps: float) -> tuple[Field, Field]:
-    """(f0, g): the layer's initial value and initial velocity sources."""
+    """(f0, g): the layer's initial value and initial velocity sources.
+
+    Only f0 feeds a measurement (through ``q0_exact``). g, the initial
+    velocity n1 + 2 Im(E0 conj(Delta_eps E0)), is still returned because
+    the benchmark probes unpack the pair.
+    """
     f0 = q_field(data.initial_state(), eps)
     g = real_field(data.grid, data.n1.values + layer_velocity_source(data.E0, eps).values)
     return f0, g
-
-
-@dataclass(frozen=True)
-class LayerDecomposition:
-    """Layer split at one time, with H^m norms of each component."""
-
-    t: float
-    q: Field
-    q0: Field
-    q1: Field
-    q2: Field
-    norm_q: float
-    norm_q0: float
-    norm_q1: float
-    norm_q2: float
-
-
-def layer_decompose(traj: Trajectory, eps: float, lam: float,
-                    data: InitialData, m: int) -> list[LayerDecomposition]:
-    """Split Q at every snapshot; Q2 is the exact residual Q - Q0 - Q1."""
-    f0, g = layer_initial_fields(data, eps)
-    g_norm = l2_norm(g)
-    g_mean = abs(np.mean(g.values))
-    if g_norm > 0.0 and g_mean > 1e-10 * g_norm:
-        raise ZeroModeError("layer velocity source has a mean; Q1 undefined")
-    out = []
-    for t, state in traj.samples:
-        q = q_field(state, eps)
-        q0 = q0_exact(t, lam, eps, f0)
-        q1 = q1_exact(t, lam, eps, g) if g_norm > 0.0 else real_field(
-            data.grid, np.zeros(data.grid.shape))
-        q2 = real_field(data.grid, q.values - q0.values - q1.values)
-        out.append(LayerDecomposition(
-            t=t, q=q, q0=q0, q1=q1, q2=q2,
-            norm_q=sobolev_norm(q, m), norm_q0=sobolev_norm(q0, m),
-            norm_q1=sobolev_norm(q1, m), norm_q2=sobolev_norm(q2, m)))
-    return out
-
-
-def compute_f2(E: Field, n: Field, eps: float) -> list[Field]:
-    """Vector field whose divergence equals d^2/dt^2 |E|^2 on solutions.
-
-    With G = Delta_eps E - n E (so that dE/dt = iG),
-
-        f2 = 2 Re[ conj(G) grad(1 - eps^2 Lap) E + conj(E) grad(1 - eps^2 Lap)(-G) ]
-           + 2 eps^2 Re sum_k [ d_k conj(G) grad d_k E + d_k conj(E) grad d_k (-G) ].
-    """
-    grid = require_same_grid(E, n)
-    if np.iscomplexobj(n.values):
-        raise ParameterError("n must be a real field")
-
-    def deal(values):
-        return dealias_values(grid, values)
-
-    delta_E = apply_multiplier(E, delta_eps(grid, eps)).values
-    G = delta_E - deal(n.values * E.values)
-    G_field = complex_field(grid, G)
-
-    def grad_ieps_inv(f: Field) -> list[np.ndarray]:
-        # grad (1 - eps^2 Lap) f, all derivatives spectral
-        base = apply_multiplier(f, 1.0 + eps * eps * grid.k_squared)
-        return [c.values for c in gradient(base)]
-
-    grad_ii_E = grad_ieps_inv(E)
-    grad_ii_G = grad_ieps_inv(G_field)
-    components = [
-        2.0 * np.real(np.conj(G) * gE - np.conj(E.values) * gG)
-        for gE, gG in zip(grad_ii_E, grad_ii_G)
-    ]
-
-    grad_E = [c.values for c in gradient(E)]
-    grad_G = [c.values for c in gradient(G_field)]
-    for k in range(grid.d):
-        grad_dk_E = [c.values for c in gradient(complex_field(grid, grad_E[k]))]
-        grad_dk_G = [c.values for c in gradient(complex_field(grid, grad_G[k]))]
-        for j in range(grid.d):
-            components[j] = components[j] + 2.0 * eps * eps * np.real(
-                np.conj(grad_G[k]) * grad_dk_E[j] - np.conj(grad_E[k]) * grad_dk_G[j])
-
-    return [real_field(grid, deal(c)) for c in components]
 
 
 @dataclass(frozen=True)
@@ -144,9 +58,6 @@ class DecayProbeReport:
     rows: tuple[ProbeRow, ...]
     inner_exponent: float
     outer_envelope_factor: float
-
-    def region_rows(self, region: str) -> list[ProbeRow]:
-        return [r for r in self.rows if r.region == region]
 
 
 def _group_speed(eps: float, xi: float) -> float:
@@ -181,6 +92,10 @@ def decay_probe(f0: Field, eps: float, lam: float, times, k_max: int,
     times = sorted(float(t) for t in times)
     if not times or times[0] <= 0.0:
         raise ParameterError("probe times must be positive")
+    if k_max < 0:
+        raise ParameterError(f"k_max must be >= 0, got {k_max}")
+    if len(probe_points) == 0:
+        raise ParameterError("probe_points must name at least one point")
 
     for p in probe_points:
         if not (-grid.L / 2.0 <= float(p) < grid.L / 2.0):

@@ -1,4 +1,4 @@
-"""Discrete L^2, Sobolev, and weighted norms.
+"""Discrete L^2 and Sobolev norms.
 
 All physical-space functionals carry the measure (L/N)^d so that they
 agree with spectral sums via Plancherel.
@@ -24,18 +24,6 @@ def sobolev_norm(f: Field, m: int) -> float:
         raise ParameterError(f"Sobolev index must be >= 0, got {m}")
     weight = (1.0 + f.grid.k_squared) ** m
     return float(np.sqrt(np.sum(weight * np.abs(to_spectral(f)) ** 2)))
-
-
-def weighted_norm(f: Field, ell: int, k: int) -> float:
-    """|| |x|^ell grad^k f ||_L2 with the weight taken from the box center."""
-    if ell < 0 or k < 0:
-        raise ParameterError("weighted_norm requires ell >= 0 and k >= 0")
-    grid = f.grid
-    weight = grid.radius_from_center**ell if ell > 0 else 1.0
-    total = 0.0
-    for comp in derivative_fields(f, k):
-        total += grid.cell_volume * np.sum(np.abs(weight * comp.values) ** 2)
-    return float(np.sqrt(total))
 
 
 def derivative_norm_sum(f: Field, m: int) -> float:

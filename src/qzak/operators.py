@@ -137,16 +137,6 @@ def gradient(f: Field) -> list[Field]:
             for axis in range(f.grid.d)]
 
 
-def divergence(components: list[Field]) -> Field:
-    """Spectral divergence of a vector of fields."""
-    grid = components[0].grid
-    total = np.zeros(grid.shape, dtype=np.complex128)
-    for axis, comp in enumerate(components):
-        total += _derivative_symbol(grid, axis) * to_spectral(comp)
-    real = all(np.isrealobj(c.values) for c in components)
-    return _physical(components[0], total, real)
-
-
 def derivative_fields(f: Field, k: int) -> list[Field]:
     """k-th derivative: Lap^{k/2} f for even k, the d components of
     grad Lap^{(k-1)/2} f for odd k. Real for real f."""

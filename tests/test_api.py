@@ -1,7 +1,42 @@
+import ast
+from pathlib import Path
+
 import qzak
+
+# The library's JSON-text entry point: the CLI reads the raw dict itself so
+# that it can apply overrides, so no module calls it.
+ENTRY_POINTS = {"parse_config"}
+
+
+def _referenced_names(path: Path, imports_count: bool) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif imports_count and isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
 
 
 def test_every_public_name_resolves():
     missing = [name for name in qzak.__all__ if not hasattr(qzak, name)]
     assert missing == []
     assert len(set(qzak.__all__)) == len(qzak.__all__)
+
+
+def test_every_public_name_is_used_outside_tests():
+    # a public name must be referenced by the package itself (not only
+    # re-exported by __init__) or by the benchmark, never by tests alone
+    src = Path(qzak.__file__).parent
+    used = set()
+    for path in src.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _referenced_names(path, imports_count=False)
+    bench = Path(__file__).resolve().parents[1] / "benchmarks"
+    for path in bench.glob("*.py"):
+        if not path.name.startswith("test_"):
+            used |= _referenced_names(path, imports_count=True)
+    unused = sorted(set(qzak.__all__) - used - ENTRY_POINTS)
+    assert unused == []

@@ -131,6 +131,8 @@ def test_self_convergence_validates_dts():
         self_convergence(cfg, data, [1e-3, 2e-3, 4e-3, 8e-3])
     with pytest.raises(ParameterError):
         self_convergence(cfg, data, [3e-3, 2e-3, 1e-3, 5e-4])  # 3e-3 !| 0.25
+    with pytest.raises(ParameterError, match="'foo'"):
+        self_convergence(cfg, data, [4e-3, 2e-3, 1e-3, 5e-4], target="foo")
 
 
 def test_oracle_discrepancy_small():

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from qzak import (PresetParams, SimConfig, ZakharovState, apply_multiplier,
-                  complex_field, compute_f2, decay_probe, l2_norm,
-                  layer_decompose, make_grid, preset_initial_data, q0_exact,
-                  q1_exact, q_field, qz_evolve, real_field, sobolev_norm)
-from qzak.errors import ParameterError, WrapAroundError, ZeroModeError
+                  complex_field, decay_probe, l2_norm, make_grid,
+                  preset_initial_data, q0_exact, q_field, qz_evolve, real_field,
+                  sobolev_norm)
+from qzak.errors import ParameterError, WrapAroundError
 from qzak.field import dealias_values
 from qzak.layer import layer_initial_fields
-from qzak.operators import divergence, i_eps
+from qzak.operators import i_eps
 from qzak.state import compatibility_defect
-from qzak.dynamics import oracle_evolve
 
 
 def test_q_field_compatible_vanishes(grid256):
@@ -57,11 +56,9 @@ def test_q_field_one_transform_pair(rng, grid256, monkeypatch):
 
 
 def test_q0_q1_at_time_zero(grid256, generic_data):
-    f0, g = layer_initial_fields(generic_data, 1.0)
+    f0, _ = layer_initial_fields(generic_data, 1.0)
     q0 = q0_exact(0.0, 8.0, 1.0, f0)
-    q1 = q1_exact(0.0, 8.0, 1.0, g)
     np.testing.assert_allclose(q0.values, f0.values, atol=1e-14)
-    assert np.max(np.abs(q1.values)) == 0.0
 
 
 def test_q0_single_mode_value(grid64):
@@ -90,51 +87,14 @@ def test_q0_commutes_with_translation(grid64):
     np.testing.assert_allclose(q_then_shift, shift_then_q, atol=1e-12)
 
 
-def test_q1_requires_zero_mean(grid64):
-    with pytest.raises(ZeroModeError):
-        q1_exact(0.1, 4.0, 1.0, real_field(grid64, np.ones(64)))
-
-
-def test_q1_amplitude_scales_inverse_lam(grid64):
-    x = grid64.coordinates[0]
-    g = real_field(grid64, np.sin(x))
-    lam_t = 2.0
-    a = np.max(np.abs(q1_exact(lam_t / 8.0, 8.0, 1.0, g).values))
-    b = np.max(np.abs(q1_exact(lam_t / 16.0, 16.0, 1.0, g).values))
-    assert np.isclose(a / b, 2.0, rtol=1e-12)
-
-
-def test_layer_decomposition_structure(grid256, gauss_params):
-    data = preset_initial_data("generic", gauss_params, grid256, eps=1.0)
-    cfg = SimConfig(eps=1.0, lam=8.0, T=0.2, grid=grid256, dt0=1e-3,
-                    sample_times=(0.0, 0.1, 0.2))
-    traj = qz_evolve(cfg, data)
-    decomp = layer_decompose(traj, 1.0, 8.0, data, 2)
-
-    first = decomp[0]
-    assert first.t == 0.0
-    assert np.max(np.abs(first.q2.values)) < 1e-10
-    assert np.max(np.abs(first.q1.values)) == 0.0
-    np.testing.assert_allclose(first.q0.values, first.q.values, atol=1e-10)
-
-    for d in decomp:  # exact additivity by construction
-        np.testing.assert_allclose(d.q.values,
-                                   d.q0.values + d.q1.values + d.q2.values,
-                                   atol=1e-14)
-
-
 def test_layer_decomposition_well_prepared(grid256):
+    # well-prepared data kill both layer sources, so Q0 and Q1 vanish
     data = preset_initial_data("well-prepared", PresetParams(amplitude=0.8, chirp=0.2),
                                grid256, eps=1.0)
-    cfg = SimConfig(eps=1.0, lam=16.0, T=0.2, grid=grid256, dt0=1e-3,
-                    sample_times=(0.0, 0.1, 0.2))
-    traj = qz_evolve(cfg, data)
-    decomp = layer_decompose(traj, 1.0, 16.0, data, 2)
+    f0, g = layer_initial_fields(data, 1.0)
     scale = sobolev_norm(data.n0, 2)
-    for d in decomp:
-        assert d.norm_q0 <= 1e-9 * scale
-        assert d.norm_q1 <= 1e-9 * scale
-        assert np.isclose(d.norm_q2, d.norm_q, rtol=1e-6, atol=1e-12)
+    assert sobolev_norm(f0, 2) <= 1e-9 * scale
+    assert sobolev_norm(g, 2) <= 1e-9 * scale
 
 
 def test_corrected_error_halves_with_lam(grid256):
@@ -142,15 +102,17 @@ def test_corrected_error_halves_with_lam(grid256):
                           n_center=(2.0,), n1_amplitude=0.4, n1_width=2.5,
                           n1_center=(-2.0,))
     data = preset_initial_data("generic", params, grid256, eps=1.0)
+    f0, _ = layer_initial_fields(data, 1.0)
     sups = []
     lams = [8.0, 16.0, 32.0]
     for lam in lams:
         cfg = SimConfig(eps=1.0, lam=lam, T=0.3, grid=grid256, dt0=1e-3,
                         sample_times=tuple(np.linspace(0.0, 0.3, 13)))
         traj = qz_evolve(cfg, data)
-        decomp = layer_decompose(traj, 1.0, lam, data, 2)
-        sups.append(max(sobolev_norm(
-            real_field(grid256, d.q1.values + d.q2.values), 2) for d in decomp))
+        # Q - Q0 is the layer-corrected error Q1 + Q2
+        sups.append(max(sobolev_norm(real_field(
+            grid256, q_field(s, 1.0).values - q0_exact(t, lam, 1.0, f0).values), 2)
+            for t, s in traj.samples))
     slope = np.polyfit(np.log(lams), np.log(sups), 1)[0]
     assert -1.3 <= slope <= -0.7
 
@@ -166,57 +128,6 @@ def test_well_prepared_layer_shrinks_with_lam(grid256):
         sups.append(max(sobolev_norm(q_field(s, 1.0), 2) for _, s in traj.samples))
     assert sups[1] <= 1.1 * sups[0]
     assert sups[2] <= 1.1 * sups[1]
-
-
-def test_f2_zero_envelope(grid64):
-    E = complex_field(grid64, np.zeros(64, dtype=complex))
-    n = real_field(grid64, np.cos(grid64.coordinates[0]))
-    comps = compute_f2(E, n, 1.0)
-    assert len(comps) == 1
-    assert np.max(np.abs(comps[0].values)) == 0.0
-
-
-def test_f2_plane_wave_divergence_free(grid64):
-    x = grid64.coordinates[0]
-    E = complex_field(grid64, 0.7 * np.exp(1j * x))
-    n = real_field(grid64, np.zeros(64))
-    comps = compute_f2(E, n, 0.8)
-    scale = max(np.max(np.abs(c.values)) for c in comps) + 1.0
-    assert l2_norm(divergence(comps)) < 1e-6 * scale
-
-
-def test_f2_matches_second_time_difference():
-    # div f2 must reproduce d^2/dt^2 |E|^2 along an unsplit reference run.
-    g = make_grid(1, 32, 8.0 * np.pi)
-    params = PresetParams(amplitude=0.8, n_amplitude=0.4, n1_amplitude=0.2,
-                          width=3.0, n_width=3.0, n1_width=3.0,
-                          min_points_per_width=3.0, edge_tol=1e-7)
-    data = preset_initial_data("generic", params, g, eps=1.0)
-    t0, delta = 0.04, 2e-4
-    states = {}
-    for T in (t0 - delta, t0, t0 + delta):
-        cfg = SimConfig(eps=1.0, lam=2.0, T=T, grid=g, dt0=1e-3, sample_times=(T,))
-        states[T] = oracle_evolve(cfg, data, refinement=200)
-
-    def intensity(state):
-        return dealias_values(g, np.abs(state.E.values) ** 2)
-
-    d2 = (intensity(states[t0 + delta]) - 2.0 * intensity(states[t0])
-          + intensity(states[t0 - delta])) / delta**2
-    comps = compute_f2(states[t0].E, states[t0].n, 1.0)
-    div = divergence(comps).values
-    rel = l2_norm(real_field(g, d2 - div)) / l2_norm(real_field(g, div))
-    assert rel < 1e-2
-
-
-def test_f2_2d_smoke(grid2d):
-    params = PresetParams(amplitude=0.5, width=1.2, n_amplitude=0.2, n_width=1.2,
-                          n1_amplitude=0.1, n1_width=1.2,
-                          min_points_per_width=4.0, edge_tol=1e-2)
-    data = preset_initial_data("generic", params, grid2d, eps=1.0)
-    comps = compute_f2(data.E0, data.n0, 1.0)
-    assert len(comps) == 2
-    assert all(np.isfinite(c.values).all() for c in comps)
 
 
 def test_decay_probe_inner_exponent():
@@ -261,6 +172,10 @@ def test_decay_probe_rejects_bad_times(grid256):
     f0 = real_field(grid256, np.exp(-(grid256.coordinates[0] ** 2)))
     with pytest.raises(ParameterError):
         decay_probe(f0, 1.0, 8.0, [0.0, 0.1], 1, [0.0])
+    with pytest.raises(ParameterError, match="k_max"):
+        decay_probe(f0, 1.0, 8.0, [0.1], -1, [0.0])
+    with pytest.raises(ParameterError, match="probe_points"):
+        decay_probe(f0, 1.0, 8.0, [0.1], 1, [])
 
 
 def test_layer_decomposition_real_envelope_has_no_q1(grid256):
@@ -269,7 +184,3 @@ def test_layer_decomposition_real_envelope_has_no_q1(grid256):
     data = preset_initial_data("compatible", PresetParams(amplitude=0.8), grid256, eps=1.0)
     _, g = layer_initial_fields(data, 1.0)
     assert np.all(g.values == 0.0)
-    cfg = SimConfig(eps=1.0, lam=8.0, T=0.1, grid=grid256, dt0=1e-3,
-                    sample_times=(0.0, 0.1))
-    decomp = layer_decompose(qz_evolve(cfg, data), 1.0, 8.0, data, 2)
-    assert all(d.norm_q1 == 0.0 for d in decomp)

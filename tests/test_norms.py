@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qzak import l2_norm, make_grid, real_field, sobolev_norm, weighted_norm
+from qzak import l2_norm, make_grid, real_field, sobolev_norm
 from qzak.errors import ParameterError
 from qzak.norms import derivative_norm_sum
 
@@ -45,39 +45,7 @@ def test_sobolev_vs_derivative_sum_2d(rng, grid2d):
     assert 1.0 / np.sqrt(3.0) <= ratio <= np.sqrt(3.0)
 
 
-def test_weighted_norm_no_weight_is_l2(rng, grid64):
-    f = real_field(grid64, random_real_values(rng, grid64))
-    assert np.isclose(weighted_norm(f, 0, 0), l2_norm(f), rtol=1e-12)
-
-
-def test_weighted_norm_gaussian_analytic():
-    # || |x| e^{-x^2} ||^2 = int x^2 e^{-2x^2} dx = sqrt(pi/2)/4
-    g = make_grid(1, 1024, 40.0)
-    x = g.coordinates[0]
-    f = real_field(g, np.exp(-(x**2)))
-    value = weighted_norm(f, 1, 0) ** 2
-    assert np.isclose(value, np.sqrt(np.pi / 2.0) / 4.0, rtol=1e-6)
-
-
-def test_weighted_norm_bounded_by_box(grid64):
-    vals = np.zeros(64)
-    vals[32] = 1.0  # concentrated at the center
-    f = real_field(grid64, vals)
-    assert weighted_norm(f, 2, 0) <= weighted_norm(f, 0, 0) * (grid64.L / 2.0) ** 2
-
-
-def test_weighted_norm_derivative_consistency(grid256):
-    x = grid256.coordinates[0]
-    f = real_field(grid256, np.exp(-(x**2) / 4.0))
-    # |x| d/dx e^{-x^2/4} = |x| (-x/2) e^{-x^2/4}; compare against quadrature
-    integrand = (x * (-x / 2.0) * np.exp(-(x**2) / 4.0)) ** 2
-    expected = np.sqrt(np.sum(integrand) * grid256.dx)
-    assert np.isclose(weighted_norm(f, 1, 1), expected, rtol=1e-10)
-
-
 def test_negative_arguments_rejected(grid16):
     f = real_field(grid16, np.ones(16))
-    with pytest.raises(ParameterError):
-        weighted_norm(f, -1, 0)
     with pytest.raises(ParameterError):
         sobolev_norm(f, -2)
