@@ -12,7 +12,7 @@ from .state import (InitialData, PresetParams, SchrodingerState, SimConfig,
 from .dynamics import (Trajectory, oracle_evolve, qmnls_evolve, qmnls_step,
                        qz_evolve, qz_step)
 from .layer import DecayProbeReport, decay_probe, q0_exact, q_field
-from .diagnostics import hamiltonian_qmnls, hamiltonian_qz, mass, spectral_tail
+from .diagnostics import hamiltonian_qz, mass, spectral_tail
 from .harness import (RateFit, SelfConvergence, SweepRecord, fit_rate,
                       lambda_sweep, oracle_discrepancy, self_convergence)
 from .config import ExperimentConfig, parse_config
@@ -28,7 +28,7 @@ __all__ = [
     "Trajectory", "qz_step", "qz_evolve", "qmnls_step", "qmnls_evolve",
     "oracle_evolve",
     "q_field", "q0_exact", "decay_probe", "DecayProbeReport",
-    "mass", "hamiltonian_qz", "hamiltonian_qmnls", "spectral_tail",
+    "mass", "hamiltonian_qz", "spectral_tail",
     "SweepRecord", "RateFit", "SelfConvergence", "lambda_sweep", "fit_rate",
     "self_convergence", "oracle_discrepancy",
     "ExperimentConfig", "parse_config", "run_cli",

@@ -8,6 +8,7 @@ solver error; failures are also recorded in <out>/error.txt.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import replace
@@ -17,15 +18,15 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, apply_overrides, resolve_config
-from .diagnostics import hamiltonian_qmnls, hamiltonian_qz, mass
+from .diagnostics import qmnls_monitor, qz_monitor
 from .dynamics import qmnls_evolve, qz_evolve
 from .errors import ConfigError, QzakError
 from .field import complex_field, real_field
 from .harness import fit_rate, lambda_sweep, oracle_discrepancy, self_convergence
 from .layer import decay_probe
 from .norms import l2_norm
-from .outputs import (write_decay_report, write_error, write_manifest,
-                      write_outputs, write_selfconv, write_snapshots)
+from .outputs import (SnapshotWriter, write_decay_report, write_error,
+                      write_manifest, write_outputs, write_selfconv)
 from .state import preset_initial_data
 
 EXIT_OK = 0
@@ -83,23 +84,48 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
+# Everything a simulate run writes besides error.txt. A failed run
+# removes all of it, so that no manifest lists half-written snapshots.
+_SIMULATE_FILES = (["diagnostics.csv", "manifest.json"]
+                   + SnapshotWriter.files(("E", "n", "nt")))
+
+
 def _run_simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
+    try:
+        return _simulate(cfg, out, quiet)
+    except BaseException:
+        for name in _SIMULATE_FILES:
+            with contextlib.suppress(OSError):
+                (out / name).unlink(missing_ok=True)
+        raise
+
+
+def _simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
+    """Write each sample and its mass and energy as it lands."""
     sim = cfg.sim
     data = preset_initial_data(cfg.data_kind, cfg.data_params, sim.grid, sim.eps)
     if cfg.solver == "qz":
-        traj = qz_evolve(sim, data)
-        energy = lambda state: hamiltonian_qz(state, sim.eps, sim.lam)
+        evolve, start, names = qz_evolve, data, ("E", "n", "nt")
+        measure = qz_monitor(sim.grid, sim.eps, sim.lam)
     else:
-        traj = qmnls_evolve(sim, data.E0)
-        energy = lambda state: hamiltonian_qmnls(state.E, sim.eps)
-    diag_lines = ["t,mass,hamiltonian"]
-    for t, state in traj.samples:
-        diag_lines.append(f"{t!r},{mass(state.E)!r},{energy(state)!r}")
-    (out / "diagnostics.csv").write_text("\n".join(diag_lines) + "\n")
-    files = ["diagnostics.csv"] + write_snapshots(out, traj)
+        evolve, start, names = qmnls_evolve, data.E0, ("E",)
+        measure = qmnls_monitor(sim.grid, sim.eps)
+    masses = []
+    with SnapshotWriter(out, sim.grid, names) as writer, \
+            open(out / "diagnostics.csv", "w") as diag:
+        diag.write("t,mass,hamiltonian\n")
+
+        def sink(t: float, arrays: tuple) -> None:
+            m, energy = measure(*arrays)
+            writer.write(t, arrays)
+            diag.write(f"{t!r},{m!r},{energy!r}\n")
+            masses.append(m)
+
+        evolve(sim, start, sink=sink)
+        files = ["diagnostics.csv"] + writer.finish()
     write_manifest(out, cfg.resolved, files + ["manifest.json"])
-    _say(quiet, f"lambda={sim.lam:g} solver={cfg.solver} samples={len(traj.samples)} "
-                f"final_mass={mass(traj.final_state().E):.12e}")
+    _say(quiet, f"lambda={sim.lam:g} solver={cfg.solver} samples={len(masses)} "
+                f"final_mass={masses[-1]:.12e}")
     return EXIT_OK
 
 

@@ -243,26 +243,24 @@ def qmnls_step(s: SchrodingerState, dt: float, eps: float,
     return _qmnls_state(s.grid, t, arrays)
 
 
-def _march(config: SimConfig, arrays: tuple, advance) -> list:
+def _march(config: SimConfig, arrays: tuple, advance, sink) -> None:
     """Step arrays with advance, landing exactly on every sample time.
 
-    Returns (t, arrays) per sample. A sample holds a contiguous copy of
-    each array: advance overwrites the buffers it returned at its next
-    call, and n and nt are real parts of complex buffers, whose views
-    would keep twice their size alive.
+    Calls sink(t, arrays) at each sample. The arrays are advance's live
+    buffers (the initial data's arrays at t = 0): the next step
+    overwrites them, so a sink copies what it keeps.
 
     Finiteness is checked once per sample, not once per step. A
     non-finite value reaches every mode within one FFT and stays, so no
-    non-finite sample can be returned; the error names the sample time.
+    non-finite sample reaches the sink; the error names the sample time.
     """
     dt = config.dt
-    samples = []
     t = 0.0
     targets = list(config.sample_times)
     if not targets or abs(targets[-1] - config.T) > _LANDING_TOL:
         targets.append(config.T)
     if targets[0] <= _LANDING_TOL:
-        samples.append((0.0, tuple(a.copy() for a in arrays)))
+        sink(0.0, arrays)
         targets = targets[1:]
     tol = _LANDING_TOL * max(1.0, config.T)
     for target in targets:
@@ -272,28 +270,45 @@ def _march(config: SimConfig, arrays: tuple, advance) -> list:
             t += h
         t = target
         _check_finite(t, arrays)
-        samples.append((t, tuple(a.copy() for a in arrays)))
-    return samples
+        sink(t, arrays)
 
 
-def qz_evolve(config: SimConfig, data: InitialData) -> Trajectory:
-    """Evolve the coupled system, snapshotting at the config's sample times."""
+def _evolve(config: SimConfig, arrays: tuple, advance, state_of, sink) -> Trajectory:
+    samples = []
+    if sink is None:
+        # n and nt are real parts of complex buffers: a contiguous copy
+        # keeps half the bytes a view would keep alive.
+        def sink(t, arrays):
+            samples.append((t, state_of(config.grid, t, tuple(a.copy() for a in arrays))))
+    _march(config, arrays, advance, sink)
+    return Trajectory(config=config, samples=tuple(samples))
+
+
+def qz_evolve(config: SimConfig, data: InitialData, sink=None) -> Trajectory:
+    """Evolve the coupled system, snapshotting at the config's sample times.
+
+    With a sink, sink(t, (E, n, nt)) is called at each sample time
+    instead, with the march's live arrays: complex E and real n and nt
+    (views into complex buffers). They are valid only during the call,
+    as the next step overwrites them, and the returned Trajectory then
+    holds no samples.
+    """
     if data.grid != config.grid:
         raise ParameterError("initial data grid does not match config grid")
     advance = _qz_advance(config.grid, config.eps, config.lam, config.dealias)
-    samples = _march(config, _arrays(data.E0, data.n0, data.n1), advance)
-    return Trajectory(config=config, samples=tuple(
-        (t, _qz_state(config.grid, t, arrays)) for t, arrays in samples))
+    return _evolve(config, _arrays(data.E0, data.n0, data.n1), advance,
+                   _qz_state, sink)
 
 
-def qmnls_evolve(config: SimConfig, E0: Field) -> Trajectory:
-    """Evolve the limit equation from envelope E0."""
+def qmnls_evolve(config: SimConfig, E0: Field, sink=None) -> Trajectory:
+    """Evolve the limit equation from envelope E0.
+
+    A sink receives (t, (E,)) under the contract of ``qz_evolve``.
+    """
     if E0.grid != config.grid:
         raise ParameterError("E0 grid does not match config grid")
     advance = _qmnls_advance(config.grid, config.eps, config.dealias)
-    samples = _march(config, _arrays(E0), advance)
-    return Trajectory(config=config, samples=tuple(
-        (t, _qmnls_state(config.grid, t, arrays)) for t, arrays in samples))
+    return _evolve(config, _arrays(E0), advance, _qmnls_state, sink)
 
 
 def oracle_evolve(config: SimConfig, data: InitialData, target: str = "qz",

@@ -62,11 +62,6 @@ def _forward_factor(grid: Grid) -> float:
     return grid.L ** (grid.d / 2.0) / grid.size
 
 
-def forward_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Raw-array forward transform with the package normalization."""
-    return np.fft.fftn(values) * _forward_factor(grid)
-
-
 def inverse_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Raw-array inverse transform (complex output)."""
     return np.fft.ifftn(coeffs) / _forward_factor(grid)
@@ -74,7 +69,7 @@ def inverse_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 
 def to_spectral(f: Field) -> np.ndarray:
     """Forward transform: the complex coefficient array of a field."""
-    return forward_values(f.grid, f.values)
+    return np.fft.fftn(f.values) * _forward_factor(f.grid)
 
 
 def dealias_mask(grid: Grid) -> np.ndarray:

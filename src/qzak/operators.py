@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, ZeroModeError
+from .errors import ParameterError
 from .field import Field, dealias_mask, inverse_values, to_spectral
 from .grid import Grid
-
-ZERO_MODE_TOL = 1e-10
 
 
 def _check_eps(eps) -> float:
@@ -102,15 +100,6 @@ def _derivative_symbol(grid: Grid, axis: int) -> np.ndarray:
     index[axis] = grid.mode_indices_1d == -grid.N // 2
     sym[tuple(index)] = 0.0
     return sym
-
-
-def check_zero_mean(coeffs: np.ndarray, what: str) -> None:
-    """Raise unless the zero-mode coefficient is negligible."""
-    total = np.sqrt(np.sum(np.abs(coeffs) ** 2))
-    zero = abs(coeffs[(0,) * coeffs.ndim])
-    if total > 0.0 and zero > ZERO_MODE_TOL * total:
-        raise ZeroModeError(f"{what} requires a zero-mean field "
-                            f"(|zero mode| = {zero:.3e}, norm = {total:.3e})")
 
 
 def _physical(f: Field, coeffs: np.ndarray, real: bool) -> Field:

@@ -79,43 +79,86 @@ def write_ratefit(out_dir, fit: RateFit, name: str = "ratefit.json") -> Path:
     return path
 
 
+_SNAPSHOT_DTYPES = {"E": "<c16", "n": "<f8", "nt": "<f8"}
+
+
+class SnapshotWriter:
+    """Appends samples to open snapshot files as they land.
+
+    One file per field name, ``<stem>_<name>.bin``: complex fields as
+    <c16, real ones as <f8. ``finish`` writes the text sidecar and
+    returns the names of the files written; a writer closed without
+    ``finish`` leaves no sidecar. Use it as a context manager.
+    """
+
+    def __init__(self, out_dir, grid, names: tuple, stem: str = "snapshots"):
+        self.out = _ensure_dir(out_dir)
+        self.grid = grid
+        self.stem = stem
+        self.names = tuple(names)
+        self.times = []
+        self._dtypes = [_SNAPSHOT_DTYPES[name] for name in self.names]
+        # real fields arrive as views into complex buffers; tofile needs
+        # them contiguous
+        self._real = np.empty(grid.shape)
+        self._files = []
+        try:
+            for fname in self.files(self.names, stem)[:-1]:
+                self._files.append(open(self.out / fname, "wb"))
+        except BaseException:
+            self.close()
+            raise
+
+    @staticmethod
+    def files(names: tuple, stem: str = "snapshots") -> list[str]:
+        """The names of the files a finished writer leaves, sidecar last."""
+        return [f"{stem}_{name}.bin" for name in names] + [f"{stem}_meta.txt"]
+
+    def write(self, t: float, arrays: tuple) -> None:
+        for fh, arr, dtype in zip(self._files, arrays, self._dtypes):
+            if dtype == "<f8":
+                np.copyto(self._real, arr)
+                arr = self._real
+            np.asarray(arr, dtype=dtype).tofile(fh)
+        self.times.append(t)
+
+    def close(self) -> None:
+        for fh in self._files:
+            fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def finish(self) -> list[str]:
+        self.close()
+        grid = self.grid
+        sidecar = [
+            "layout: row-major, little-endian, 64-bit floats",
+            "complex: interleaved real/imag (numpy dtype <c16)",
+            f"dimension: {grid.d}",
+            f"N: {grid.N}",
+            f"L: {_fmt(grid.L)}",
+            f"num_snapshots: {len(self.times)}",
+            "times: " + ",".join(_fmt(t) for t in self.times),
+            "shape_per_snapshot: " + "x".join(str(n) for n in grid.shape),
+        ]
+        files = self.files(self.names, self.stem)
+        for fname, dtype in zip(files, self._dtypes):
+            sidecar.append(f"file: {fname} dtype={dtype}")
+        (self.out / files[-1]).write_text("\n".join(sidecar) + "\n")
+        return files
+
+
 def write_snapshots(out_dir, traj: Trajectory, stem: str = "snapshots") -> list[str]:
     """Dump trajectory fields as flat binary arrays plus a text sidecar."""
-    out = _ensure_dir(out_dir)
-    grid = traj.config.grid
-    states = traj.states
-    files = []
-
-    def dump(name: str, dtype: str):
-        # one sample at a time, so writing holds no stacked copy
-        fname = f"{stem}_{name}.bin"
-        with open(out / fname, "wb") as fh:
-            for s in states:
-                np.asarray(getattr(s, name).values, dtype=dtype).tofile(fh)
-        files.append(fname)
-        return fname, dtype
-
-    entries = [dump("E", "<c16")]
-    if hasattr(states[0], "n"):
-        entries.append(dump("n", "<f8"))
-        entries.append(dump("nt", "<f8"))
-
-    sidecar = [
-        "layout: row-major, little-endian, 64-bit floats",
-        "complex: interleaved real/imag (numpy dtype <c16)",
-        f"dimension: {grid.d}",
-        f"N: {grid.N}",
-        f"L: {_fmt(grid.L)}",
-        f"num_snapshots: {len(states)}",
-        "times: " + ",".join(_fmt(t) for t in traj.times),
-        "shape_per_snapshot: " + "x".join(str(n) for n in grid.shape),
-    ]
-    for fname, dtype in entries:
-        sidecar.append(f"file: {fname} dtype={dtype}")
-    meta = f"{stem}_meta.txt"
-    (out / meta).write_text("\n".join(sidecar) + "\n")
-    files.append(meta)
-    return files
+    names = ("E", "n", "nt") if hasattr(traj.states[0], "n") else ("E",)
+    with SnapshotWriter(out_dir, traj.config.grid, names, stem) as writer:
+        for t, s in traj.samples:
+            writer.write(t, tuple(getattr(s, name).values for name in names))
+        return writer.finish()
 
 
 def read_snapshots(out_dir, stem: str = "snapshots") -> dict[str, np.ndarray]:

@@ -11,10 +11,10 @@ import pytest
 from dataclasses import replace
 
 from qzak import (PresetParams, SimConfig, complex_field, decay_probe,
-                  fit_rate, hamiltonian_qmnls, hamiltonian_qz, lambda_sweep,
+                  fit_rate, hamiltonian_qz, lambda_sweep,
                   l2_norm, make_grid, mass, preset_initial_data, qmnls_evolve,
                   qz_evolve, real_field, self_convergence)
-from qzak.diagnostics import drift
+from qzak.diagnostics import drift, hamiltonian_qmnls
 from qzak.harness import oracle_discrepancy
 
 EPS = 1.0

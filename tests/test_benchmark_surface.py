@@ -60,3 +60,39 @@ def test_traced_march_takes_the_counted_steps():
     # a tracer that saw no FFT would pass the equality below as 0 == 0
     assert ffts_per_step > 0
     assert march_ffts == steps * ffts_per_step
+
+
+_TINY_DATA = {"kind": "generic", "amplitude": 0.4, "width": 2.0,
+              "n_amplitude": 0.5, "n_width": 2.2, "n1_amplitude": 0.3,
+              "n1_width": 2.0, "n1_center": [-2.0]}
+_TINY_RUNS = {
+    "simulate": {"experiment": "simulate", "N": 256, "L": 20.0 * 3.141592653589793,
+                 "T": 0.02, "lambda": 8.0, "num_samples": 3, "data": _TINY_DATA},
+    "sweep": {"experiment": "sweep", "N": 256, "L": 20.0 * 3.141592653589793,
+              "T": 0.02, "num_samples": 3, "lambdas": [4.0, 8.0, 16.0],
+              "data": _TINY_DATA},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TINY_RUNS))
+def test_traced_cli_run_yields_layer_metrics(tmp_path, command):
+    # --trace 1 divides the qz_evolve span by the steps counted on
+    # qz_evolve: a CLI path that stops calling it breaks the trace.
+    import json
+
+    from qzak.cli import run_cli
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_TINY_RUNS[command]))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]
+    tracer, patches = tracing.Tracer(), tracing.Patches()
+    tracing.install(tracer, patches)
+    try:
+        with tracer.operation(0), tracer.span("cli.run_cli"):
+            code = run_cli(argv)
+    finally:
+        patches.restore()
+    assert code == 0
+    assert tracer.counts["dynamics.qz_evolve.steps"] > 0
+    layers = tracing.operation_layers(tracer.spans, tracer.counts, samples=3)
+    assert layers["dynamics.qz_evolve_us_per_step"] > 0.0

@@ -5,9 +5,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import qzak
-from qzak import run_cli
+from qzak import (hamiltonian_qz, mass, preset_initial_data, qmnls_evolve,
+                  qz_evolve, run_cli)
 
 ORACLE_CONFIG = {
     "experiment": "oracle-check",
@@ -255,3 +257,90 @@ def test_python_dash_m_runs_the_cli():
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, module
         assert done.stdout.strip() == f"qzak {qzak.__version__}", module
+
+
+def _simulate_config(d, N, solver, num_samples=5):
+    # T = 0.03 with lam = 8 gives dt = 0.001 and steps that land short
+    return {"experiment": "simulate", "dimension": d, "N": N, "L": 8.0 * np.pi,
+            "T": 0.03, "lambda": 8.0, "solver": solver, "num_samples": num_samples,
+            "data": {"kind": "generic", "amplitude": 0.6, "width": 3.0,
+                     "n_amplitude": 0.4, "n_width": 3.0, "n1_amplitude": 0.3,
+                     "n1_width": 3.0, "n1_center": [-1.0],
+                     "min_points_per_width": 3.0, "edge_tol": 1e-6}}
+
+
+@pytest.mark.parametrize("d, N, solver", [(1, 64, "qz"), (1, 64, "qmnls"),
+                                          (2, 32, "qz"), (2, 32, "qmnls")])
+def test_simulate_stream_equals_library_path(tmp_path, d, N, solver):
+    from qzak.config import resolve_config
+    from qzak.diagnostics import hamiltonian_qmnls
+    from qzak.outputs import write_snapshots
+
+    raw = _simulate_config(d, N, solver)
+    out = tmp_path / "cli"
+    assert run_cli(["simulate", "--config", write_config(tmp_path, raw),
+                    "--out", str(out), "--quiet"]) == 0
+
+    cfg = resolve_config(raw)
+    sim = cfg.sim
+    data = preset_initial_data(cfg.data_kind, cfg.data_params, sim.grid, sim.eps)
+    if solver == "qz":
+        traj = qz_evolve(sim, data)
+        energy = lambda s: hamiltonian_qz(s, sim.eps, sim.lam)
+    else:
+        traj = qmnls_evolve(sim, data.E0)
+        energy = lambda s: hamiltonian_qmnls(s.E, sim.eps)
+    lib = tmp_path / "lib"
+    files = write_snapshots(lib, traj)
+    assert len(files) == (4 if solver == "qz" else 2)
+    for name in files:
+        assert (out / name).read_bytes() == (lib / name).read_bytes(), name
+    rows = (out / "diagnostics.csv").read_text().splitlines()
+    assert rows[0] == "t,mass,hamiltonian"
+    assert rows[1:] == [f"{t!r},{mass(s.E)!r},{energy(s)!r}" for t, s in traj.samples]
+
+
+def test_failed_simulate_leaves_only_error_txt(tmp_path, monkeypatch):
+    from qzak import cli
+    from qzak.errors import NonFiniteFieldError
+
+    path = write_config(tmp_path, _simulate_config(1, 64, "qz"))
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 0
+    assert (out / "manifest.json").exists()
+
+    real_monitor = cli.qz_monitor
+
+    def failing_monitor(*args):
+        measure = real_monitor(*args)
+        calls = []
+
+        def failing(*arrays):
+            calls.append(None)
+            if len(calls) == 3:
+                raise NonFiniteFieldError("field 'E' became non-finite")
+            return measure(*arrays)
+        return failing
+
+    monkeypatch.setattr(cli, "qz_monitor", failing_monitor)
+    assert run_cli(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+
+
+def test_simulate_memory_is_bounded_by_the_grid(tmp_path):
+    import tracemalloc
+
+    raw = _simulate_config(2, 64, "qz", num_samples=64)
+    path = write_config(tmp_path, raw)
+    sample_bytes = 64 * 64 * (16 + 8 + 8)
+    # warm the kernel and grid caches, which outlive a run
+    assert run_cli(["simulate", "--config", path, "--out", str(tmp_path / "warm"),
+                    "--quiet"]) == 0
+    tracemalloc.start()
+    try:
+        assert run_cli(["simulate", "--config", path, "--out", str(tmp_path / "out"),
+                        "--quiet"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * sample_bytes

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from qzak import (InitialData, PresetParams, SimConfig, ZakharovState,
-                  complex_field, hamiltonian_qmnls, hamiltonian_qz, mass,
+                  complex_field, hamiltonian_qz, make_grid, mass,
                   preset_initial_data, qmnls_evolve, qz_evolve, qz_step,
                   real_field, spectral_tail, to_spectral)
-from qzak.diagnostics import drift
+from qzak.diagnostics import drift, hamiltonian_qmnls
 from qzak.operators import omega_eps
 from qzak.field import inverse_values
 from qzak.errors import ParameterError, ZeroModeError
@@ -47,6 +47,50 @@ def test_hamiltonian_qz_requires_zero_mean_nt(grid64):
                           nt=real_field(grid64, np.ones(64)))
     with pytest.raises(ZeroModeError):
         hamiltonian_qz(state, 1.0, 2.0)
+
+
+def _full_spectrum_hamiltonians(grid, E, n, nt, eps, lam):
+    """Both energies as complex-fftn sums over the whole lattice."""
+    c = grid.L ** (grid.d / 2.0) / grid.size
+    E_hat, n_hat, nt_hat = (np.fft.fftn(v) * c for v in (E, n, nt))
+    S_hat = np.fft.fftn(np.abs(E) ** 2) * c
+    k2 = grid.k_squared
+    j = np.fft.fftfreq(grid.N, 1.0 / grid.N)
+    keep = np.abs(j) <= grid.N / 3.0
+    mask = keep if grid.d == 1 else np.logical_and.outer(keep, keep)
+    grad_E = np.sum(k2 * np.abs(E_hat) ** 2)
+    lap_E = np.sum(k2**2 * np.abs(E_hat) ** 2)
+    nz = k2 > 0.0
+    wave_kinetic = np.sum(np.abs(nt_hat[nz]) ** 2 / k2[nz])
+    n_l2 = np.sum(np.abs(n_hat) ** 2)
+    grad_n = np.sum(k2 * np.abs(n_hat) ** 2)
+    coupling = np.sum((np.conj(n_hat) * S_hat).real[mask])
+    h_qz = (grad_E + eps**2 * lap_E + 0.5 * wave_kinetic / lam**2
+            + 0.5 * n_l2 + 0.5 * eps**2 * grad_n + coupling)
+    quartic = np.sum(mask / (1.0 + eps**2 * k2) * np.abs(S_hat) ** 2)
+    h_qmnls = 0.5 * grad_E + 0.5 * eps**2 * lap_E - 0.25 * quartic
+    return h_qz, h_qmnls
+
+
+@pytest.mark.parametrize("d, N", [(1, 32), (2, 16)])
+def test_real_transform_hamiltonians_match_full_spectrum(rng, d, N):
+    # The monitors sum half spectra from rfftn, with weight 1 on the zero
+    # and Nyquist columns and 2 on the others: give those columns energy.
+    grid = make_grid(d, N, 5.0)
+    eps, lam = 0.7, 3.0
+    x = grid.coordinates[-1]
+    nyquist = np.cos(np.pi * x / grid.dx)
+    flat = np.ones(grid.shape) if d == 1 else np.cos(2.0 * np.pi * grid.coordinates[0] / grid.L)
+    E = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+         + 3.0 * flat + (2.0 - 1.0j) * nyquist)
+    n = rng.standard_normal(grid.shape) + 2.0 * flat + 3.0 * nyquist + 0.5
+    nt = rng.standard_normal(grid.shape) + 2.0 * flat - 1.5 * nyquist
+    nt -= np.mean(nt)
+    state = ZakharovState(t=0.0, E=complex_field(grid, E), n=real_field(grid, n),
+                          nt=real_field(grid, nt))
+    want_qz, want_qmnls = _full_spectrum_hamiltonians(grid, E, n, nt, eps, lam)
+    assert hamiltonian_qz(state, eps, lam) == pytest.approx(want_qz, rel=1e-13)
+    assert hamiltonian_qmnls(state.E, eps) == pytest.approx(want_qmnls, rel=1e-13)
 
 
 def test_hamiltonian_qz_linear_wave_invariant(grid64):

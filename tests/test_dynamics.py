@@ -79,6 +79,23 @@ def test_evolve_lands_on_sample_times(grid64, generic_data):
     assert traj.times == pytest.approx(list(times), abs=1e-12)
 
 
+def test_sink_receives_each_sample_instead_of_the_trajectory(grid64):
+    data = _smooth_data(grid64)
+    cfg = SimConfig(eps=1.0, lam=4.0, T=0.03, grid=grid64, dt0=1e-2,
+                    sample_times=(0.0, 0.005, 0.03))
+    for evolve, start, names in ((qz_evolve, data, ("E", "n", "nt")),
+                                 (qmnls_evolve, data.E0, ("E",))):
+        seen = []
+        traj = evolve(cfg, start, sink=lambda t, arrays: seen.append(
+            (t, [a.copy() for a in arrays])))
+        assert traj.samples == ()
+        want = evolve(cfg, start)
+        assert [t for t, _ in seen] == want.times
+        for (_, arrays), state in zip(seen, want.states):
+            for name, a in zip(names, arrays):
+                assert np.array_equal(a, getattr(state, name).values)
+
+
 def _smooth_data(grid):
     x = grid.coordinates
     phase = sum(np.cos(c + k) for k, c in enumerate(x))
