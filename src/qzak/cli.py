@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, apply_overrides, resolve_config
+from .config import EXPERIMENTS, ExperimentConfig, apply_overrides, resolve_config
 from .diagnostics import qmnls_monitor, qz_monitor
 from .dynamics import qmnls_evolve, qz_evolve
 from .errors import ConfigError, QzakError
@@ -39,7 +39,7 @@ PLANE_WAVE_TOL = 1e-8
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qzak", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "sweep", "layer-decay", "oracle-check", "self-converge"):
+    for name in EXPERIMENTS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None,
                        help="JSON experiment config (defaults used when omitted)")
@@ -138,7 +138,7 @@ def _run_sweep(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
                     f"err_Q={r.sup_err_Q_Hm:.6e} Q={r.sup_Q_Hm:.6e} "
                     f"wall={r.walltime_s:.2f}s")
     fits = {"E": fit_rate(records, "E-error"), "Q": fit_rate(records, "Q-error")}
-    write_outputs(out, records, cfg.resolved, fits=fits, emit_plots=cfg.emit_plots)
+    write_outputs(out, records, cfg.resolved, fits=fits)
     _say(quiet, f"fitted E-error slope {fits['E'].slope:.3f} "
                 f"(residual {fits['E'].residual:.3f})")
     return EXIT_OK
@@ -166,7 +166,7 @@ def _run_layer_decay(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 def _run_oracle_check(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     sim = cfg.sim
     data = preset_initial_data(cfg.data_kind, cfg.data_params, sim.grid, sim.eps)
-    disc = oracle_discrepancy(sim, data, refinement=cfg.oracle_refinement)
+    disc = oracle_discrepancy(sim, data)
 
     # Plane-wave phase rotation: exactly solvable, catches sign errors.
     grid = sim.grid

@@ -16,7 +16,7 @@ import numpy as np
 from .diagnostics import drift, mass, spectral_tail
 from .errors import DegenerateInputError, ParameterError
 from .field import Field, real_field
-from .layer import layer_initial_fields, q_field, q0_exact
+from .layer import q_field, q0_exact
 from .norms import sobolev_norm
 from .dynamics import oracle_evolve, qmnls_evolve, qz_evolve
 from .state import InitialData, SimConfig
@@ -93,7 +93,7 @@ def lambda_sweep(config: SimConfig, data: InitialData, lambdas,
     ref_config = replace(config, lam=lambdas[0])
     ref_traj = qmnls_evolve(ref_config, data.E0)
     reference_E = [s.E.values for s in ref_traj.states]
-    f0, _ = layer_initial_fields(data, config.eps)
+    f0 = q_field(data.initial_state(), config.eps)
 
     return [_run_one_lambda(replace(config, lam=lam), data, m, reference_E, f0)
             for lam in lambdas]

@@ -28,9 +28,9 @@ def q0_exact(t: float, lam: float, eps: float, f0: Field) -> Field:
 def layer_initial_fields(data: InitialData, eps: float) -> tuple[Field, Field]:
     """(f0, g): the layer's initial value and initial velocity sources.
 
-    Only f0 feeds a measurement (through ``q0_exact``). g, the initial
-    velocity n1 + 2 Im(E0 conj(Delta_eps E0)), is still returned because
-    the benchmark probes unpack the pair.
+    g is the initial velocity n1 + 2 Im(E0 conj(Delta_eps E0)). No
+    module of the package calls this (the sweep takes f0 from ``q_field``
+    directly); it stays because ``benchmarks/probes.py`` unpacks the pair.
     """
     f0 = q_field(data.initial_state(), eps)
     g = real_field(data.grid, data.n1.values + layer_velocity_source(data.E0, eps).values)

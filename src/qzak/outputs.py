@@ -85,16 +85,15 @@ _SNAPSHOT_DTYPES = {"E": "<c16", "n": "<f8", "nt": "<f8"}
 class SnapshotWriter:
     """Appends samples to open snapshot files as they land.
 
-    One file per field name, ``<stem>_<name>.bin``: complex fields as
+    One file per field name, ``snapshots_<name>.bin``: complex fields as
     <c16, real ones as <f8. ``finish`` writes the text sidecar and
     returns the names of the files written; a writer closed without
     ``finish`` leaves no sidecar. Use it as a context manager.
     """
 
-    def __init__(self, out_dir, grid, names: tuple, stem: str = "snapshots"):
+    def __init__(self, out_dir, grid, names: tuple):
         self.out = _ensure_dir(out_dir)
         self.grid = grid
-        self.stem = stem
         self.names = tuple(names)
         self.times = []
         self._dtypes = [_SNAPSHOT_DTYPES[name] for name in self.names]
@@ -103,16 +102,16 @@ class SnapshotWriter:
         self._real = np.empty(grid.shape)
         self._files = []
         try:
-            for fname in self.files(self.names, stem)[:-1]:
+            for fname in self.files(self.names)[:-1]:
                 self._files.append(open(self.out / fname, "wb"))
         except BaseException:
             self.close()
             raise
 
     @staticmethod
-    def files(names: tuple, stem: str = "snapshots") -> list[str]:
+    def files(names: tuple) -> list[str]:
         """The names of the files a finished writer leaves, sidecar last."""
-        return [f"{stem}_{name}.bin" for name in names] + [f"{stem}_meta.txt"]
+        return [f"snapshots_{name}.bin" for name in names] + ["snapshots_meta.txt"]
 
     def write(self, t: float, arrays: tuple) -> None:
         for fh, arr, dtype in zip(self._files, arrays, self._dtypes):
@@ -145,26 +144,26 @@ class SnapshotWriter:
             "times: " + ",".join(_fmt(t) for t in self.times),
             "shape_per_snapshot: " + "x".join(str(n) for n in grid.shape),
         ]
-        files = self.files(self.names, self.stem)
+        files = self.files(self.names)
         for fname, dtype in zip(files, self._dtypes):
             sidecar.append(f"file: {fname} dtype={dtype}")
         (self.out / files[-1]).write_text("\n".join(sidecar) + "\n")
         return files
 
 
-def write_snapshots(out_dir, traj: Trajectory, stem: str = "snapshots") -> list[str]:
+def write_snapshots(out_dir, traj: Trajectory) -> list[str]:
     """Dump trajectory fields as flat binary arrays plus a text sidecar."""
     names = ("E", "n", "nt") if hasattr(traj.states[0], "n") else ("E",)
-    with SnapshotWriter(out_dir, traj.config.grid, names, stem) as writer:
+    with SnapshotWriter(out_dir, traj.config.grid, names) as writer:
         for t, s in traj.samples:
             writer.write(t, tuple(getattr(s, name).values for name in names))
         return writer.finish()
 
 
-def read_snapshots(out_dir, stem: str = "snapshots") -> dict[str, np.ndarray]:
+def read_snapshots(out_dir) -> dict[str, np.ndarray]:
     """Round-trip reader for the binary snapshot files."""
     out = Path(out_dir)
-    meta = (out / f"{stem}_meta.txt").read_text().splitlines()
+    meta = (out / "snapshots_meta.txt").read_text().splitlines()
     info = {}
     file_dtypes = {}
     for line in meta:
@@ -179,7 +178,7 @@ def read_snapshots(out_dir, stem: str = "snapshots") -> dict[str, np.ndarray]:
     arrays = {}
     for name, dtype in file_dtypes.items():
         flat = np.fromfile(out / name, dtype=dtype)
-        field_name = name[len(stem) + 1:-4]
+        field_name = name.removeprefix("snapshots_").removesuffix(".bin")
         arrays[field_name] = flat.reshape((count,) + shape)
     arrays["times"] = np.array([float(t) for t in info["times"].split(",")])
     return arrays
@@ -233,7 +232,7 @@ def write_decay_report(out_dir, reports: list[DecayProbeReport]) -> list[str]:
 
 
 def write_outputs(out_dir, records: list[SweepRecord], resolved_config: dict,
-                  fits: dict[str, RateFit], emit_plots: bool = True) -> list[str]:
+                  fits: dict[str, RateFit]) -> list[str]:
     """Persist a sweep's full file set and its manifest.
 
     Writes sweep.csv, ratefit.json (fits["E"], E error), ratefit_q.json
@@ -243,10 +242,8 @@ def write_outputs(out_dir, records: list[SweepRecord], resolved_config: dict,
     write_sweep_csv(out_dir, records)
     write_ratefit(out_dir, fits["E"], "ratefit.json")
     write_ratefit(out_dir, fits["Q"], "ratefit_q.json")
-    files = ["sweep.csv", "ratefit.json", "ratefit_q.json"]
-    if emit_plots:
-        write_plot_script(out_dir, records)
-        files.append("plots.gp")
+    write_plot_script(out_dir, records)
+    files = ["sweep.csv", "ratefit.json", "ratefit_q.json", "plots.gp"]
     write_manifest(out_dir, resolved_config, files + ["manifest.json"])
     return files + ["manifest.json"]
 

@@ -11,6 +11,7 @@ Preset kinds:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,8 @@ from .operators import apply_multiplier, delta_eps, potential_symbol
 
 MEAN_TOL = 1e-12
 COMPAT_TOL = 1e-10
+PRESET_KINDS = ("generic", "compatible", "well-prepared")
+DEFAULT_NUM_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,12 @@ class SimConfig:
     sample_times: tuple[float, ...] = ()
 
     def __post_init__(self):
+        # an infinite lam gives dt = 0 and an infinite T no end: the march
+        # would never finish
+        for name in ("lam", "T", "dt0", "c_lam"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if not (0.0 < self.eps <= 1.0):
             raise ParameterError(f"eps must lie in (0, 1], got {self.eps}")
         if not (self.lam >= 1.0):
@@ -53,7 +62,7 @@ class SimConfig:
             raise ParameterError(f"m must be >= 0, got {self.m}")
         times = tuple(float(t) for t in self.sample_times)
         if not times:
-            times = tuple(np.linspace(0.0, self.T, 64))
+            times = tuple(np.linspace(0.0, self.T, DEFAULT_NUM_SAMPLES))
         if any(t < 0.0 or t > self.T + 1e-12 for t in times) or list(times) != sorted(times):
             raise ParameterError("sample times must be sorted within [0, T]")
         object.__setattr__(self, "sample_times", times)
@@ -96,17 +105,14 @@ class SchrodingerState:
 
 @dataclass(frozen=True)
 class InitialData:
-    """Initial triple (E0, n0, n1) with its compatibility tag."""
+    """Initial triple (E0, n0, n1)."""
 
     E0: Field
     n0: Field
     n1: Field
-    kind: str = "generic"
 
     def __post_init__(self):
         require_same_grid(self.E0, self.n0, self.n1)
-        if self.kind not in ("generic", "compatible", "well-prepared"):
-            raise ParameterError(f"unknown data kind {self.kind!r}")
         if np.iscomplexobj(self.n0.values) or np.iscomplexobj(self.n1.values):
             raise ParameterError("n0 and n1 must be real fields")
         norm = l2_norm(self.n1)
@@ -138,7 +144,6 @@ class PresetParams:
     n1_amplitude: float = 0.3
     n1_width: float = 3.0
     n1_center: tuple[float, ...] = (0.0,)
-    n0_zero_mean: bool = False
     min_points_per_width: float = 8.0
     edge_tol: float = 1e-12
 
@@ -193,7 +198,7 @@ def layer_velocity_source(E0: Field, eps: float) -> Field:
 
 def preset_initial_data(kind: str, params: PresetParams, grid: Grid, eps: float) -> InitialData:
     """Deterministic Gaussian initial data for the three regimes."""
-    if kind not in ("generic", "compatible", "well-prepared"):
+    if kind not in PRESET_KINDS:
         raise ParameterError(f"unknown preset kind {kind!r}")
     if not (0.0 < eps <= 1.0):
         raise ParameterError(f"eps must lie in (0, 1], got {eps}")
@@ -215,21 +220,19 @@ def preset_initial_data(kind: str, params: PresetParams, grid: Grid, eps: float)
         if params.n_k0 != 0.0:
             n_center = tuple(params.n_center) + (0.0,) * (grid.d - len(params.n_center))
             n0_vals = n0_vals * np.cos(params.n_k0 * (grid.coordinates[0] - n_center[0]))
-        if params.n0_zero_mean:
-            n0_vals = n0_vals - np.mean(n0_vals)
         n1_center = tuple(params.n1_center) + (0.0,) * (grid.d - len(params.n1_center))
         bump = _gaussian(grid, params.n1_amplitude, params.n1_width, params.n1_center)
         n1_vals = bump * (-2.0 * (grid.coordinates[0] - n1_center[0]) / params.n1_width**2)
         n0 = real_field(grid, n0_vals)
         n1 = real_field(grid, _remove_tiny_mean(n1_vals))
-        return InitialData(E0=E0, n0=n0, n1=n1, kind=kind)
+        return InitialData(E0=E0, n0=n0, n1=n1)
 
     n0 = real_field(grid, -ieps_intensity(E0, eps))
     if kind == "compatible":
         n1 = real_field(grid, np.zeros(grid.shape))
     else:
         n1 = real_field(grid, _remove_tiny_mean(-layer_velocity_source(E0, eps).values))
-    data = InitialData(E0=E0, n0=n0, n1=n1, kind=kind)
+    data = InitialData(E0=E0, n0=n0, n1=n1)
     defect = compatibility_defect(data, eps, 0)
     scale = l2_norm(n0) + l2_norm(E0) ** 2
     if scale > 0.0 and defect > COMPAT_TOL * scale:

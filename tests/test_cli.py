@@ -230,6 +230,26 @@ def test_config_not_utf8_exits_one(tmp_path, capsys):
     assert (out / "error.txt").exists()
 
 
+@pytest.mark.parametrize("data", [5, "abc", [1], None])
+def test_data_not_an_object_exits_one(tmp_path, capsys, data):
+    path = write_config(tmp_path, {**SWEEP_CONFIG, "data": data})
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--config", path, "--out", str(out)]) == 1
+    assert (out / "error.txt").read_text().startswith("data: expected an object")
+
+
+def test_infinite_time_exits_one(tmp_path, capsys):
+    # json reads 1e400 as inf; the run used to write rows with t = nan
+    path = tmp_path / "config.json"
+    path.write_text('{"experiment": "simulate", "N": 64, "L": 40, "T": 1e400,'
+                    ' "data": {"width": 3.0, "min_points_per_width": 3.0,'
+                    ' "edge_tol": 0.01}}')
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert (out / "error.txt").read_text().startswith("T: expected a finite number")
+    assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+
+
 def test_layer_decay_probe_outside_box_exits_two(tmp_path, capsys):
     cfg = {
         "experiment": "layer-decay",

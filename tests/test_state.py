@@ -57,7 +57,7 @@ def test_zero_n0_defect_is_intensity_norm(grid256):
     x = g.coordinates[0]
     E0 = complex_field(g, 0.5 * np.exp(-(x**2) / 4.0))
     zero = real_field(g, np.zeros(g.shape))
-    data = InitialData(E0=E0, n0=zero, n1=zero, kind="generic")
+    data = InitialData(E0=E0, n0=zero, n1=zero)
     assert compatibility_defect(data, 1.0, 2) > 0.1
 
 
