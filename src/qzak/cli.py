@@ -27,7 +27,7 @@ from .layer import decay_probe
 from .norms import l2_norm
 from .outputs import (SnapshotWriter, write_decay_report, write_error,
                       write_manifest, write_outputs, write_selfconv)
-from .state import preset_initial_data
+from .state import check_resolution, preset_initial_data
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -148,6 +148,7 @@ def _run_layer_decay(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     sim = cfg.sim
     grid = sim.grid
     p = cfg.data_params
+    check_resolution(grid, p.width, p.center, p)
     x = grid.coordinates[0]
     center = p.center[0] if p.center else 0.0
     f0 = real_field(grid, p.amplitude * np.exp(-((x - center) / p.width) ** 2))

@@ -1,8 +1,8 @@
 """Experiment-file schema, validation, and defaults.
 
-Configs are JSON objects. Unknown keys, range violations and non-finite
-numbers are rejected with the path of the offending field. The run
-defaults (dt0, c_lambda, m, dealias, 64 sample times) come from
+Configs are JSON objects. Keys the experiment does not read (``_READS``),
+range violations and non-finite numbers are rejected with their path. The
+run defaults (dt0, c_lambda, m, dealias, 64 sample times) come from
 ``SimConfig`` and the initial-data defaults from ``PresetParams``; the
 experiment defaults are N=1024, L=40*pi, T=0.5 and epsilon=1.
 """
@@ -21,15 +21,22 @@ from .state import DEFAULT_NUM_SAMPLES, PRESET_KINDS, PresetParams, SimConfig
 
 DEFAULT_L = 40.0 * math.pi
 
-EXPERIMENTS = ("simulate", "sweep", "layer-decay", "oracle-check", "self-converge")
-
-_TOP_KEYS = {
-    "experiment", "epsilon", "lambda", "lambdas", "T", "dt0", "c_lambda", "m",
-    "dimension", "N", "L", "dealias", "num_samples", "solver", "data",
-    "dt_list", "tolerance", "lambda_times", "probe_points", "k_max", "out_dir",
+# The keys each experiment reads, and the data keys of each preset kind and of
+# layer-decay's Gaussian. self-converge's m is unused, but a benchmark sets it.
+_EVERY = {"experiment", "epsilon", "dimension", "N", "L", "out_dir", "data"}
+_MARCH = {"T", "dt0", "c_lambda", "dealias"}
+_READS = {
+    "simulate": _EVERY | _MARCH | {"lambda", "num_samples", "solver"},
+    "sweep": _EVERY | _MARCH | {"lambdas", "m", "num_samples"},
+    "layer-decay": _EVERY | {"lambdas", "lambda_times", "probe_points", "k_max"},
+    "oracle-check": _EVERY | _MARCH | {"lambda", "tolerance"},
+    "self-converge": _EVERY | {"lambda", "T", "dealias", "solver", "dt_list", "m"},
 }
-
-_DATA_KEYS = {"kind"} | {f.name for f in fields(PresetParams)}
+EXPERIMENTS = tuple(_READS)
+_PROBE = {"amplitude", "width", "center", "min_points_per_width", "edge_tol"}
+_DATA_READS = {"generic": {"kind"} | {f.name for f in fields(PresetParams)},
+               "compatible": {"kind", "k0", "chirp"} | _PROBE, "layer-decay": _PROBE}
+_DATA_READS["well-prepared"] = _DATA_READS["compatible"]
 
 # The bounded PresetParams fields; every other one is any finite number.
 _DATA_BOUNDS = {
@@ -80,23 +87,28 @@ def _finite(value, path: str) -> float:
 class _Reader:
     """Reads the keys of one JSON object and records each resolved value.
 
-    ``resolved`` holds every key read, defaults filled in; it is what
-    ``manifest.json`` records, and it resolves again to the same config.
+    ``only`` rejects a key the owner does not read; such keys keep their
+    defaults. ``resolved`` holds every key read, defaults filled in; it is
+    what ``manifest.json`` records, and it resolves again to the same config.
     """
 
-    def __init__(self, raw: dict, allowed: set, prefix: str = ""):
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ConfigError(prefix + sorted(unknown)[0], "unknown key")
+    def __init__(self, raw: dict, reads: set, prefix: str = ""):
         self.raw = raw
+        self.reads = reads
         self.prefix = prefix
         self.resolved = {}
+
+    def only(self, reads_of: dict, owner: str) -> None:
+        self.reads = reads_of[owner]
+        unread = min(set(self.raw) - self.reads, default=None)
+        _expect(unread is None, f"{self.prefix}{unread}", f"not read by {owner}")
 
     def _get(self, key, default):
         return self.prefix + key, self.raw.get(key, default)
 
     def _keep(self, key, value):
-        self.resolved[key] = list(value) if isinstance(value, tuple) else value
+        if key in self.reads:
+            self.resolved[key] = list(value) if isinstance(value, tuple) else value
         return value
 
     def number(self, key, default, *, positive=False, low=None, high=None,
@@ -137,9 +149,11 @@ class _Reader:
                                      for i, v in enumerate(value)))
 
 
-def _parse_data(raw_data: dict) -> tuple[str, PresetParams, dict]:
-    reader = _Reader(raw_data, _DATA_KEYS, "data.")
-    kind = reader.choice("kind", "generic", PRESET_KINDS)
+def _parse_data(raw_data: dict, experiment: str) -> tuple[str, PresetParams, dict]:
+    probe = experiment == "layer-decay"  # a plain Gaussian, no preset kind
+    reader = _Reader(raw_data, {"kind"}, "data.")
+    kind = "generic" if probe else reader.choice("kind", "generic", PRESET_KINDS)
+    reader.only(_DATA_READS, experiment if probe else kind)
     params = {}
     for f in fields(PresetParams):
         if isinstance(f.default, tuple):
@@ -153,8 +167,9 @@ def _parse_data(raw_data: dict) -> tuple[str, PresetParams, dict]:
 def resolve_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON object and fill documented defaults."""
     _expect(isinstance(raw, dict), "$", "top-level config must be an object")
-    read = _Reader(raw, _TOP_KEYS)
+    read = _Reader(raw, {"experiment"})
     experiment = read.choice("experiment", None, EXPERIMENTS)
+    read.only(_READS, experiment)
 
     epsilon = read.number("epsilon", 1.0, positive=True, high=1.0)
     T = read.number("T", 0.5, positive=True)
@@ -166,6 +181,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     N = read.number("N", 1024, integer=True)
     _expect(N >= 16 and (N & (N - 1)) == 0, "N",
             f"must be a power of two >= 16, got {N}")
+    _expect(16 * N**dimension <= np.iinfo(np.intp).max, "N",
+            f"N^{dimension} = {N**dimension} complex points exceed numpy's size limit")
     L = read.number("L", DEFAULT_L, positive=True)
     dealias = read.flag("dealias", SimConfig.dealias)
     num_samples = read.number("num_samples", DEFAULT_NUM_SAMPLES, low=2, integer=True)
@@ -178,7 +195,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     else:
         lambdas = (read.number("lambda", 4.0, low=1.0),)
     _expect(list(lambdas) == sorted(lambdas) and lambdas[0] >= 1.0,
-            "lambdas" if len(lambdas) > 1 else "lambda",
+            "lambdas" if "lambdas" in read.reads else "lambda",
             "must be sorted with every entry >= 1")
 
     raw_data = raw.get("data", {})
@@ -187,7 +204,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         # Plain probe Gaussian; default width sized so the default probe
         # horizon stays inside the box.
         raw_data = {"width": 4.5, **raw_data}
-    kind, params, read.resolved["data"] = _parse_data(raw_data)
+    kind, params, read.resolved["data"] = _parse_data(raw_data, experiment)
 
     dt_list = read.float_list("dt_list", [4e-3, 2e-3, 1e-3, 2.5e-4])
     tolerance = read.number("tolerance", 1e-5, positive=True)
@@ -196,8 +213,9 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     probe_points = read.float_list("probe_points", [0.0, 1.0, 2.0, 20.0, 30.0, 40.0])
     k_max = read.number("k_max", 2, low=0, integer=True)
 
+    if experiment in ("oracle-check", "layer-decay"):
+        _expect(dimension == 1, "dimension", f"{experiment} requires dimension 1")
     if experiment == "oracle-check":
-        _expect(dimension == 1, "dimension", "oracle-check requires dimension 1")
         _expect(N <= 64, "N", f"oracle-check requires N <= 64, got {N}")
     if experiment == "self-converge":
         _expect(all(b < a for a, b in zip(dt_list, dt_list[1:])), "dt_list",

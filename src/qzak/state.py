@@ -154,8 +154,9 @@ def _gaussian(grid: Grid, amplitude: float, width: float, center: tuple[float, .
     return amplitude * np.exp(-r2 / width**2)
 
 
-def _check_resolution(grid: Grid, width: float, center: tuple[float, ...],
-                      params: PresetParams) -> None:
+def check_resolution(grid: Grid, width: float, center: tuple[float, ...],
+                     params: PresetParams) -> None:
+    """Raise ResolutionError unless the Gaussian is resolved and inside the box."""
     if width < params.min_points_per_width * grid.dx:
         raise ResolutionError(
             f"Gaussian width {width:g} is under-resolved: needs >= "
@@ -203,7 +204,7 @@ def preset_initial_data(kind: str, params: PresetParams, grid: Grid, eps: float)
     if not (0.0 < eps <= 1.0):
         raise ParameterError(f"eps must lie in (0, 1], got {eps}")
 
-    _check_resolution(grid, params.width, params.center, params)
+    check_resolution(grid, params.width, params.center, params)
     envelope = _gaussian(grid, params.amplitude, params.width, params.center)
     center = tuple(params.center) + (0.0,) * (grid.d - len(params.center))
     phase = params.k0 * (grid.coordinates[0] - center[0])
@@ -214,8 +215,8 @@ def preset_initial_data(kind: str, params: PresetParams, grid: Grid, eps: float)
     E0 = complex_field(grid, envelope * np.exp(1j * phase))
 
     if kind == "generic":
-        _check_resolution(grid, params.n_width, params.n_center, params)
-        _check_resolution(grid, params.n1_width, params.n1_center, params)
+        check_resolution(grid, params.n_width, params.n_center, params)
+        check_resolution(grid, params.n1_width, params.n1_center, params)
         n0_vals = _gaussian(grid, params.n_amplitude, params.n_width, params.n_center)
         if params.n_k0 != 0.0:
             n_center = tuple(params.n_center) + (0.0,) * (grid.d - len(params.n_center))

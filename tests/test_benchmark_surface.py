@@ -9,6 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 tracing = importlib.import_module("tracing")
+workloads = importlib.import_module("workloads")
 
 
 # probes.py calls the single steps directly.
@@ -96,3 +97,14 @@ def test_traced_cli_run_yields_layer_metrics(tmp_path, command):
     assert tracer.counts["dynamics.qz_evolve.steps"] > 0
     layers = tracing.operation_layers(tracer.spans, tracer.counts, samples=3)
     assert layers["dynamics.qz_evolve_us_per_step"] > 0.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_config_resolves(name, seed):
+    # A key the config stops accepting (m for self-converge, say) would fail
+    # every operation of the workload.
+    from qzak.config import resolve_config
+
+    workload = workloads.WORKLOADS[name]
+    assert resolve_config(workload.config(seed)).experiment == workload.command

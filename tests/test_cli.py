@@ -268,6 +268,26 @@ def test_layer_decay_probe_outside_box_exits_two(tmp_path, capsys):
     assert not (out / "decay.csv").exists()
 
 
+def test_layer_decay_unresolved_width_exits_two(tmp_path, capsys):
+    # 0.3 is 2.4 points per width on the default grid, where every fitted
+    # inner exponent would be nan
+    out = tmp_path / "out"
+    assert run_cli(["layer-decay", "--override", "data.width=0.3",
+                    "--override", "lambda_times=[0.25,0.5,1.0]",
+                    "--out", str(out), "--quiet"]) == 2
+    assert "width 0.3 is under-resolved" in capsys.readouterr().err
+    assert "width 0.3 is under-resolved" in (out / "error.txt").read_text()
+    assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+
+
+def test_unaddressable_grid_exits_one(tmp_path, capsys):
+    # 2^70 points pass the power-of-two check but no numpy array holds them
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--override", f"N={2**70}", "--out", str(out)]) == 1
+    assert (out / "error.txt").read_text().startswith("N: ")
+    assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(qzak.__file__).resolve().parents[1])
     env = dict(os.environ)
