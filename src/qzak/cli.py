@@ -2,7 +2,8 @@
 
 Subcommands: simulate, sweep, layer-decay, oracle-check, self-converge,
 version. Exit codes: 0 success, 1 configuration error, 2 runtime or
-solver error; failures are also recorded in <out>/error.txt.
+solver error; failures are also recorded in <out>/error.txt. Any other
+exception is recorded there as "<Type>: <message>" and then re-raised.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .layer import decay_probe
 from .norms import l2_norm
 from .outputs import (SnapshotWriter, write_decay_report, write_error,
                       write_manifest, write_outputs, write_selfconv)
-from .state import check_resolution, preset_initial_data
+from .state import _gaussian, check_resolution, preset_initial_data
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -149,9 +150,7 @@ def _run_layer_decay(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     grid = sim.grid
     p = cfg.data_params
     check_resolution(grid, p.width, p.center, p)
-    x = grid.coordinates[0]
-    center = p.center[0] if p.center else 0.0
-    f0 = real_field(grid, p.amplitude * np.exp(-((x - center) / p.width) ** 2))
+    f0 = real_field(grid, _gaussian(grid, p.amplitude, p.width, p.center))
     reports = []
     for lam in cfg.lambdas:
         times = [lt / lam for lt in cfg.lambda_times]
@@ -244,6 +243,10 @@ def run_cli(argv: list[str]) -> int:
         print(f"error: {message}", file=sys.stderr)
         write_error(out, message)
         return EXIT_RUNTIME
+    except Exception as exc:
+        # a bug, not a runtime condition: record it and keep the traceback
+        write_error(out, f"{type(exc).__name__}: {exc}")
+        raise
 
 
 def main() -> None:

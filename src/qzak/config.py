@@ -210,6 +210,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     tolerance = read.number("tolerance", 1e-5, positive=True)
     lambda_times = read.float_list(
         "lambda_times", [0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0])
+    for i, t in enumerate(lambda_times):
+        _expect(t > 0.0, f"lambda_times[{i}]", f"must be > 0.0, got {t}")
     probe_points = read.float_list("probe_points", [0.0, 1.0, 2.0, 20.0, 30.0, 40.0])
     k_max = read.number("k_max", 2, low=0, integer=True)
 

@@ -19,12 +19,13 @@ import numpy as np
 from .errors import InstabilityError, NonFiniteFieldError, ParameterError
 from .field import Field, complex_field, dealias_mask, real_field
 from .grid import Grid
-from .operators import (delta_eps, i_eps, omega_eps, potential_symbol,
-                        schrodinger_group, wave_cos, wave_sinc)
+from .operators import (delta_eps, omega_eps, potential_symbol, schrodinger_group,
+                        wave_cos, wave_sinc)
 from .state import InitialData, SchrodingerState, SimConfig, ZakharovState
 
 _LANDING_TOL = 1e-12
 _RK4_IMAG_AXIS_LIMIT = 2.8
+_ORACLE_REFINEMENT = 50  # RK4 steps per split step
 
 
 @dataclass(frozen=True)
@@ -311,86 +312,60 @@ def qmnls_evolve(config: SimConfig, E0: Field, sink=None) -> Trajectory:
     return _evolve(config, _arrays(E0), advance, _qmnls_state, sink)
 
 
-def oracle_evolve(config: SimConfig, data: InitialData, target: str = "qz",
-                  refinement: int = 50, max_points: int = 64):
-    """Unsplit RK4 reference integration in spectral coefficients.
+def oracle_evolve(config: SimConfig, data: InitialData, max_points: int = 64):
+    """Unsplit RK4 reference integration of the coupled system.
 
-    Intended for tiny grids only; refuses step sizes outside the RK4
-    imaginary-axis stability region.
+    The state is one (3, N) array of the spectral coefficients of
+    (E, n, nt), and every RK4 update is a whole-array update. Each stage
+    makes one inverse transform of the E and n rows and one forward
+    transform of the stacked products |E|^2 and n E. Each split step is
+    resolved by _ORACLE_REFINEMENT RK4 steps. Intended for tiny grids
+    only; refuses step sizes outside the RK4 imaginary-axis stability
+    region.
     """
     grid = config.grid
-    if target not in ("qz", "qmnls"):
-        raise ParameterError(f"oracle target must be 'qz' or 'qmnls', got {target!r}")
     if grid.d != 1:
         raise ParameterError("oracle_evolve supports d=1 only")
     if grid.N > max_points:
         raise ParameterError(f"oracle_evolve limited to N <= {max_points} (got {grid.N})")
-    if refinement < 50:
-        raise ParameterError("oracle refinement must be >= 50 substeps per dt")
     if data.grid != grid:
         raise ParameterError("initial data grid does not match config grid")
 
-    dt_oracle = config.dt / refinement
-    n_steps = max(1, round(config.T / dt_oracle))
-    dt_oracle = config.T / n_steps
+    n_steps = max(1, round(config.T / (config.dt / _ORACLE_REFINEMENT)))
+    h = config.T / n_steps
 
-    k2 = grid.k_squared
+    k_sq = grid.k_squared
     delta = delta_eps(grid, config.eps)
     rate = max(config.lam * float(np.max(omega_eps(grid, config.eps))),
                float(np.max(-delta)))
-    if rate * dt_oracle > _RK4_IMAG_AXIS_LIMIT:
+    if rate * h > _RK4_IMAG_AXIS_LIMIT:
         raise InstabilityError(
-            f"oracle step {dt_oracle:.3e} violates the RK4 stability bound; "
+            f"oracle step {h:.3e} violates the RK4 stability bound; "
             f"requires dt <= {_RK4_IMAG_AXIS_LIMIT / rate:.3e}")
 
     mask = dealias_mask(grid) if config.dealias else None
-    smoothing = i_eps(grid, config.eps)
+    lam2 = config.lam**2
 
-    def deal(coeffs):
-        return coeffs * mask if mask is not None else coeffs
+    def rhs(y):
+        E, n = np.fft.ifft(y[:2])
+        S_hat, nE_hat = hat = np.fft.fft([np.abs(E) ** 2, n.real * E])
+        if mask is not None:
+            hat *= mask
+        dy = np.empty_like(y)
+        dy[0] = 1j * (delta * y[0] - nE_hat)
+        dy[1] = y[2]
+        dy[2] = lam2 * (delta * y[1] - k_sq * S_hat)
+        return dy
 
-    if target == "qz":
-        lam2 = config.lam**2
-
-        def rhs(y):
-            E_hat, n_hat, nt_hat = y
-            E = np.fft.ifftn(E_hat)
-            n = np.fft.ifftn(n_hat).real
-            S_hat = deal(np.fft.fftn(np.abs(E) ** 2))
-            nE_hat = deal(np.fft.fftn(n * E))
-            return (1j * (delta * E_hat - nE_hat),
-                    nt_hat,
-                    lam2 * (delta * n_hat - k2 * S_hat))
-
-        y = (np.fft.fftn(data.E0.values.astype(np.complex128)),
-             np.fft.fftn(data.n0.values).astype(np.complex128),
-             np.fft.fftn(data.n1.values).astype(np.complex128))
-    else:
-        def rhs(y):
-            (E_hat,) = y
-            E = np.fft.ifftn(E_hat)
-            S_hat = deal(np.fft.fftn(np.abs(E) ** 2))
-            V = np.fft.ifftn(smoothing * S_hat).real
-            VE_hat = deal(np.fft.fftn(V * E))
-            return (1j * (delta * E_hat + VE_hat),)
-
-        y = (np.fft.fftn(data.E0.values.astype(np.complex128)),)
-
-    h = dt_oracle
+    y = np.fft.fft(np.stack([data.E0.values, data.n0.values, data.n1.values]))
     for _ in range(n_steps):
         k1 = rhs(y)
-        k2_ = rhs(tuple(a + 0.5 * h * b for a, b in zip(y, k1)))
-        k3 = rhs(tuple(a + 0.5 * h * b for a, b in zip(y, k2_)))
-        k4 = rhs(tuple(a + h * b for a, b in zip(y, k3)))
-        y = tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                  for a, b1, b2, b3, b4 in zip(y, k1, k2_, k3, k4))
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    if target == "qz":
-        E = np.fft.ifftn(y[0])
-        n = np.fft.ifftn(y[1]).real
-        nt = np.fft.ifftn(y[2]).real
-        _check_finite(config.T, (E, n, nt))
-        return _qz_state(grid, config.T, (E, n, nt))
-    E = np.fft.ifftn(y[0])
-    _check_finite(config.T, (E,))
-    return _qmnls_state(grid, config.T, (E,))
+    E, n, nt = np.fft.ifft(y)
+    arrays = (E, n.real, nt.real)
+    _check_finite(config.T, arrays)
+    return _qz_state(grid, config.T, arrays)

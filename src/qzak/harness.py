@@ -172,11 +172,10 @@ def self_convergence(config: SimConfig, data: InitialData, dt_list,
     return SelfConvergence(dts=tuple(dts[:-1]), errors=tuple(errors), order=order)
 
 
-def oracle_discrepancy(config: SimConfig, data: InitialData,
-                       refinement: int = 50) -> float:
+def oracle_discrepancy(config: SimConfig, data: InitialData) -> float:
     """L^2 distance between the split final state and the RK4 oracle's."""
     split = qz_evolve(replace(config, sample_times=(config.T,)), data).final_state()
-    reference = oracle_evolve(config, data, target="qz", refinement=refinement)
+    reference = oracle_evolve(config, data)
     diff = real_field(config.grid, np.abs(split.E.values - reference.E.values))
     n_diff = real_field(config.grid, split.n.values - reference.n.values)
     return float(np.hypot(sobolev_norm(diff, 0), sobolev_norm(n_diff, 0)))

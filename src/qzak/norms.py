@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import ParameterError
 from .field import Field, to_spectral
-from .operators import derivative_fields
 
 
 def l2_norm(f: Field) -> float:
@@ -25,11 +24,3 @@ def sobolev_norm(f: Field, m: int) -> float:
     weight = (1.0 + f.grid.k_squared) ** m
     return float(np.sqrt(np.sum(weight * np.abs(to_spectral(f)) ** 2)))
 
-
-def derivative_norm_sum(f: Field, m: int) -> float:
-    """Brute-force sum_{k<=m} ||grad^k f||_L2 used to cross-check H^m."""
-    total = 0.0
-    for k in range(m + 1):
-        comps = derivative_fields(f, k)
-        total += np.sqrt(sum(l2_norm(c) ** 2 for c in comps))
-    return float(total)

@@ -160,30 +160,6 @@ def write_snapshots(out_dir, traj: Trajectory) -> list[str]:
         return writer.finish()
 
 
-def read_snapshots(out_dir) -> dict[str, np.ndarray]:
-    """Round-trip reader for the binary snapshot files."""
-    out = Path(out_dir)
-    meta = (out / "snapshots_meta.txt").read_text().splitlines()
-    info = {}
-    file_dtypes = {}
-    for line in meta:
-        key, _, rest = line.partition(":")
-        if key == "file":
-            name, dtype_part = rest.strip().split(" dtype=")
-            file_dtypes[name] = dtype_part
-        else:
-            info[key.strip()] = rest.strip()
-    count = int(info["num_snapshots"])
-    shape = tuple(int(n) for n in info["shape_per_snapshot"].split("x"))
-    arrays = {}
-    for name, dtype in file_dtypes.items():
-        flat = np.fromfile(out / name, dtype=dtype)
-        field_name = name.removeprefix("snapshots_").removesuffix(".bin")
-        arrays[field_name] = flat.reshape((count,) + shape)
-    arrays["times"] = np.array([float(t) for t in info["times"].split(",")])
-    return arrays
-
-
 def write_plot_script(out_dir, records: list[SweepRecord]) -> Path:
     """Emit a gnuplot script for the log-log errors with reference slopes."""
     out = _ensure_dir(out_dir)

@@ -288,6 +288,25 @@ def test_unaddressable_grid_exits_one(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
 
 
+def test_layer_decay_nonpositive_time_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["layer-decay", "--override", "lambda_times=[0.0,1.0]",
+                    "--out", str(out), "--quiet"]) == 1
+    assert "lambda_times[0]" in capsys.readouterr().err
+    assert (out / "error.txt").read_text().startswith("lambda_times[0]: ")
+
+
+def test_unexpected_error_is_recorded_and_reraised(tmp_path, monkeypatch):
+    def broken(cfg, out, quiet):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(qzak.cli._RUNNERS, "sweep", broken)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="boom"):
+        run_cli(["sweep", "--out", str(out), "--quiet"])
+    assert (out / "error.txt").read_text() == "ValueError: boom\n"
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(qzak.__file__).resolve().parents[1])
     env = dict(os.environ)

@@ -48,7 +48,7 @@ def test_one_step_local_error_third_order(grid256):
         cfg = SimConfig(eps=0.5, lam=4.0, T=dt, grid=grid256, dt0=dt,
                         c_lam=4.0 * dt, sample_times=(dt,))
         one = qz_step(data.initial_state(), dt, 0.5, 4.0)
-        ref = oracle_evolve(cfg, data, refinement=50, max_points=256)
+        ref = oracle_evolve(cfg, data, max_points=256)
         errs.append(np.hypot(
             l2_norm(real_field(grid256, np.abs(one.E.values - ref.E.values))),
             l2_norm(real_field(grid256, one.n.values - ref.n.values))))
@@ -338,23 +338,10 @@ def test_oracle_linear_regime_matches_exact_wave():
     data = InitialData(E0=E0, n0=n0, n1=zero)
     lam, eps, T = 4.0, 1.0, 0.1
     cfg = SimConfig(eps=eps, lam=lam, T=T, grid=g, dt0=1e-3, sample_times=(T,))
-    final = oracle_evolve(cfg, data, target="qz")
+    final = oracle_evolve(cfg, data)
     om = 2.0 * np.sqrt(1.0 + eps**2 * 4.0)
     exact = np.cos(lam * T * om) * np.cos(2.0 * x)
     assert np.max(np.abs(final.n.values - exact)) < 1e-8
-
-
-def test_oracle_qmnls_plane_wave():
-    g = make_grid(1, 32, 2.0 * np.pi)
-    a, eps, T = 0.5, 1.0, 0.1
-    x = g.coordinates[0]
-    E0 = complex_field(g, a * np.exp(1j * x))
-    zero = real_field(g, np.zeros(32))
-    data = InitialData(E0=E0, n0=zero, n1=zero)
-    cfg = SimConfig(eps=eps, lam=1.0, T=T, grid=g, dt0=1e-3, sample_times=(T,))
-    final = oracle_evolve(cfg, data, target="qmnls")
-    exact = a * np.exp(1j * x) * np.exp(-1j * (1.0 + eps**2) * T + 1j * a * a * T)
-    assert np.max(np.abs(final.E.values - exact)) < 1e-8
 
 
 def test_oracle_refuses_unstable_step(grid64):
@@ -364,7 +351,7 @@ def test_oracle_refuses_unstable_step(grid64):
     cfg = SimConfig(eps=1.0, lam=64.0, T=10.0, grid=grid64, dt0=10.0, c_lam=640.0,
                     sample_times=(10.0,))
     with pytest.raises(InstabilityError):
-        oracle_evolve(cfg, data, refinement=50)
+        oracle_evolve(cfg, data)
 
 
 def test_oracle_guards(grid256, generic_data):
@@ -372,8 +359,6 @@ def test_oracle_guards(grid256, generic_data):
                     sample_times=(0.1,))
     with pytest.raises(ParameterError):
         oracle_evolve(cfg, generic_data)  # N too large by default
-    with pytest.raises(ParameterError):
-        oracle_evolve(cfg, generic_data, refinement=10, max_points=256)
 
 
 def test_hamiltonian_drift_scales_quadratically():

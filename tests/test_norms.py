@@ -3,9 +3,18 @@ import pytest
 
 from qzak import l2_norm, make_grid, real_field, sobolev_norm
 from qzak.errors import ParameterError
-from qzak.norms import derivative_norm_sum
+from qzak.operators import derivative_fields
 
 from conftest import random_real_values
+
+
+def derivative_norm_sum(f, m):
+    """Brute-force sum_{k<=m} ||grad^k f||_L2, the reference for H^m."""
+    total = 0.0
+    for k in range(m + 1):
+        comps = derivative_fields(f, k)
+        total += np.sqrt(sum(l2_norm(c) ** 2 for c in comps))
+    return float(total)
 
 
 @pytest.mark.parametrize("m", [0, 1, 3])

@@ -1,12 +1,37 @@
 import json
+from pathlib import Path
 
 import numpy as np
 
 from qzak import InitialData, SimConfig, SweepRecord, complex_field, make_grid, qz_evolve, real_field
 from qzak.harness import fit_rate
-from qzak.outputs import (SWEEP_HEADER, read_snapshots, write_manifest,
-                          write_outputs, write_plot_script, write_ratefit,
-                          write_snapshots, write_sweep_csv)
+from qzak.outputs import (SWEEP_HEADER, write_manifest, write_outputs,
+                          write_plot_script, write_ratefit, write_snapshots,
+                          write_sweep_csv)
+
+
+def read_snapshots(out_dir) -> dict[str, np.ndarray]:
+    """Read the snapshot files back through their text sidecar."""
+    out = Path(out_dir)
+    meta = (out / "snapshots_meta.txt").read_text().splitlines()
+    info = {}
+    file_dtypes = {}
+    for line in meta:
+        key, _, rest = line.partition(":")
+        if key == "file":
+            name, dtype_part = rest.strip().split(" dtype=")
+            file_dtypes[name] = dtype_part
+        else:
+            info[key.strip()] = rest.strip()
+    count = int(info["num_snapshots"])
+    shape = tuple(int(n) for n in info["shape_per_snapshot"].split("x"))
+    arrays = {}
+    for name, dtype in file_dtypes.items():
+        flat = np.fromfile(out / name, dtype=dtype)
+        field_name = name.removeprefix("snapshots_").removesuffix(".bin")
+        arrays[field_name] = flat.reshape((count,) + shape)
+    arrays["times"] = np.array([float(t) for t in info["times"].split(",")])
+    return arrays
 
 
 def sample_records():
