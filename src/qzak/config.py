@@ -197,6 +197,9 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     _expect(list(lambdas) == sorted(lambdas) and lambdas[0] >= 1.0,
             "lambdas" if "lambdas" in read.reads else "lambda",
             "must be sorted with every entry >= 1")
+    if experiment == "sweep":  # the rate fit needs three distinct lam
+        _expect(len(lambdas) >= 3 and all(a < b for a, b in zip(lambdas, lambdas[1:])),
+                "lambdas", f"a sweep needs >= 3 strictly increasing entries, got {list(lambdas)}")
 
     raw_data = raw.get("data", {})
     _expect(isinstance(raw_data, dict), "data", "expected an object")

@@ -154,12 +154,8 @@ def hamiltonian_qmnls(E: Field, eps: float) -> float:
     return qmnls_monitor(E.grid, eps)(E.values)[1]
 
 
-def spectral_tail(f: Field, fraction: float) -> float:
-    """Energy fraction carried by per-axis mode indices |j| >= fraction*N/2."""
-    if not (0.0 < fraction < 1.0):
-        raise ParameterError(f"fraction must lie in (0, 1), got {fraction}")
-    grid = f.grid
-    coeffs = to_spectral(f)
+def _spectral_tail(grid: Grid, coeffs: np.ndarray, fraction: float) -> float:
+    """``spectral_tail`` of the field with spectral coefficients coeffs."""
     j = np.abs(grid.mode_indices_1d)
     outer = j >= fraction * grid.N / 2.0
     sel = outer if grid.d == 1 else np.logical_or.outer(outer, outer)
@@ -167,6 +163,13 @@ def spectral_tail(f: Field, fraction: float) -> float:
     if total == 0.0:
         return 0.0
     return float(np.sum(np.abs(coeffs[sel]) ** 2) / total)
+
+
+def spectral_tail(f: Field, fraction: float) -> float:
+    """Energy fraction carried by per-axis mode indices |j| >= fraction*N/2."""
+    if not (0.0 < fraction < 1.0):
+        raise ParameterError(f"fraction must lie in (0, 1), got {fraction}")
+    return _spectral_tail(f.grid, to_spectral(f), fraction)
 
 
 def drift(series: list[float]) -> float:

@@ -13,13 +13,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import drift, mass, spectral_tail
+from .diagnostics import _mass, _spectral_tail, drift
 from .errors import DegenerateInputError, ParameterError
-from .field import Field, real_field
-from .layer import q_field, q0_exact
-from .norms import sobolev_norm
+from .field import _forward_factor, real_field, to_spectral
+from .norms import _sobolev_norm, sobolev_norm
 from .dynamics import oracle_evolve, qmnls_evolve, qz_evolve
-from .state import InitialData, SimConfig
+from .operators import potential_symbol, wave_cos
+from .state import InitialData, SimConfig, q_field
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -50,27 +50,34 @@ class RateFit:
 
 
 def _run_one_lambda(config: SimConfig, data: InitialData, m: int,
-                    reference_E: list[np.ndarray], f0: Field) -> SweepRecord:
+                    reference_E: list[np.ndarray], f0_hat: np.ndarray) -> SweepRecord:
+    """March one lam, measuring each sample on the march's live arrays with
+    four transforms: E - E_ref (differenced in physical space), E, n and
+    |E|^2. Q and the layer cos(lam t omega_eps) f0 are formed from
+    coefficients, and only running maxima and the masses are kept."""
     start = time.perf_counter()
-    traj = qz_evolve(config, data)
-    grid = config.grid
-    eps = config.eps
-    sup_err_E = 0.0
-    sup_err_Q = 0.0
-    sup_Q = 0.0
-    max_tail = 0.0
+    grid, eps, lam = config.grid, config.eps, config.lam
+    factor = _forward_factor(grid)
+    potential = potential_symbol(grid, eps)
+    reference = iter(reference_E)
+    sup_err_E = sup_err_Q = sup_Q = max_tail = 0.0
     masses = []
-    for (t, state), E_inf in zip(traj.samples, reference_E):
-        diff = Field(grid, state.E.values - E_inf)
-        sup_err_E = max(sup_err_E, sobolev_norm(diff, m))
-        q = q_field(state, eps)
-        q0 = q0_exact(t, config.lam, eps, f0)
-        sup_Q = max(sup_Q, sobolev_norm(q, m))
-        sup_err_Q = max(sup_err_Q, sobolev_norm(
-            real_field(grid, q.values - q0.values), m))
-        max_tail = max(max_tail, spectral_tail(state.E, 2.0 / 3.0))
-        masses.append(mass(state.E))
-    return SweepRecord(lam=config.lam, dt=config.dt,
+
+    def measure(t: float, arrays: tuple) -> None:
+        nonlocal sup_err_E, sup_err_Q, sup_Q, max_tail
+        E, n, _ = arrays
+        diff_hat = np.fft.fftn(E - next(reference)) * factor
+        sup_err_E = max(sup_err_E, _sobolev_norm(grid, diff_hat, m))
+        S = np.abs(E) ** 2
+        Q_hat = (np.fft.fftn(n) + potential * np.fft.fftn(S)) * factor
+        sup_Q = max(sup_Q, _sobolev_norm(grid, Q_hat, m))
+        Q_hat -= f0_hat * wave_cos(grid, eps, lam, t)
+        sup_err_Q = max(sup_err_Q, _sobolev_norm(grid, Q_hat, m))
+        max_tail = max(max_tail, _spectral_tail(grid, np.fft.fftn(E) * factor, 2.0 / 3.0))
+        masses.append(_mass(grid, S))
+
+    qz_evolve(config, data, sink=measure)
+    return SweepRecord(lam=lam, dt=config.dt,
                        sup_err_E_Hm=sup_err_E, sup_err_Q_Hm=sup_err_Q,
                        sup_Q_Hm=sup_Q, walltime_s=time.perf_counter() - start,
                        max_tail_E=max_tail, mass_drift=drift(masses))
@@ -90,12 +97,12 @@ def lambda_sweep(config: SimConfig, data: InitialData, lambdas,
     if data.grid != config.grid:
         raise ParameterError("data grid does not match config grid")
 
-    ref_config = replace(config, lam=lambdas[0])
-    ref_traj = qmnls_evolve(ref_config, data.E0)
-    reference_E = [s.E.values for s in ref_traj.states]
-    f0 = q_field(data.initial_state(), config.eps)
+    reference_E = []
+    qmnls_evolve(replace(config, lam=lambdas[0]), data.E0,
+                 sink=lambda t, arrays: reference_E.append(arrays[0].copy()))
+    f0_hat = to_spectral(q_field(data.initial_state(), config.eps))
 
-    return [_run_one_lambda(replace(config, lam=lam), data, m, reference_E, f0)
+    return [_run_one_lambda(replace(config, lam=lam), data, m, reference_E, f0_hat)
             for lam in lambdas]
 
 
@@ -110,8 +117,8 @@ def fit_rate(records: list[SweepRecord], which: str = "E-error") -> RateFit:
     else:
         raise ParameterError(f"which must be 'E-error', 'Q-error' or 'Q-norm', got {which!r}")
     lams = [r.lam for r in records]
-    if len(records) < 3:
-        raise DegenerateInputError("rate fit needs at least 3 records")
+    if len(set(lams)) < 3:
+        raise DegenerateInputError("rate fit needs at least 3 distinct lam")
     if any(e <= 0.0 for e in errors):
         raise DegenerateInputError("rate fit needs strictly positive errors")
     xs = np.log(lams)

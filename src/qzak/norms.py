@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .field import Field, to_spectral
+from .grid import Grid
 
 
 def l2_norm(f: Field) -> float:
@@ -17,10 +18,15 @@ def l2_norm(f: Field) -> float:
     return float(np.sqrt(f.grid.cell_volume * np.sum(np.abs(f.values) ** 2)))
 
 
+def _sobolev_norm(grid: Grid, coeffs: np.ndarray, m: int) -> float:
+    """``sobolev_norm`` of the field with spectral coefficients coeffs."""
+    weight = (1.0 + grid.k_squared) ** m
+    return float(np.sqrt(np.sum(weight * np.abs(coeffs) ** 2)))
+
+
 def sobolev_norm(f: Field, m: int) -> float:
     """Bessel-weighted H^m norm (sum_xi (1+|xi|^2)^m |fhat|^2)^(1/2)."""
     if m < 0:
         raise ParameterError(f"Sobolev index must be >= 0, got {m}")
-    weight = (1.0 + f.grid.k_squared) ** m
-    return float(np.sqrt(np.sum(weight * np.abs(to_spectral(f)) ** 2)))
+    return _sobolev_norm(f.grid, to_spectral(f), m)
 

@@ -296,6 +296,16 @@ def test_layer_decay_nonpositive_time_exits_one(tmp_path, capsys):
     assert (out / "error.txt").read_text().startswith("lambda_times[0]: ")
 
 
+@pytest.mark.parametrize("lambdas", ["[4.0,8.0]", "[4.0,4.0,4.0]"])
+def test_unfittable_sweep_lambdas_exit_one(tmp_path, lambdas):
+    # caught before any march runs: no record, no degenerate ratefit.json
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--override", f"lambdas={lambdas}",
+                    "--out", str(out), "--quiet"]) == 1
+    assert (out / "error.txt").read_text().startswith("lambdas: ")
+    assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+
+
 def test_unexpected_error_is_recorded_and_reraised(tmp_path, monkeypatch):
     def broken(cfg, out, quiet):
         raise ValueError("boom")

@@ -109,6 +109,16 @@ def test_lambda_list_must_be_sorted():
     assert err.value.path == "lambdas"
 
 
+@pytest.mark.parametrize("lambdas", ["[4, 8]", "[4, 4, 4]", "[4, 8, 8, 16]"])
+def test_sweep_needs_three_increasing_lambdas(lambdas):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f'{{"experiment": "sweep", "lambdas": {lambdas}}}')
+    assert err.value.path == "lambdas"
+    # the rate-fit rule is the sweep's; layer-decay keeps any sorted list
+    raw = f'{{"experiment": "layer-decay", "lambdas": {lambdas}}}'
+    assert parse_config(raw).lambdas == tuple(json.loads(lambdas))
+
+
 def test_oracle_check_requires_small_grid():
     with pytest.raises(ConfigError) as err:
         parse_config('{"experiment": "oracle-check"}')
@@ -202,7 +212,7 @@ DATA_READS = {
 # A valid value of every key any experiment reads; N = 32 suits oracle-check.
 VALUES = {
     "epsilon": 0.5, "dimension": 1, "N": 32, "L": 25.0, "out_dir": "runs/x",
-    "data": {}, "lambda": 8.0, "lambdas": [4.0, 8.0], "T": 1.0, "dt0": 2e-3,
+    "data": {}, "lambda": 8.0, "lambdas": [4.0, 8.0, 16.0], "T": 1.0, "dt0": 2e-3,
     "c_lambda": 0.1, "m": 1, "dealias": False, "num_samples": 5, "solver": "qmnls",
     "dt_list": [5e-3, 2.5e-3, 1.25e-3, 6.25e-4], "tolerance": 1e-4,
     "lambda_times": [0.5, 1.0], "probe_points": [0.0, 3.0], "k_max": 1,

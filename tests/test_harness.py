@@ -4,9 +4,12 @@ import pytest
 from dataclasses import replace
 
 from qzak import (PresetParams, SimConfig, SweepRecord, fit_rate,
-                  lambda_sweep, make_grid, preset_initial_data,
-                  self_convergence)
+                  lambda_sweep, make_grid, mass, preset_initial_data, q0_exact,
+                  q_field, qmnls_evolve, qz_evolve, self_convergence,
+                  sobolev_norm)
+from qzak.diagnostics import drift, spectral_tail
 from qzak.errors import DegenerateInputError, ParameterError
+from qzak.field import Field, real_field
 from qzak.harness import oracle_discrepancy
 
 
@@ -66,6 +69,78 @@ def test_sweep_resolution_robustness():
             assert abs(a.sup_err_Q_Hm - b.sup_err_Q_Hm) < 0.05 * a.sup_err_Q_Hm
 
 
+def field_chain_sweep(cfg, data, lambdas, m):
+    """The sweep's measurement as a chain of Fields over a buffered trajectory,
+    as lambda_sweep measured before it streamed its samples."""
+    reference = qmnls_evolve(replace(cfg, lam=lambdas[0]), data.E0).states
+    f0 = q_field(data.initial_state(), cfg.eps)
+    grid = cfg.grid
+    out = []
+    for lam in lambdas:
+        traj = qz_evolve(replace(cfg, lam=lam), data)
+        err_E = err_Q = sup_Q = tail = 0.0
+        masses = []
+        for (t, state), ref in zip(traj.samples, reference):
+            err_E = max(err_E, sobolev_norm(Field(grid, state.E.values - ref.E.values), m))
+            q = q_field(state, cfg.eps)
+            q0 = q0_exact(t, lam, cfg.eps, f0)
+            sup_Q = max(sup_Q, sobolev_norm(q, m))
+            err_Q = max(err_Q, sobolev_norm(real_field(grid, q.values - q0.values), m))
+            tail = max(tail, spectral_tail(state.E, 2.0 / 3.0))
+            masses.append(mass(state.E))
+        out.append({"sup_err_Q_Hm": err_Q, "sup_Q_Hm": sup_Q, "max_tail_E": tail,
+                    "mass_drift": drift(masses), "sup_err_E_Hm": err_E})
+    return out
+
+
+def well_prepared_sweep_setup():
+    cfg, _ = small_sweep_setup()
+    params = PresetParams(amplitude=1.0, width=2.0, chirp=0.2)
+    return cfg, preset_initial_data("well-prepared", params, cfg.grid, eps=1.0)
+
+
+def compatible_2d_sweep_setup():
+    g = make_grid(2, 64, 8.0 * np.pi)
+    cfg = SimConfig(eps=1.0, lam=4.0, T=0.05, grid=g, dt0=1e-3, c_lam=0.2, m=2,
+                    sample_times=tuple(np.linspace(0.0, 0.05, 5)))
+    params = PresetParams(amplitude=0.8, width=2.0, center=(0.0, 0.0),
+                          min_points_per_width=4.0)
+    return cfg, preset_initial_data("compatible", params, g, eps=1.0)
+
+
+@pytest.mark.parametrize("setup", [small_sweep_setup, well_prepared_sweep_setup,
+                                   compatible_2d_sweep_setup])
+def test_streamed_sweep_matches_field_chain(setup):
+    # sup_err_E_Hm keeps the old arithmetic bit for bit; the rest are
+    # formed from coefficients and move by rounding only
+    cfg, data = setup()
+    lambdas = [4.0, 8.0, 16.0]
+    records = lambda_sweep(cfg, data, lambdas, 2)
+    for rec, old in zip(records, field_chain_sweep(cfg, data, lambdas, 2)):
+        assert rec.sup_err_E_Hm == old.pop("sup_err_E_Hm")
+        for key, value in old.items():
+            assert getattr(rec, key) == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+
+def test_sweep_builds_no_field_per_sample(monkeypatch):
+    cfg, data = small_sweep_setup()
+    built = [0]
+    init = Field.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Field, "__init__", counted)
+    counts = []
+    for samples in (9, 17):
+        built[0] = 0
+        run = replace(cfg, sample_times=tuple(np.linspace(0.0, cfg.T, samples)))
+        lambda_sweep(run, data, [4.0, 8.0, 16.0], 2)
+        counts.append(built[0])
+    assert counts[0] == counts[1]
+
+
 def test_sweep_rejects_unsorted(grid256):
     cfg, data = small_sweep_setup()
     with pytest.raises(ParameterError):
@@ -99,6 +174,8 @@ def test_fit_degenerate_inputs():
     lams = [4.0, 8.0]
     with pytest.raises(DegenerateInputError):
         fit_rate(synthetic_records([0.1, 0.05], lams), "E-error")
+    with pytest.raises(DegenerateInputError, match="3 distinct lam"):
+        fit_rate(synthetic_records([0.1, 0.05, 0.02], [4.0, 4.0, 8.0]), "E-error")
     with pytest.raises(DegenerateInputError):
         fit_rate(synthetic_records([0.1, 0.0, 0.1], [4.0, 8.0, 16.0]), "E-error")
     with pytest.raises(ParameterError):
