@@ -220,6 +220,10 @@ def resolve_config(raw: dict) -> ExperimentConfig:
 
     if experiment in ("oracle-check", "layer-decay"):
         _expect(dimension == 1, "dimension", f"{experiment} requires dimension 1")
+    if experiment == "layer-decay":
+        for i, p in enumerate(probe_points):
+            _expect(-L / 2.0 <= p < L / 2.0, f"probe_points[{i}]",
+                    f"must lie in the box [{-L / 2.0:.6g}, {L / 2.0:.6g}), got {p}")
     if experiment == "oracle-check":
         _expect(N <= 64, "N", f"oracle-check requires N <= 64, got {N}")
     if experiment == "self-converge":

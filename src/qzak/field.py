@@ -81,16 +81,6 @@ def dealias_mask(grid: Grid) -> np.ndarray:
     return np.logical_and.outer(keep, keep)
 
 
-def dealias_values(grid: Grid, phys_values: np.ndarray) -> np.ndarray:
-    """Dealias a physical-space product, returning physical values."""
-    coeffs = np.fft.fftn(phys_values)
-    coeffs *= dealias_mask(grid)
-    out = np.fft.ifftn(coeffs)
-    if not np.iscomplexobj(phys_values):
-        return out.real
-    return out
-
-
 def require_same_grid(*fields: Field) -> Grid:
     grid = fields[0].grid
     for g in fields[1:]:

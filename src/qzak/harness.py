@@ -15,8 +15,8 @@ import numpy as np
 
 from .diagnostics import _mass, _spectral_tail, drift
 from .errors import DegenerateInputError, ParameterError
-from .field import _forward_factor, real_field, to_spectral
-from .norms import _sobolev_norm, sobolev_norm
+from .field import Field, _forward_factor, to_spectral
+from .norms import _sobolev_norm, l2_norm
 from .dynamics import oracle_evolve, qmnls_evolve, qz_evolve
 from .operators import potential_symbol, wave_cos
 from .state import InitialData, SimConfig, q_field
@@ -167,8 +167,7 @@ def self_convergence(config: SimConfig, data: InitialData, dt_list,
     reference = final_E(dts[-1])
     errors = []
     for dt in dts[:-1]:
-        diff = real_field(config.grid, np.abs(final_E(dt) - reference))
-        errors.append(sobolev_norm(diff, 0))
+        errors.append(l2_norm(Field(config.grid, final_E(dt) - reference)))
     if min(errors) <= 0.0:
         # exact substeps (e.g. purely linear data) leave nothing to fit
         return SelfConvergence(dts=tuple(dts[:-1]), errors=tuple(errors),
@@ -183,6 +182,6 @@ def oracle_discrepancy(config: SimConfig, data: InitialData) -> float:
     """L^2 distance between the split final state and the RK4 oracle's."""
     split = qz_evolve(replace(config, sample_times=(config.T,)), data).final_state()
     reference = oracle_evolve(config, data)
-    diff = real_field(config.grid, np.abs(split.E.values - reference.E.values))
-    n_diff = real_field(config.grid, split.n.values - reference.n.values)
-    return float(np.hypot(sobolev_norm(diff, 0), sobolev_norm(n_diff, 0)))
+    diff = Field(config.grid, split.E.values - reference.E.values)
+    n_diff = Field(config.grid, split.n.values - reference.n.values)
+    return float(np.hypot(l2_norm(diff), l2_norm(n_diff)))

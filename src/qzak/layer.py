@@ -14,14 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, WrapAroundError
-from .field import Field, real_field, to_spectral
-from .operators import apply_multiplier, derivative_fields, wave_cos
+from .errors import NonFiniteFieldError, ParameterError, WrapAroundError
+from .field import Field, inverse_values, real_field, to_spectral
+from .operators import _derivative_symbol, apply_multiplier, wave_cos
 from .state import InitialData, layer_velocity_source, q_field
 
 
 def q0_exact(t: float, lam: float, eps: float, f0: Field) -> Field:
-    """Cosine-propagated layer: cos(lam t omega_eps) f0, evaluated in one shot."""
+    """Cosine-propagated layer: cos(lam t omega_eps) f0, evaluated in one shot.
+    No module of the package calls this; it stays because ``benchmarks/`` times it."""
     return apply_multiplier(f0, wave_cos(f0.grid, eps, lam, t))
 
 
@@ -30,7 +31,7 @@ def layer_initial_fields(data: InitialData, eps: float) -> tuple[Field, Field]:
 
     g is the initial velocity n1 + 2 Im(E0 conj(Delta_eps E0)). No
     module of the package calls this (the sweep takes f0 from ``q_field``
-    directly); it stays because ``benchmarks/probes.py`` unpacks the pair.
+    directly); it stays because ``benchmarks/`` unpacks the pair.
     """
     f0 = q_field(data.initial_state(), eps)
     g = real_field(data.grid, data.n1.values + layer_velocity_source(data.E0, eps).values)
@@ -60,25 +61,13 @@ class DecayProbeReport:
     outer_envelope_factor: float
 
 
-def _group_speed(eps: float, xi: float) -> float:
-    return (1.0 + 2.0 * eps * eps * xi * xi) / np.sqrt(1.0 + eps * eps * xi * xi)
-
-
-def _effective_cutoff(f0: Field, tol: float = 1e-12) -> float:
-    """Largest wavenumber at which the data still carries amplitude."""
-    mags = np.abs(to_spectral(f0))
-    peak = float(np.max(mags))
-    if peak == 0.0:
-        return 0.0
-    grid = f0.grid
-    radial = np.sqrt(grid.k_squared)
-    alive = mags > tol * peak
-    return float(np.max(radial[alive]))
-
-
 def decay_probe(f0: Field, eps: float, lam: float, times, k_max: int,
                 probe_points) -> DecayProbeReport:
     """Evaluate derivatives of cos(lam t omega) f0 at fixed probe points.
+
+    The k-th derivative is Lap^{k/2} Q0 for even k, d/dx Lap^{(k-1)/2} Q0 for
+    odd k: one inverse transform per (time, k) of the transformed f0. Raises
+    NonFiniteFieldError when a large k_max overflows |xi|^k.
 
     Region per (t, x0): inner when lam*t > 1 and |x0| <= lam*t/2, else
     outer (which also covers all early times). The inner exponent is the
@@ -102,8 +91,13 @@ def decay_probe(f0: Field, eps: float, lam: float, times, k_max: int,
             raise ParameterError(f"probe point {p} lies outside the box "
                                  f"[{-grid.L / 2.0:.6g}, {grid.L / 2.0:.6g})")
 
-    xi_eff = _effective_cutoff(f0)
-    horizon = lam * times[-1] * _group_speed(eps, xi_eff)
+    f0_hat = to_spectral(f0)
+    mags = np.abs(f0_hat)
+    alive = mags > 1e-12 * np.max(mags)  # the band where the data carry amplitude
+    xi_eff = float(np.max(np.sqrt(grid.k_squared)[alive])) if alive.any() else 0.0
+    # the group speed d omega_eps / d xi at the cutoff bounds the spreading
+    e2xi2 = eps * eps * xi_eff * xi_eff
+    horizon = lam * times[-1] * ((1.0 + 2.0 * e2xi2) / np.sqrt(1.0 + e2xi2))
     if horizon > 0.9 * grid.L / 2.0:
         raise WrapAroundError(
             f"probe horizon {horizon:.3g} reaches the box edge "
@@ -114,22 +108,30 @@ def decay_probe(f0: Field, eps: float, lam: float, times, k_max: int,
     probe_idx = [int(np.argmin(np.abs(x_axis - float(p)))) for p in probe_points]
     probe_x = [float(x_axis[i]) for i in probe_idx]
 
+    d_x = _derivative_symbol(grid, 0)
     rows = []
-    for t in times:
-        q0 = q0_exact(t, lam, eps, f0)
-        deriv_tables = []
-        for k in range(k_max + 1):
-            comps = derivative_fields(q0, k)
-            deriv_tables.append(np.max(np.abs(np.stack([c.values for c in comps])), axis=0))
-        lam_t = lam * t
-        for idx, x0 in zip(probe_idx, probe_x):
-            inner = lam_t > 1.0 and abs(x0) <= lam_t / 2.0
-            sup_by_k = tuple(float(tab[idx]) for tab in deriv_tables)
-            weight = (1.0 + abs(x0)) ** 2
-            rows.append(ProbeRow(
-                t=t, lam_t=lam_t, x0=x0, region="inner" if inner else "outer",
-                sup_by_k=sup_by_k,
-                weighted_sup_by_k=tuple(v / weight for v in sup_by_k)))
+    # overflow and inf * 0 leave non-finite tables, which the check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        symbols = [(-grid.k_squared) ** (k // 2) * (d_x if k % 2 else 1.0)
+                   for k in range(k_max + 1)]
+        for t in times:
+            q0_hat = f0_hat * wave_cos(grid, eps, lam, t)
+            at_probes = []
+            for k, symbol in enumerate(symbols):
+                table = np.abs(inverse_values(grid, symbol * q0_hat).real)
+                if not np.all(np.isfinite(table)):
+                    raise NonFiniteFieldError(
+                        f"k_max = {k_max}: the order-{k} derivative of the layer is "
+                        f"not finite at t = {t:.6g}; lower k_max")
+                at_probes.append(table[probe_idx])
+            lam_t = lam * t
+            for j, x0 in enumerate(probe_x):
+                inner = lam_t > 1.0 and abs(x0) <= lam_t / 2.0
+                sup_by_k = tuple(float(values[j]) for values in at_probes)
+                weight = (1.0 + abs(x0)) ** 2
+                rows.append(ProbeRow(
+                    t=t, lam_t=lam_t, x0=x0, region="inner" if inner else "outer",
+                    sup_by_k=sup_by_k, weighted_sup_by_k=tuple(v / weight for v in sup_by_k)))
 
     inner_exponent = _fit_inner_exponent(rows)
     envelope_factor = _outer_envelope_factor(rows)
@@ -144,10 +146,8 @@ def _fit_inner_exponent(rows: list[ProbeRow]) -> float:
         if r.region == "inner":
             v = max(r.sup_by_k)
             by_time[r.lam_t] = max(by_time.get(r.lam_t, 0.0), v)
-    if len(by_time) < 2:
-        return float("nan")
     pairs = sorted(by_time.items())
-    peak = max(v for _, v in pairs)
+    peak = max((v for _, v in pairs), default=0.0)
     pairs = [(lt, v) for lt, v in pairs if v > 1e-13 * peak]
     if len(pairs) < 2:
         return float("nan")

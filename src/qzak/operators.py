@@ -102,34 +102,12 @@ def _derivative_symbol(grid: Grid, axis: int) -> np.ndarray:
     return sym
 
 
-def _physical(f: Field, coeffs: np.ndarray, real: bool) -> Field:
-    """Coefficients back on f's grid; real when ``real`` holds, which drops
-    the rounding-level imaginary part."""
-    phys = inverse_values(f.grid, coeffs)
-    return Field(f.grid, phys.real if real else phys)
-
-
 def apply_multiplier(f: Field, symbol: np.ndarray) -> Field:
     """Multiply the spectral coefficients of f by a symbol array.
 
-    The result is real when both f and the symbol are real.
+    The result is real when both f and the symbol are real, which drops
+    the rounding-level imaginary part.
     """
-    coeffs = to_spectral(f) * symbol
-    return _physical(f, coeffs, np.isrealobj(f.values) and np.isrealobj(symbol))
-
-
-def gradient(f: Field) -> list[Field]:
-    """Spectral gradient, one Field per axis (Nyquist zeroed per axis)."""
-    spec = to_spectral(f)
-    real = np.isrealobj(f.values)
-    return [_physical(f, _derivative_symbol(f.grid, axis) * spec, real)
-            for axis in range(f.grid.d)]
-
-
-def derivative_fields(f: Field, k: int) -> list[Field]:
-    """k-th derivative: Lap^{k/2} f for even k, the d components of
-    grad Lap^{(k-1)/2} f for odd k. Real for real f."""
-    if k == 0:
-        return [f]
-    base = apply_multiplier(f, (-f.grid.k_squared) ** (k // 2))
-    return [base] if k % 2 == 0 else gradient(base)
+    phys = inverse_values(f.grid, to_spectral(f) * symbol)
+    real = np.isrealobj(f.values) and np.isrealobj(symbol)
+    return Field(f.grid, phys.real if real else phys)

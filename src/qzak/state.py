@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResolutionError
-from .field import (Field, complex_field, dealias_values, real_field,
+from .field import (Field, complex_field, dealias_mask, real_field,
                     require_same_grid)
 from .grid import Grid
 from .norms import l2_norm, sobolev_norm
@@ -194,7 +194,8 @@ def layer_velocity_source(E0: Field, eps: float) -> Field:
     a, b = E0.values.real, E0.values.imag
     delta_a = apply_multiplier(real_field(grid, a), symbol).values
     delta_b = apply_multiplier(real_field(grid, b), symbol).values
-    return real_field(grid, 2.0 * dealias_values(grid, b * delta_a - a * delta_b))
+    product = np.fft.ifftn(np.fft.fftn(b * delta_a - a * delta_b) * dealias_mask(grid)).real
+    return real_field(grid, 2.0 * product)
 
 
 def preset_initial_data(kind: str, params: PresetParams, grid: Grid, eps: float) -> InitialData:

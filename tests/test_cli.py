@@ -250,7 +250,8 @@ def test_infinite_time_exits_one(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
 
 
-def test_layer_decay_probe_outside_box_exits_two(tmp_path, capsys):
+def test_layer_decay_probe_outside_box_exits_one(tmp_path, capsys):
+    # L is known when the config resolves, so the key is named there
     cfg = {
         "experiment": "layer-decay",
         "N": 1024,
@@ -262,10 +263,22 @@ def test_layer_decay_probe_outside_box_exits_two(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
     assert run_cli(["layer-decay", "--config", path, "--out", str(out),
-                    "--quiet"]) == 2
-    assert "probe point 1000.0" in capsys.readouterr().err
-    assert "probe point 1000.0" in (out / "error.txt").read_text()
-    assert not (out / "decay.csv").exists()
+                    "--quiet"]) == 1
+    assert "probe_points[1]" in capsys.readouterr().err
+    assert (out / "error.txt").read_text().startswith("probe_points[1]: ")
+    assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+
+
+@pytest.mark.parametrize("k_max", [220, 250])
+def test_layer_decay_overflowing_k_max_exits_two(tmp_path, capsys, k_max):
+    # |xi|^220 overflows on the default grid; the run used to write nan/inf
+    # rows into decay.csv and exit 0
+    out = tmp_path / "out"
+    assert run_cli(["layer-decay", "--override", f"k_max={k_max}",
+                    "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"k_max = {k_max}" in err and "order-220 derivative" in err
+    assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
 
 
 def test_layer_decay_unresolved_width_exits_two(tmp_path, capsys):

@@ -159,6 +159,15 @@ def test_layer_decay_defaults():
     assert cfg.k_max == 2
 
 
+def test_layer_decay_probe_points_must_lie_in_box():
+    base = {"experiment": "layer-decay", "L": 40.0}
+    for points, bad in (([0.0, 20.0], 1), ([-20.5, 0.0], 0)):
+        with pytest.raises(ConfigError) as err:
+            resolve_config({**base, "probe_points": points})
+        assert err.value.path == f"probe_points[{bad}]"
+    assert resolve_config({**base, "probe_points": [-20.0, 0.0]}).probe_points == (-20.0, 0.0)
+
+
 def test_overrides_dotted_paths():
     raw = json.loads('{"experiment": "sweep"}')
     out = apply_overrides(raw, ["epsilon=0.5", "data.width=3.5",
@@ -209,9 +218,10 @@ DATA_READS = {
     "well-prepared": ENVELOPE,
     "layer-decay": {"amplitude", "width", "center", "min_points_per_width", "edge_tol"},
 }
-# A valid value of every key any experiment reads; N = 32 suits oracle-check.
+# A valid value of every key any experiment reads; N = 32 suits oracle-check,
+# and L = 100 keeps the default layer-decay probe points inside the box.
 VALUES = {
-    "epsilon": 0.5, "dimension": 1, "N": 32, "L": 25.0, "out_dir": "runs/x",
+    "epsilon": 0.5, "dimension": 1, "N": 32, "L": 100.0, "out_dir": "runs/x",
     "data": {}, "lambda": 8.0, "lambdas": [4.0, 8.0, 16.0], "T": 1.0, "dt0": 2e-3,
     "c_lambda": 0.1, "m": 1, "dealias": False, "num_samples": 5, "solver": "qmnls",
     "dt_list": [5e-3, 2.5e-3, 1.25e-3, 6.25e-4], "tolerance": 1e-4,

@@ -5,10 +5,10 @@ from qzak import (PresetParams, SimConfig, ZakharovState, apply_multiplier,
                   complex_field, decay_probe, l2_norm, make_grid,
                   preset_initial_data, q0_exact, q_field, qz_evolve, real_field,
                   sobolev_norm)
-from qzak.errors import ParameterError, WrapAroundError
-from qzak.field import dealias_values
+from qzak.errors import NonFiniteFieldError, ParameterError, WrapAroundError
+from qzak.field import dealias_mask, inverse_values, to_spectral
 from qzak.layer import layer_initial_fields
-from qzak.operators import i_eps
+from qzak.operators import _derivative_symbol, i_eps
 from qzak.state import compatibility_defect
 
 
@@ -39,7 +39,8 @@ def test_q_field_one_transform_pair(rng, grid256, monkeypatch):
     E = complex_field(grid256, rng.standard_normal(256) + 1j * rng.standard_normal(256))
     n = real_field(grid256, rng.standard_normal(256))
     state = ZakharovState(t=0.0, E=E, n=n, nt=real_field(grid256, np.zeros(256)))
-    intensity = real_field(grid256, dealias_values(grid256, np.abs(E.values) ** 2))
+    intensity = real_field(grid256, np.fft.ifftn(
+        np.fft.fftn(np.abs(E.values) ** 2) * dealias_mask(grid256)).real)
     old = n.values + apply_multiplier(intensity, i_eps(grid256, 0.7)).values
 
     calls = []
@@ -140,6 +141,63 @@ def test_decay_probe_inner_exponent():
     assert rep.outer_envelope_factor <= 10.0
     regions = {r.region for r in rep.rows}
     assert regions == {"inner", "outer"}
+
+
+def _field_chain_tables(f0, eps, lam, t, k_max):
+    """|k-th derivative| of Q0 through a chain of Field passes: q0_exact,
+    then Lap^{k//2} by apply_multiplier and, for odd k, d/dx by another
+    transform pair. The probe's one-transform-per-order path must match it."""
+    grid = f0.grid
+    q0 = q0_exact(t, lam, eps, f0)
+    tables = []
+    for k in range(k_max + 1):
+        base = q0 if k == 0 else apply_multiplier(q0, (-grid.k_squared) ** (k // 2))
+        if k % 2:
+            base = real_field(grid, inverse_values(
+                grid, _derivative_symbol(grid, 0) * to_spectral(base)).real)
+        tables.append(np.abs(base.values))
+    return tables
+
+
+def test_decay_probe_matches_field_chain_to_rounding():
+    # decay.csv values near zero (odd orders at x0 = 0, far probes early on)
+    # are rounding noise, so each value is held to its series' maximum
+    g = make_grid(1, 1024, 40.0 * np.pi)
+    x = g.coordinates[0]
+    f0 = real_field(g, np.exp(-((x / 4.5) ** 2)))
+    eps, lam, k_max = 1.0, 16.0, 2
+    times = [lt / lam for lt in (0.25, 1.0, 3.0, 6.0, 10.0)]
+    rep = decay_probe(f0, eps, lam, times, k_max, [0.0, 1.0, 2.0, 20.0, 30.0, 40.0])
+    tables = {t: _field_chain_tables(f0, eps, lam, t, k_max) for t in times}
+    for k in range(k_max + 1):
+        ref = np.array([tables[r.t][k][np.flatnonzero(x == r.x0)[0]] for r in rep.rows])
+        weights = np.array([(1.0 + abs(r.x0)) ** 2 for r in rep.rows])
+        for got, want in (([r.sup_by_k[k] for r in rep.rows], ref),
+                          ([r.weighted_sup_by_k[k] for r in rep.rows], ref / weights)):
+            assert np.max(np.abs(np.array(got) - want)) <= 1e-12 * np.max(want), k
+
+
+def test_decay_probe_transforms_f0_once(grid256, monkeypatch):
+    # one forward transform of f0, then one inverse per (time, order)
+    f0 = real_field(grid256, np.exp(-(grid256.coordinates[0] ** 2)))
+    times, k_max = [0.01, 0.02, 0.05], 3
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    decay_probe(f0, 1.0, 8.0, times, k_max, [0.0, 1.0])
+    monkeypatch.undo()
+    assert len(calls) == 1 + len(times) * (k_max + 1)
+
+
+def test_decay_probe_overflowing_order_raises():
+    # |xi|^220 overflows at the top modes of this grid
+    g = make_grid(1, 1024, 40.0 * np.pi)
+    f0 = real_field(g, np.exp(-((g.coordinates[0] / 4.5) ** 2)))
+    with pytest.raises(NonFiniteFieldError, match="k_max = 220: the order-220"):
+        decay_probe(f0, 1.0, 16.0, [0.25 / 16.0], 220, [0.0])
 
 
 def test_decay_probe_early_time_no_decay():

@@ -1,19 +1,29 @@
 import numpy as np
 import pytest
 
-from qzak import l2_norm, make_grid, real_field, sobolev_norm
+from qzak import Field, l2_norm, make_grid, real_field, sobolev_norm, to_spectral
 from qzak.errors import ParameterError
-from qzak.operators import derivative_fields
+from qzak.field import inverse_values
+from qzak.operators import _derivative_symbol
 
 from conftest import random_real_values
 
 
 def derivative_norm_sum(f, m):
-    """Brute-force sum_{k<=m} ||grad^k f||_L2, the reference for H^m."""
+    """Brute-force sum_{k<=m} ||grad^k f||_L2, the reference for H^m.
+
+    The k-th derivative is Lap^{k/2} f for even k and the d components of
+    grad Lap^{(k-1)/2} f for odd k, each taken back to physical space.
+    """
+    grid = f.grid
+    coeffs = to_spectral(f)
     total = 0.0
     for k in range(m + 1):
-        comps = derivative_fields(f, k)
-        total += np.sqrt(sum(l2_norm(c) ** 2 for c in comps))
+        base = (-grid.k_squared) ** (k // 2) * coeffs
+        comps = [base] if k % 2 == 0 else [_derivative_symbol(grid, axis) * base
+                                           for axis in range(grid.d)]
+        total += np.sqrt(sum(l2_norm(Field(grid, inverse_values(grid, c))) ** 2
+                             for c in comps))
     return float(total)
 
 
