@@ -11,8 +11,8 @@ discrete mass is conserved to rounding regardless of dt or lam.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -30,10 +30,12 @@ _ORACLE_REFINEMENT = 50  # RK4 steps per split step
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of an evolution at the requested sample times."""
+    """Snapshots of an evolution at the requested sample times, and the
+    number of steps the evolution took."""
 
     config: SimConfig
     samples: tuple
+    steps: int
 
     @property
     def times(self) -> list[float]:
@@ -48,22 +50,30 @@ class Trajectory:
 
 
 # lru_cache on a kernel class returns the cached instance for arguments
-# seen before, so each (grid, eps, lam, dt) is built once per process.
+# seen before, so each (grid, eps, lams, dt) is built once per process.
 # The call hashes the grid, so a march looks each kernel up once and
 # keeps it in a dict keyed by the step size.
 @lru_cache(maxsize=512)
 class _QZKernel:
-    """Symbol arrays for one (grid, eps, lam, dt) step."""
+    """Symbol arrays for one (grid, eps, lams, dt) step.
+
+    The lam-dependent symbols are stacked, one row per entry of lams,
+    with shape (len(lams),) + grid.shape; the others have shape
+    (1,) + grid.shape and broadcast against the rows. The leading 1
+    keeps a batch of one on numpy's fast path for operands of equal
+    shape.
+    """
 
     __slots__ = ("schrod_half", "cos", "sinc", "minus_lam_om_sin", "potential")
 
-    def __init__(self, grid: Grid, eps: float, lam: float, dt: float, dealias: bool):
+    def __init__(self, grid: Grid, eps: float, lams: tuple, dt: float, dealias: bool):
         om = omega_eps(grid, eps)
-        self.schrod_half = schrodinger_group(grid, eps, 0.5 * dt)
-        self.cos = wave_cos(grid, eps, lam, dt)
-        self.sinc = wave_sinc(grid, eps, lam, dt)
-        self.minus_lam_om_sin = -(lam * om * np.sin(lam * dt * om))
-        self.potential = potential_symbol(grid, eps, dealias)
+        self.schrod_half = schrodinger_group(grid, eps, 0.5 * dt)[np.newaxis]
+        self.cos = np.stack([wave_cos(grid, eps, lam, dt) for lam in lams])
+        self.sinc = np.stack([wave_sinc(grid, eps, lam, dt) for lam in lams])
+        self.minus_lam_om_sin = np.stack(
+            [-(lam * om * np.sin(lam * dt * om)) for lam in lams])
+        self.potential = potential_symbol(grid, eps, dealias)[np.newaxis]
 
 
 @lru_cache(maxsize=512)
@@ -78,17 +88,22 @@ class _QMNLSKernel:
 # Every march and single step shares one protocol: the fields travel as
 # a tuple of plain arrays, (E, n, nt) for the coupled system and (E,) for
 # the limit equation, and advance(arrays, h) returns them one step of
-# size h later. An advance allocates its work buffers once and returns
-# arrays that live in them, so its next call overwrites what it returned
-# before: a caller copies what it keeps. It writes into no other array,
-# so a march starts from the read-only arrays of the initial data
-# without copying them.
+# size h later. The coupled arrays are stacked, one row per sound speed
+# of the batch, with shape (B,) + grid.shape (B = 1 for a single lam).
+# An advance allocates its work buffers once and returns arrays that
+# live in them, so its next call overwrites what it returned before: a
+# caller copies what it keeps. It writes into no other array, so a
+# march starts from the read-only arrays of the initial data, or from
+# np.broadcast_to views of them, without copying them.
 #
-# At d=1 the transforms are np.fft.fft/ifft, which give the same bits as
-# fftn/ifftn without fftn's per-call axis bookkeeping (a few us per call,
-# about as long as the transform itself at N=1024). They are looked up
-# when the advance is built, not at import, so that a caller who wraps
-# the functions in numpy.fft (a counter or a tracer) sees every call.
+# The transforms act on the grid axes only, so every row of a batch is
+# transformed on its own; numpy gives each row the bits of a lone
+# transform of it. At d=1 they are np.fft.fft/ifft along the last axis,
+# which give the same bits as fftn/ifftn without fftn's per-call axis
+# bookkeeping (a few us per call, about as long as the transform itself
+# at N=1024). They are looked up when the advance is built, not at
+# import, so that a caller who wraps the functions in numpy.fft (a
+# counter or a tracer) sees every call.
 #
 # A kick is np.multiply(E, phase) in that order on every grid. Complex
 # products round differently when their operands swap, and E * np.exp(...)
@@ -98,26 +113,33 @@ class _QMNLSKernel:
 def _transforms(grid: Grid) -> tuple:
     if grid.d == 1:
         return np.fft.fft, np.fft.ifft
-    return np.fft.fftn, np.fft.ifftn
+    return (partial(np.fft.fftn, axes=(-2, -1)), partial(np.fft.ifftn, axes=(-2, -1)))
 
 
-def _qz_advance(grid: Grid, eps: float, lam: float, dealias: bool):
+def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool):
+    """The coupled advance for the batch of sound speeds lams."""
     fft, ifft = _transforms(grid)
     kernels = {}
-    # Six complex buffers. E_out, n_buf and nt_buf hold the returned
-    # fields (n and nt are the real parts of the last two); E_hat,
-    # IS_hat and phase are work space, and the steps below reuse every
-    # buffer whose contents are spent.
+    # Six complex buffers of shape (B,) + grid.shape. E_out, n_buf and
+    # nt_buf hold the returned fields (n and nt are the real parts of the
+    # last two); E_hat, IS_hat and phase are work space, and the steps
+    # below reuse every buffer whose contents are spent.
     E_out, E_hat, IS_hat, n_buf, nt_buf, phase = (
-        np.empty(grid.shape, dtype=np.complex128) for _ in range(6))
+        np.empty((len(lams),) + grid.shape, dtype=np.complex128) for _ in range(6))
     n_out, nt_out = n_buf.real, nt_buf.real
+    # numpy runs a strided real part through its general iterator when it
+    # has more than one axis (about 1 us a call at N=1024) and through its
+    # fast path when it is flat, so the elementwise steps on real parts
+    # work on flat views of the same memory.
+    S, S_flat = E_hat.real, E_hat.real.reshape(-1)  # |E|^2 in spent work space
+    E_flat, n_flat = E_out.reshape(-1), n_out.reshape(-1)
     # The trailing kick of a step and the leading kick of the next one
     # apply the same phase when h repeats: phase keeps it for the n it
     # was computed from.
     phase_of = None
 
     def set_phase(h: float, n: np.ndarray) -> None:
-        np.multiply(-0.5j * h, n, out=phase)
+        np.multiply(-0.5j * h, n, out=phase.reshape(n.shape))
         np.exp(phase, out=phase)
 
     def advance(arrays: tuple, h: float) -> tuple:
@@ -125,7 +147,7 @@ def _qz_advance(grid: Grid, eps: float, lam: float, dealias: bool):
         E, n, nt = arrays
         kern = kernels.get(h)
         if kern is None:
-            kern = kernels[h] = _QZKernel(grid, eps, lam, h, dealias)
+            kern = kernels[h] = _QZKernel(grid, eps, lams, h, dealias)
         # Palindromic sequence: kick / half linear / exact wave / half
         # linear / kick. The wave substep reads S at the half-evolved
         # (midpoint) envelope, which keeps the composition symmetric and
@@ -137,9 +159,8 @@ def _qz_advance(grid: Grid, eps: float, lam: float, dealias: bool):
         fft(E_out, out=E_hat)
         np.multiply(E_hat, kern.schrod_half, out=E_hat)
         ifft(E_hat, out=E_out)
-        S = E_hat.real  # |E|^2 in spent work space
-        np.abs(E_out, out=S)
-        np.square(S, out=S)
+        np.abs(E_flat, out=S_flat)
+        np.square(S_flat, out=S_flat)
         fft(S, out=IS_hat)
         np.multiply(IS_hat, kern.potential, out=IS_hat)
         Qt_hat = fft(nt, out=E_hat)
@@ -158,7 +179,7 @@ def _qz_advance(grid: Grid, eps: float, lam: float, dealias: bool):
         fft(E_out, out=E_hat)
         np.multiply(E_hat, kern.schrod_half, out=E_hat)
         ifft(E_hat, out=E_out)
-        set_phase(h, n_out)
+        set_phase(h, n_flat)
         phase_of = (h, n_out)
         np.multiply(E_out, phase, out=E_out)
         return E_out, n_out, nt_out
@@ -204,10 +225,23 @@ def _arrays(E: Field, *real: Field) -> tuple:
     return (np.asarray(E.values, dtype=np.complex128),) + tuple(f.values for f in real)
 
 
-def _check_finite(t: float, arrays: tuple) -> None:
+def _stacked(arrays: tuple, batch: int) -> tuple:
+    """Views of arrays repeated batch times along a new first axis."""
+    return tuple(np.broadcast_to(a, (batch,) + a.shape) for a in arrays)
+
+
+def _check_finite(t: float, arrays: tuple, lams: tuple | None = None) -> None:
+    """Raise NonFiniteFieldError naming the first non-finite field; with
+    lams, the arrays are stacked one row per lam and the error names the
+    lam of the first non-finite row too."""
     for name, arr in zip(_FIELD_NAMES, arrays):
         if not np.all(np.isfinite(arr)):
-            raise NonFiniteFieldError(f"field {name!r} became non-finite at t = {t:.6g}")
+            where = ""
+            if lams is not None:
+                finite = np.isfinite(arr).reshape(len(lams), -1).all(axis=1)
+                where = f" (lam = {lams[int(np.argmin(finite))]:g})"
+            raise NonFiniteFieldError(
+                f"field {name!r} became non-finite at t = {t:.6g}{where}")
 
 
 def _qz_state(grid: Grid, t: float, arrays: tuple) -> ZakharovState:
@@ -225,11 +259,11 @@ def qz_step(s: ZakharovState, dt: float, eps: float, lam: float,
     """One Strang step of the coupled system; dt may be negative."""
     if dt == 0.0:
         raise ParameterError("dt must be nonzero")
-    advance = _qz_advance(s.grid, float(eps), float(lam), bool(dealias))
-    arrays = advance(_arrays(s.E, s.n, s.nt), float(dt))
+    advance = _qz_advance(s.grid, float(eps), (float(lam),), bool(dealias))
+    arrays = advance(_stacked(_arrays(s.E, s.n, s.nt), 1), float(dt))
     t = s.t + dt
     _check_finite(t, arrays)
-    return _qz_state(s.grid, t, arrays)
+    return _qz_state(s.grid, t, tuple(a[0] for a in arrays))
 
 
 def qmnls_step(s: SchrodingerState, dt: float, eps: float,
@@ -244,8 +278,10 @@ def qmnls_step(s: SchrodingerState, dt: float, eps: float,
     return _qmnls_state(s.grid, t, arrays)
 
 
-def _march(config: SimConfig, arrays: tuple, advance, sink) -> None:
-    """Step arrays with advance, landing exactly on every sample time.
+def _march(config: SimConfig, arrays: tuple, advance, sink,
+           lams: tuple | None = None) -> int:
+    """Step arrays with advance, landing exactly on every sample time, and
+    return the number of steps taken.
 
     Calls sink(t, arrays) at each sample. The arrays are advance's live
     buffers (the initial data's arrays at t = 0): the next step
@@ -253,7 +289,8 @@ def _march(config: SimConfig, arrays: tuple, advance, sink) -> None:
 
     Finiteness is checked once per sample, not once per step. A
     non-finite value reaches every mode within one FFT and stays, so no
-    non-finite sample reaches the sink; the error names the sample time.
+    non-finite sample reaches the sink; the error names the sample time,
+    and the lam of the row when lams names the rows of a batch.
     """
     dt = config.dt
     t = 0.0
@@ -264,14 +301,17 @@ def _march(config: SimConfig, arrays: tuple, advance, sink) -> None:
         sink(0.0, arrays)
         targets = targets[1:]
     tol = _LANDING_TOL * max(1.0, config.T)
+    steps = 0
     for target in targets:
         while t < target - tol:
             h = min(dt, target - t)
             arrays = advance(arrays, h)
             t += h
+            steps += 1
         t = target
-        _check_finite(t, arrays)
+        _check_finite(t, arrays, lams)
         sink(t, arrays)
+    return steps
 
 
 def _evolve(config: SimConfig, arrays: tuple, advance, state_of, sink) -> Trajectory:
@@ -281,11 +321,11 @@ def _evolve(config: SimConfig, arrays: tuple, advance, state_of, sink) -> Trajec
         # keeps half the bytes a view would keep alive.
         def sink(t, arrays):
             samples.append((t, state_of(config.grid, t, tuple(a.copy() for a in arrays))))
-    _march(config, arrays, advance, sink)
-    return Trajectory(config=config, samples=tuple(samples))
+    steps = _march(config, arrays, advance, sink)
+    return Trajectory(config=config, samples=tuple(samples), steps=steps)
 
 
-def qz_evolve(config: SimConfig, data: InitialData, sink=None) -> Trajectory:
+def qz_evolve(config: SimConfig, data: InitialData, sink=None, lams=None) -> Trajectory:
     """Evolve the coupled system, snapshotting at the config's sample times.
 
     With a sink, sink(t, (E, n, nt)) is called at each sample time
@@ -293,12 +333,36 @@ def qz_evolve(config: SimConfig, data: InitialData, sink=None) -> Trajectory:
     (views into complex buffers). They are valid only during the call,
     as the next step overwrites them, and the returned Trajectory then
     holds no samples.
+
+    With lams, one march runs every sound speed in lams at once.
+    config.lam then only sets the step size config.dt, which every lam
+    must give as well. A sink is required, and it receives the arrays
+    stacked with shape (len(lams),) + grid.shape, one row per lam in
+    order.
     """
     if data.grid != config.grid:
         raise ParameterError("initial data grid does not match config grid")
-    advance = _qz_advance(config.grid, config.eps, config.lam, config.dealias)
-    return _evolve(config, _arrays(data.E0, data.n0, data.n1), advance,
-                   _qz_state, sink)
+    arrays = _arrays(data.E0, data.n0, data.n1)
+    if lams is None:
+        # a batch of one: the sink and the states see its row
+        def state_of(grid, t, arrays):
+            return _qz_state(grid, t, tuple(a[0] for a in arrays))
+        if sink is not None:
+            row_sink = sink
+
+            def sink(t, arrays):
+                row_sink(t, tuple(a[0] for a in arrays))
+        advance = _qz_advance(config.grid, config.eps, (config.lam,), config.dealias)
+        return _evolve(config, _stacked(arrays, 1), advance, state_of, sink)
+    lams = tuple(float(lam) for lam in lams)
+    if sink is None:
+        raise ParameterError("a march over several lam needs a sink")
+    if not lams or any(replace(config, lam=lam).dt != config.dt for lam in lams):
+        raise ParameterError("lams must be nonempty and every lam must give "
+                             f"the config's step size dt = {config.dt!r}")
+    advance = _qz_advance(config.grid, config.eps, lams, config.dealias)
+    steps = _march(config, _stacked(arrays, len(lams)), advance, sink, lams)
+    return Trajectory(config=config, samples=(), steps=steps)
 
 
 def qmnls_evolve(config: SimConfig, E0: Field, sink=None) -> Trajectory:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -17,7 +19,7 @@ from .diagnostics import _mass, _spectral_tail, drift
 from .errors import DegenerateInputError, ParameterError
 from .field import Field, _forward_factor, to_spectral
 from .norms import _sobolev_norm, l2_norm
-from .dynamics import oracle_evolve, qmnls_evolve, qz_evolve
+from .dynamics import _transforms, oracle_evolve, qmnls_evolve, qz_evolve
 from .operators import potential_symbol, wave_cos
 from .state import InitialData, SimConfig, q_field
 
@@ -33,6 +35,7 @@ class SweepRecord:
     walltime_s: float
     max_tail_E: float
     mass_drift: float
+    steps: int
 
     def __post_init__(self):
         if min(self.sup_err_E_Hm, self.sup_err_Q_Hm, self.sup_Q_Hm) < 0.0:
@@ -49,46 +52,58 @@ class RateFit:
     lambdas: tuple[float, ...]
 
 
-def _run_one_lambda(config: SimConfig, data: InitialData, m: int,
-                    reference_E: list[np.ndarray], f0_hat: np.ndarray) -> SweepRecord:
-    """March one lam, measuring each sample on the march's live arrays with
-    four transforms: E - E_ref (differenced in physical space), E, n and
-    |E|^2. Q and the layer cos(lam t omega_eps) f0 are formed from
-    coefficients, and only running maxima and the masses are kept."""
+def _run_group(config: SimConfig, data: InitialData, m: int, lams: tuple,
+               reference_E: list[np.ndarray], f0_hat: np.ndarray) -> list[SweepRecord]:
+    """March the lams of one step size as one batch, measuring each sample
+    of every row on the march's live arrays.
+
+    Each sample costs four transforms of the whole batch: E - E_ref
+    (differenced in physical space), E, n and |E|^2. Q and the layer
+    cos(lam t omega_eps) f0 are formed from coefficients per row, and only
+    running maxima and the masses are kept. Every record carries the
+    batch's wall time: its march plus the measurement of its samples.
+    """
     start = time.perf_counter()
-    grid, eps, lam = config.grid, config.eps, config.lam
+    grid, eps = config.grid, config.eps
+    fft, _ = _transforms(grid)
     factor = _forward_factor(grid)
     potential = potential_symbol(grid, eps)
     reference = iter(reference_E)
-    sup_err_E = sup_err_Q = sup_Q = max_tail = 0.0
-    masses = []
+    sup_err_E, sup_err_Q, sup_Q, max_tail = ([0.0] * len(lams) for _ in range(4))
+    masses = [[] for _ in lams]
 
     def measure(t: float, arrays: tuple) -> None:
-        nonlocal sup_err_E, sup_err_Q, sup_Q, max_tail
         E, n, _ = arrays
-        diff_hat = np.fft.fftn(E - next(reference)) * factor
-        sup_err_E = max(sup_err_E, _sobolev_norm(grid, diff_hat, m))
+        diff_hat = fft(E - next(reference)) * factor
         S = np.abs(E) ** 2
-        Q_hat = (np.fft.fftn(n) + potential * np.fft.fftn(S)) * factor
-        sup_Q = max(sup_Q, _sobolev_norm(grid, Q_hat, m))
-        Q_hat -= f0_hat * wave_cos(grid, eps, lam, t)
-        sup_err_Q = max(sup_err_Q, _sobolev_norm(grid, Q_hat, m))
-        max_tail = max(max_tail, _spectral_tail(grid, np.fft.fftn(E) * factor, 2.0 / 3.0))
-        masses.append(_mass(grid, S))
+        Q_hat = (fft(n) + potential * fft(S)) * factor
+        E_hat = fft(E) * factor
+        for i, lam in enumerate(lams):
+            sup_err_E[i] = max(sup_err_E[i], _sobolev_norm(grid, diff_hat[i], m))
+            sup_Q[i] = max(sup_Q[i], _sobolev_norm(grid, Q_hat[i], m))
+            Q_hat[i] -= f0_hat * wave_cos(grid, eps, lam, t)
+            sup_err_Q[i] = max(sup_err_Q[i], _sobolev_norm(grid, Q_hat[i], m))
+            max_tail[i] = max(max_tail[i], _spectral_tail(grid, E_hat[i], 2.0 / 3.0))
+            masses[i].append(_mass(grid, S[i]))
 
-    qz_evolve(config, data, sink=measure)
-    return SweepRecord(lam=lam, dt=config.dt,
-                       sup_err_E_Hm=sup_err_E, sup_err_Q_Hm=sup_err_Q,
-                       sup_Q_Hm=sup_Q, walltime_s=time.perf_counter() - start,
-                       max_tail_E=max_tail, mass_drift=drift(masses))
+    steps = qz_evolve(config, data, sink=measure, lams=lams).steps
+    walltime = time.perf_counter() - start
+    return [SweepRecord(lam=lam, dt=config.dt, sup_err_E_Hm=sup_err_E[i],
+                        sup_err_Q_Hm=sup_err_Q[i], sup_Q_Hm=sup_Q[i],
+                        walltime_s=walltime, max_tail_E=max_tail[i],
+                        mass_drift=drift(masses[i]), steps=steps)
+            for i, lam in enumerate(lams)]
 
 
 def lambda_sweep(config: SimConfig, data: InitialData, lambdas,
                  m: int) -> list[SweepRecord]:
-    """Run the ladder of sound speeds, in order, against one common reference.
+    """Run the ladder of sound speeds against one common reference.
 
     The reference uses the step-size law of the smallest lam so its
-    discretization bias is shared by every run.
+    discretization bias is shared by every run. The lams that share a
+    step size run as one batched march; since the step size never grows
+    along the sorted ladder, each batch is a contiguous run of it, and
+    the records come back in ladder order.
     """
     lambdas = [float(l) for l in lambdas]
     if not lambdas or lambdas != sorted(lambdas) or any(l < 1.0 for l in lambdas):
@@ -102,8 +117,13 @@ def lambda_sweep(config: SimConfig, data: InitialData, lambdas,
                  sink=lambda t, arrays: reference_E.append(arrays[0].copy()))
     f0_hat = to_spectral(q_field(data.initial_state(), config.eps))
 
-    return [_run_one_lambda(replace(config, lam=lam), data, m, reference_E, f0_hat)
-            for lam in lambdas]
+    records = []
+    runs = [replace(config, lam=lam) for lam in lambdas]
+    for _, group in groupby(runs, key=attrgetter("dt")):
+        group = list(group)
+        records += _run_group(group[0], data, m, tuple(r.lam for r in group),
+                              reference_E, f0_hat)
+    return records
 
 
 def fit_rate(records: list[SweepRecord], which: str = "E-error") -> RateFit:

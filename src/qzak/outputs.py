@@ -67,6 +67,18 @@ def write_sweep_csv(out_dir, records: list[SweepRecord]) -> Path:
     return path
 
 
+def write_sweep_metrics(out_dir, records: list[SweepRecord]) -> Path:
+    """Per-lam figures the sweep.csv schema leaves out: the step size, the
+    steps taken, the largest spectral tail of E and the mass drift."""
+    path = _ensure_dir(out_dir) / "sweep_metrics.json"
+    payload = {"records": [
+        {"lam": r.lam, "dt": r.dt, "steps": r.steps, "max_tail_E": r.max_tail_E,
+         "mass_drift": r.mass_drift}
+        for r in records]}
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
+
+
 def write_ratefit(out_dir, fit: RateFit, name: str = "ratefit.json") -> Path:
     path = _ensure_dir(out_dir) / name
     payload = {
@@ -211,15 +223,17 @@ def write_outputs(out_dir, records: list[SweepRecord], resolved_config: dict,
                   fits: dict[str, RateFit]) -> list[str]:
     """Persist a sweep's full file set and its manifest.
 
-    Writes sweep.csv, ratefit.json (fits["E"], E error), ratefit_q.json
-    (fits["Q"], corrected density error) and the plot script. Returns
-    the list of files written (manifest included).
+    Writes sweep.csv, sweep_metrics.json, ratefit.json (fits["E"], E
+    error), ratefit_q.json (fits["Q"], corrected density error) and the
+    plot script. Returns the list of files written (manifest included).
     """
     write_sweep_csv(out_dir, records)
+    write_sweep_metrics(out_dir, records)
     write_ratefit(out_dir, fits["E"], "ratefit.json")
     write_ratefit(out_dir, fits["Q"], "ratefit_q.json")
     write_plot_script(out_dir, records)
-    files = ["sweep.csv", "ratefit.json", "ratefit_q.json", "plots.gp"]
+    files = ["sweep.csv", "sweep_metrics.json", "ratefit.json", "ratefit_q.json",
+             "plots.gp"]
     write_manifest(out_dir, resolved_config, files + ["manifest.json"])
     return files + ["manifest.json"]
 

@@ -63,6 +63,33 @@ def test_traced_march_takes_the_counted_steps():
     assert march_ffts == steps * ffts_per_step
 
 
+def test_traced_sweep_counts_one_march_per_step_size():
+    # A ladder whose lam share one step size runs as one qz_evolve call:
+    # the tracer counts the steps of one march, not of one per lam.
+    import numpy as np
+    from qzak import PresetParams, SimConfig, lambda_sweep, make_grid, preset_initial_data
+    from workloads import count_steps
+
+    grid = make_grid(1, 256, 20.0 * np.pi)
+    cfg = SimConfig(eps=1.0, lam=4.0, T=0.02, grid=grid, dt0=1e-3, c_lam=0.2,
+                    sample_times=(0.0, 0.01, 0.02))
+    params = PresetParams(amplitude=0.4, width=2.0, n_amplitude=0.5, n_width=2.2,
+                          n_center=(0.0,), n1_amplitude=0.3, n1_width=2.0,
+                          n1_center=(-2.0,))
+    data = preset_initial_data("generic", params, grid, eps=1.0)
+    tracer, patches = tracing.Tracer(), tracing.Patches()
+    tracing.install(tracer, patches)
+    try:
+        records = lambda_sweep(cfg, data, [4.0, 8.0, 16.0], 2)
+    finally:
+        patches.restore()
+    steps = count_steps(cfg.dt0, cfg.c_lam, cfg.lam, cfg.T, cfg.sample_times)
+    assert steps == 20
+    assert sum(1 for s in tracer.spans if s[1] == "dynamics.qz_evolve") == 1
+    assert tracer.counts["dynamics.qz_evolve.steps"] == steps
+    assert [r.steps for r in records] == [steps] * 3
+
+
 _TINY_DATA = {"kind": "generic", "amplitude": 0.4, "width": 2.0,
               "n_amplitude": 0.5, "n_width": 2.2, "n1_amplitude": 0.3,
               "n1_width": 2.0, "n1_center": [-2.0]}

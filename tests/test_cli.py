@@ -90,6 +90,22 @@ def test_sweep_rerun_identical_modulo_walltime(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_sweep_metrics_sidecar_is_listed_and_deterministic(tmp_path):
+    path = write_config(tmp_path, SWEEP_CONFIG)
+    written = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        assert run_cli(["sweep", "--config", path, "--out", str(out), "--quiet"]) == 0
+        assert "sweep_metrics.json" in json.loads((out / "manifest.json").read_text())["files"]
+        written.append((out / "sweep_metrics.json").read_bytes())
+    assert written[0] == written[1]
+    records = json.loads(written[0])["records"]
+    assert [r["lam"] for r in records] == SWEEP_CONFIG["lambdas"]
+    for r in records:
+        assert set(r) == {"lam", "dt", "steps", "max_tail_E", "mass_drift"}
+        assert r["steps"] == 200 and 0.0 <= r["mass_drift"] <= 1e-10
+
+
 def test_quiet_suppresses_per_lambda_lines(tmp_path, capsys):
     path = write_config(tmp_path, SWEEP_CONFIG)
     assert run_cli(["sweep", "--config", path, "--out", str(tmp_path / "q"),

@@ -7,6 +7,7 @@ from qzak import (InitialData, PresetParams, SchrodingerState, SimConfig,
                   ZakharovState, complex_field, l2_norm, make_grid, mass,
                   oracle_evolve, preset_initial_data, qmnls_evolve, qmnls_step,
                   qz_evolve, qz_step, real_field)
+from qzak.dynamics import _arrays, _check_finite, _qz_advance, _stacked
 from qzak.errors import InstabilityError, NonFiniteFieldError, ParameterError
 from qzak.operators import (omega_eps, potential_symbol, schrodinger_group,
                             wave_cos, wave_sinc)
@@ -195,6 +196,29 @@ def test_march_equals_plain_expressions_bitwise(d, N):
     assert np.array_equal(got.E.values, want)
 
 
+# The sweep marches its lam ladder as one stacked batch on the premise
+# that numpy transforms and multiplies each row of a (B,) + grid.shape
+# array to the bits of the lone array; a numpy upgrade that breaks it
+# must fail here. The last step is a short landing step.
+@pytest.mark.parametrize("d,N", [(1, 1024), (2, 64)])
+def test_stacked_advance_rows_equal_lone_marches_bitwise(d, N):
+    grid = make_grid(d, N, 2.0 * np.pi)
+    data = _smooth_data(grid)
+    lams = (4.0, 8.0, 16.0)
+
+    def march(batch):
+        advance = _qz_advance(grid, 1.0, batch, True)
+        arrays = _stacked(_arrays(data.E0, data.n0, data.n1), len(batch))
+        for h in (1e-3, 1e-3, 1e-3, 4e-4):
+            arrays = advance(arrays, h)
+        return [a.copy() for a in arrays]
+
+    stacked = march(lams)
+    for row, lam in enumerate(lams):
+        for name, got, want in zip(("E", "n", "nt"), stacked, march((lam,)), strict=True):
+            assert np.array_equal(got[row], want[0]), (lam, name)
+
+
 def test_mass_drift_over_many_steps():
     g = make_grid(1, 64, 16.0 * np.pi)
     params = PresetParams(amplitude=0.8, width=5.0, n_amplitude=0.4, n_width=5.0,
@@ -263,6 +287,32 @@ def test_nonfinite_detection(grid64):
         qz_evolve(cfg, data)
     with pytest.raises(NonFiniteFieldError):
         qmnls_evolve(cfg, complex_field(grid64, np.full(64, 1e200 + 0j)))
+
+
+def test_batch_nonfinite_names_the_row_lambda():
+    arrays = tuple(np.zeros((3, 16)) for _ in range(3))
+    arrays[1][2, 5] = np.nan
+    with pytest.raises(NonFiniteFieldError,
+                       match=r"^field 'n' became non-finite at t = 0.25 \(lam = 64\)$"):
+        _check_finite(0.25, arrays, (4.0, 16.0, 64.0))
+    with pytest.raises(NonFiniteFieldError,
+                       match=r"^field 'n' became non-finite at t = 0.25$"):
+        _check_finite(0.25, arrays)
+
+
+def test_batched_evolve_requires_a_sink_and_one_step_size(grid64):
+    data = _smooth_data(grid64)
+    cfg = SimConfig(eps=1.0, lam=4.0, T=0.01, grid=grid64, dt0=1e-3, c_lam=0.02,
+                    sample_times=(0.01,))
+    with pytest.raises(ParameterError, match="sink"):
+        qz_evolve(cfg, data, lams=(4.0, 8.0))
+    with pytest.raises(ParameterError, match="step size"):
+        qz_evolve(cfg, data, sink=lambda t, arrays: None, lams=(4.0, 40.0))
+    seen = []
+    traj = qz_evolve(cfg, data, sink=lambda t, arrays: seen.append(arrays[1].shape),
+                     lams=(4.0, 8.0, 16.0))
+    assert seen == [(3, 64)]
+    assert traj.samples == () and traj.steps == 10
 
 
 def test_qmnls_plane_wave_phase(grid64):

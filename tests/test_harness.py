@@ -25,7 +25,7 @@ def small_sweep_setup():
 
 
 def synthetic_records(errors, lams):
-    return [SweepRecord(lam=lam, dt=1e-3, sup_err_E_Hm=e, sup_err_Q_Hm=e,
+    return [SweepRecord(lam=lam, dt=1e-3, steps=500, sup_err_E_Hm=e, sup_err_Q_Hm=e,
                         sup_Q_Hm=1.0, walltime_s=0.0, max_tail_E=0.0,
                         mass_drift=0.0)
             for lam, e in zip(lams, errors)]
@@ -88,8 +88,9 @@ def field_chain_sweep(cfg, data, lambdas, m):
             err_Q = max(err_Q, sobolev_norm(real_field(grid, q.values - q0.values), m))
             tail = max(tail, spectral_tail(state.E, 2.0 / 3.0))
             masses.append(mass(state.E))
-        out.append({"sup_err_Q_Hm": err_Q, "sup_Q_Hm": sup_Q, "max_tail_E": tail,
-                    "mass_drift": drift(masses), "sup_err_E_Hm": err_E})
+        out.append({"steps": traj.steps, "sup_err_Q_Hm": err_Q, "sup_Q_Hm": sup_Q,
+                    "max_tail_E": tail, "mass_drift": drift(masses),
+                    "sup_err_E_Hm": err_E})
     return out
 
 
@@ -108,15 +109,25 @@ def compatible_2d_sweep_setup():
     return cfg, preset_initial_data("compatible", params, g, eps=1.0)
 
 
+def cross_group_sweep_setup():
+    # c_lam / dt0 = 20: lam 4, 8 and 16 share dt0 and march as one batch,
+    # lam 64 steps at c_lam / 64 on its own
+    cfg, data = small_sweep_setup()
+    return replace(cfg, c_lam=0.02), data
+
+
 @pytest.mark.parametrize("setup", [small_sweep_setup, well_prepared_sweep_setup,
-                                   compatible_2d_sweep_setup])
+                                   compatible_2d_sweep_setup, cross_group_sweep_setup])
 def test_streamed_sweep_matches_field_chain(setup):
     # sup_err_E_Hm keeps the old arithmetic bit for bit; the rest are
-    # formed from coefficients and move by rounding only
+    # formed from coefficients and move by rounding only. The batched
+    # records come back in ladder order, each with its own step size.
     cfg, data = setup()
-    lambdas = [4.0, 8.0, 16.0]
+    lambdas = [4.0, 8.0, 16.0, 64.0]
     records = lambda_sweep(cfg, data, lambdas, 2)
-    for rec, old in zip(records, field_chain_sweep(cfg, data, lambdas, 2)):
+    assert [r.lam for r in records] == lambdas
+    assert [r.dt for r in records] == [replace(cfg, lam=lam).dt for lam in lambdas]
+    for rec, old in zip(records, field_chain_sweep(cfg, data, lambdas, 2), strict=True):
         assert rec.sup_err_E_Hm == old.pop("sup_err_E_Hm")
         for key, value in old.items():
             assert getattr(rec, key) == pytest.approx(value, rel=1e-12, abs=0.0), key

@@ -37,7 +37,7 @@ def read_snapshots(out_dir) -> dict[str, np.ndarray]:
 def sample_records():
     errs = [0.25, 0.125, 0.0625, 0.03125, 0.015625]
     lams = [4.0, 8.0, 16.0, 32.0, 64.0]
-    return [SweepRecord(lam=l, dt=1e-3, sup_err_E_Hm=e, sup_err_Q_Hm=e / 2,
+    return [SweepRecord(lam=l, dt=1e-3, steps=500, sup_err_E_Hm=e, sup_err_Q_Hm=e / 2,
                         sup_Q_Hm=1.0, walltime_s=1.234567, max_tail_E=1e-20,
                         mass_drift=1e-13)
             for l, e in zip(lams, errs)]
@@ -104,8 +104,8 @@ def test_write_outputs_facade(tmp_path):
     records = sample_records()
     fits = {"E": fit_rate(records, "E-error"), "Q": fit_rate(records, "Q-error")}
     files = write_outputs(tmp_path, records, {"experiment": "sweep"}, fits=fits)
-    assert set(files) == {"sweep.csv", "ratefit.json", "ratefit_q.json",
-                          "plots.gp", "manifest.json"}
+    assert set(files) == {"sweep.csv", "sweep_metrics.json", "ratefit.json",
+                          "ratefit_q.json", "plots.gp", "manifest.json"}
     for name in files:
         assert (tmp_path / name).exists(), name
     manifest = json.loads((tmp_path / "manifest.json").read_text())
