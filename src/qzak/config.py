@@ -20,6 +20,10 @@ from .grid import make_grid
 from .state import DEFAULT_NUM_SAMPLES, PRESET_KINDS, PresetParams, SimConfig
 
 DEFAULT_L = 40.0 * math.pi
+# layer-decay's table multiplies f0's coefficients by |xi|^k: rounding at
+# the top mode xi_max = pi N / L grows to eps_mach xi_max^k_max, and an
+# order whose growth passes this bound tabulates noise.
+_DECAY_NOISE_MAX = 1e-6
 
 # The keys each experiment reads, and the data keys of each preset kind and of
 # layer-decay's Gaussian. self-converge's m is unused, but a benchmark sets it.
@@ -224,6 +228,13 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         for i, p in enumerate(probe_points):
             _expect(-L / 2.0 <= p < L / 2.0, f"probe_points[{i}]",
                     f"must lie in the box [{-L / 2.0:.6g}, {L / 2.0:.6g}), got {p}")
+        # compared in logarithms, since xi_max^k_max overflows for large k_max
+        log_xi_max = math.log(math.pi * N / L)
+        log_bound = math.log(_DECAY_NOISE_MAX / np.finfo(float).eps)
+        _expect(k_max * log_xi_max <= log_bound, "k_max",
+                f"must be <= {math.floor(log_bound / log_xi_max)} on this grid: above "
+                f"it eps_mach (pi N / L)^k_max exceeds {_DECAY_NOISE_MAX:g} and "
+                f"the table is rounding noise, got {k_max}")
     if experiment == "oracle-check":
         _expect(N <= 64, "N", f"oracle-check requires N <= 64, got {N}")
     if experiment == "self-converge":

@@ -17,14 +17,17 @@ from .state import ZakharovState
 ZERO_MODE_TOL = 1e-10
 
 
-def _mass(grid: Grid, S: np.ndarray) -> float:
-    """The mass from the samples S = |E|^2: the squared l2_norm of E."""
-    return float(np.sqrt(grid.cell_volume * np.sum(S))) ** 2
+def _mass(grid: Grid, S: np.ndarray):
+    """The mass from the samples S = |E|^2: the squared l2_norm of E, or of
+    each envelope of a stack of them. float_power squares with libm's pow,
+    as float(l2_norm) ** 2 does; x * x, which ``** 2`` on an array
+    computes, rounds differently in about one case in a thousand."""
+    return np.float_power(np.sqrt(grid.cell_volume * np.sum(S, axis=grid.axes)), 2)
 
 
 def mass(E: Field) -> float:
     """Squared L^2 norm of the envelope; exactly conserved by both solvers."""
-    return _mass(E.grid, np.abs(E.values) ** 2)
+    return float(_mass(E.grid, np.abs(E.values) ** 2))
 
 
 # The energies are sums over the spectrum, evaluated by per-run monitors:
@@ -104,7 +107,7 @@ def qz_monitor(grid: Grid, eps: float, lam: float):
         energy = _sum_sq(nt_hat, w_nt, work)
         np.abs(E, out=S)
         np.square(S, out=S)
-        m = _mass(grid, S)
+        m = float(_mass(grid, S))
         rfft(S, out=S_hat)
         fft(E, out=E_hat)
         energy += _sum_sq(E_hat, w_E, S)
@@ -136,7 +139,7 @@ def qmnls_monitor(grid: Grid, eps: float):
     def measure(E: np.ndarray) -> tuple:
         np.abs(E, out=S)
         np.square(S, out=S)
-        m = _mass(grid, S)
+        m = float(_mass(grid, S))
         rfft(S, out=S_hat)
         fft(E, out=E_hat)
         energy = _sum_sq(E_hat, w_E, S)
@@ -154,22 +157,30 @@ def hamiltonian_qmnls(E: Field, eps: float) -> float:
     return qmnls_monitor(E.grid, eps)(E.values)[1]
 
 
-def _spectral_tail(grid: Grid, coeffs: np.ndarray, fraction: float) -> float:
-    """``spectral_tail`` of the field with spectral coefficients coeffs."""
+def _outer_modes(grid: Grid, fraction: float) -> np.ndarray:
+    """The flat mask of the modes with some per-axis |j| >= fraction*N/2."""
     j = np.abs(grid.mode_indices_1d)
     outer = j >= fraction * grid.N / 2.0
-    sel = outer if grid.d == 1 else np.logical_or.outer(outer, outer)
-    total = float(np.sum(np.abs(coeffs) ** 2))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(np.abs(coeffs[sel]) ** 2) / total)
+    return (outer if grid.d == 1 else np.logical_or.outer(outer, outer)).reshape(-1)
+
+
+def _spectral_tail(grid: Grid, coeffs: np.ndarray, outer: np.ndarray):
+    """``spectral_tail`` of the field with spectral coefficients coeffs, or
+    of each field of a stack of them, on the modes outer = _outer_modes(...).
+    np.compress keeps each field's selected modes contiguous, so that each
+    field sums to the bits of a lone one."""
+    power = np.abs(coeffs) ** 2
+    power = power.reshape(power.shape[:power.ndim - grid.d] + (-1,))
+    total = np.sum(power, axis=-1)
+    tail = np.sum(np.compress(outer, power, axis=-1), axis=-1)
+    return np.divide(tail, total, out=np.zeros_like(total), where=total != 0.0)
 
 
 def spectral_tail(f: Field, fraction: float) -> float:
     """Energy fraction carried by per-axis mode indices |j| >= fraction*N/2."""
     if not (0.0 < fraction < 1.0):
         raise ParameterError(f"fraction must lie in (0, 1), got {fraction}")
-    return _spectral_tail(f.grid, to_spectral(f), fraction)
+    return float(_spectral_tail(f.grid, to_spectral(f), _outer_modes(f.grid, fraction)))
 
 
 def drift(series: list[float]) -> float:

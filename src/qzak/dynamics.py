@@ -20,7 +20,7 @@ from .errors import InstabilityError, NonFiniteFieldError, ParameterError
 from .field import Field, complex_field, dealias_mask, real_field
 from .grid import Grid
 from .operators import (delta_eps, omega_eps, potential_symbol, schrodinger_group,
-                        wave_cos, wave_sinc)
+                        unit_phase, wave_cos, wave_sinc)
 from .state import InitialData, SchrodingerState, SimConfig, ZakharovState
 
 _LANDING_TOL = 1e-12
@@ -52,37 +52,37 @@ class Trajectory:
 # lru_cache on a kernel class returns the cached instance for arguments
 # seen before, so each (grid, eps, lams, dt) is built once per process.
 # The call hashes the grid, so a march looks each kernel up once and
-# keeps it in a dict keyed by the step size.
+# keeps it in a dict keyed by the step size. A kernel holds only the
+# symbols that depend on the step size; the potential symbol does not,
+# and each advance builds it once.
 @lru_cache(maxsize=512)
 class _QZKernel:
     """Symbol arrays for one (grid, eps, lams, dt) step.
 
     The lam-dependent symbols are stacked, one row per entry of lams,
-    with shape (len(lams),) + grid.shape; the others have shape
-    (1,) + grid.shape and broadcast against the rows. The leading 1
+    with shape (len(lams),) + grid.shape; schrod_half has shape
+    (1,) + grid.shape and broadcasts against the rows. The leading 1
     keeps a batch of one on numpy's fast path for operands of equal
     shape.
     """
 
-    __slots__ = ("schrod_half", "cos", "sinc", "minus_lam_om_sin", "potential")
+    __slots__ = ("schrod_half", "cos", "sinc", "minus_lam_om_sin")
 
-    def __init__(self, grid: Grid, eps: float, lams: tuple, dt: float, dealias: bool):
+    def __init__(self, grid: Grid, eps: float, lams: tuple, dt: float):
         om = omega_eps(grid, eps)
         self.schrod_half = schrodinger_group(grid, eps, 0.5 * dt)[np.newaxis]
         self.cos = np.stack([wave_cos(grid, eps, lam, dt) for lam in lams])
         self.sinc = np.stack([wave_sinc(grid, eps, lam, dt) for lam in lams])
         self.minus_lam_om_sin = np.stack(
             [-(lam * om * np.sin(lam * dt * om)) for lam in lams])
-        self.potential = potential_symbol(grid, eps, dealias)[np.newaxis]
 
 
 @lru_cache(maxsize=512)
 class _QMNLSKernel:
-    __slots__ = ("schrod", "potential")
+    __slots__ = ("schrod",)
 
-    def __init__(self, grid: Grid, eps: float, dt: float, dealias: bool):
+    def __init__(self, grid: Grid, eps: float, dt: float):
         self.schrod = schrodinger_group(grid, eps, dt)
-        self.potential = potential_symbol(grid, eps, dealias)
 
 
 # Every march and single step shares one protocol: the fields travel as
@@ -108,79 +108,88 @@ class _QMNLSKernel:
 # A kick is np.multiply(E, phase) in that order on every grid. Complex
 # products round differently when their operands swap, and E * np.exp(...)
 # does not fix the order: for arrays of 256 KiB and more numpy reuses the
-# exp temporary as the output and computes exp(...) * E.
+# exp temporary as the output and computes exp(...) * E. The phase comes
+# from operators.unit_phase, whose cos and sin carry the bits of that exp.
 
 def _transforms(grid: Grid) -> tuple:
     if grid.d == 1:
         return np.fft.fft, np.fft.ifft
-    return (partial(np.fft.fftn, axes=(-2, -1)), partial(np.fft.ifftn, axes=(-2, -1)))
+    return partial(np.fft.fftn, axes=grid.axes), partial(np.fft.ifftn, axes=grid.axes)
 
 
 def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool):
     """The coupled advance for the batch of sound speeds lams."""
     fft, ifft = _transforms(grid)
+    potential = potential_symbol(grid, eps, dealias)[np.newaxis]
     kernels = {}
-    # Six complex buffers of shape (B,) + grid.shape. E_out, n_buf and
-    # nt_buf hold the returned fields (n and nt are the real parts of the
-    # last two); E_hat, IS_hat and phase are work space, and the steps
-    # below reuse every buffer whose contents are spent.
-    E_out, E_hat, IS_hat, n_buf, nt_buf, phase = (
-        np.empty((len(lams),) + grid.shape, dtype=np.complex128) for _ in range(6))
-    n_out, nt_out = n_buf.real, nt_buf.real
+    shape = (len(lams),) + grid.shape
+    # H stacks the rows (E, n, nt, |E|^2), the real fields with zero
+    # imaginary parts (the transform of a real array and of its complex
+    # copy have the same bits). After the first half linear step, one
+    # forward call on H transforms the half-evolved E together with n, nt
+    # and |E|^2, and one inverse call on H[:3] brings back E after the
+    # second half linear step, and n and nt as the real parts of rows 1
+    # and 2. E_hat and phase are work space, and the steps below reuse
+    # every buffer whose contents are spent.
+    E_hat, phase = (np.empty(shape, dtype=np.complex128) for _ in range(2))
+    H = np.zeros((4,) + shape, dtype=np.complex128)
+    H_back, (E_out, Q_hat, Qt_hat, IS_hat) = H[:3], H
+    n_out, nt_out = Q_hat.real, Qt_hat.real
     # numpy runs a strided real part through its general iterator when it
     # has more than one axis (about 1 us a call at N=1024) and through its
     # fast path when it is flat, so the elementwise steps on real parts
     # work on flat views of the same memory.
-    S, S_flat = E_hat.real, E_hat.real.reshape(-1)  # |E|^2 in spent work space
+    real_rows_imag, S_flat = H[1:].imag.reshape(-1), IS_hat.real.reshape(-1)
     E_flat, n_flat = E_out.reshape(-1), n_out.reshape(-1)
+    arg_flat, phase_flat = E_hat.real.reshape(-1), phase.reshape(-1)
     # The trailing kick of a step and the leading kick of the next one
-    # apply the same phase when h repeats: phase keeps it for the n it
-    # was computed from.
+    # apply the same phase when h repeats: phase_of is the h of the phase
+    # computed from the n returned last.
     phase_of = None
 
-    def set_phase(h: float, n: np.ndarray) -> None:
-        np.multiply(-0.5j * h, n, out=phase.reshape(n.shape))
-        np.exp(phase, out=phase)
+    def set_phase(h: float) -> None:
+        # exp(-i h/2 n), with the argument in the spent E_hat
+        unit_phase(np.multiply(-0.5 * h, n_flat, out=arg_flat), phase_flat)
 
     def advance(arrays: tuple, h: float) -> tuple:
         nonlocal phase_of
         E, n, nt = arrays
         kern = kernels.get(h)
         if kern is None:
-            kern = kernels[h] = _QZKernel(grid, eps, lams, h, dealias)
+            kern = kernels[h] = _QZKernel(grid, eps, lams, h)
+        if n is not n_out:  # the initial data, read-only
+            H[1], H[2] = n, nt
+            phase_of = None
         # Palindromic sequence: kick / half linear / exact wave / half
         # linear / kick. The wave substep reads S at the half-evolved
         # (midpoint) envelope, which keeps the composition symmetric and
         # second order.
-        if phase_of is None or phase_of[0] != h or phase_of[1] is not n:
-            set_phase(h, n)
+        if phase_of != h:
+            set_phase(h)
         phase_of = None  # phase is scratch until the trailing kick
         np.multiply(E, phase, out=E_out)
         fft(E_out, out=E_hat)
         np.multiply(E_hat, kern.schrod_half, out=E_hat)
         ifft(E_hat, out=E_out)
+        real_rows_imag.fill(0.0)
         np.abs(E_flat, out=S_flat)
         np.square(S_flat, out=S_flat)
-        fft(S, out=IS_hat)
-        np.multiply(IS_hat, kern.potential, out=IS_hat)
-        Qt_hat = fft(nt, out=E_hat)
-        Q_hat = fft(n, out=nt_buf)
+        fft(H, out=H)
+        np.multiply(IS_hat, potential, out=IS_hat)
         np.add(Q_hat, IS_hat, out=Q_hat)
         # Q_new = cos Q_hat + sinc Qt_hat, Qt_new = -lam om sin Q_hat +
         # cos Qt_hat, with phase as the scratch for the second products.
-        Q_new = np.multiply(kern.cos, Q_hat, out=n_buf)
+        Q_new = np.multiply(kern.cos, Q_hat, out=E_hat)
         np.add(Q_new, np.multiply(kern.sinc, Qt_hat, out=phase), out=Q_new)
         np.multiply(kern.cos, Qt_hat, out=phase)
-        Qt_new = np.multiply(kern.minus_lam_om_sin, Q_hat, out=Q_hat)
+        Qt_new = np.multiply(kern.minus_lam_om_sin, Q_hat, out=Qt_hat)
         np.add(Qt_new, phase, out=Qt_new)
-        np.subtract(Q_new, IS_hat, out=Q_new)
-        ifft(Q_new, out=n_buf)
-        ifft(Qt_new, out=nt_buf)
-        fft(E_out, out=E_hat)
-        np.multiply(E_hat, kern.schrod_half, out=E_hat)
-        ifft(E_hat, out=E_out)
-        set_phase(h, n_flat)
-        phase_of = (h, n_out)
+        np.subtract(Q_new, IS_hat, out=Q_hat)
+        # row 0 holds the coefficients of the half-evolved E
+        np.multiply(E_out, kern.schrod_half, out=E_out)
+        ifft(H_back, out=H_back)
+        set_phase(h)
+        phase_of = h
         np.multiply(E_out, phase, out=E_out)
         return E_out, n_out, nt_out
     return advance
@@ -188,32 +197,31 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool):
 
 def _qmnls_advance(grid: Grid, eps: float, dealias: bool):
     fft, ifft = _transforms(grid)
+    potential = potential_symbol(grid, eps, dealias)
     kernels = {}
     E_out, work, phase = (np.empty(grid.shape, dtype=np.complex128) for _ in range(3))
 
-    def kick(E, h, kern):
-        # the potential is -I_eps |E|^2
+    def kick(E, h):
+        # exp(-i h/2 V) with the potential V = -I_eps |E|^2
         S = phase.real
         np.abs(E, out=S)
         np.square(S, out=S)
         fft(S, out=work)
-        np.multiply(work, kern.potential, out=work)
+        np.multiply(work, potential, out=work)
         ifft(work, out=work)
-        V = np.negative(work.real, out=work.real)
-        np.multiply(-0.5j * h, V, out=phase)
-        np.exp(phase, out=phase)
+        unit_phase(np.multiply(0.5 * h, work.real, out=work.real), phase)
         np.multiply(E, phase, out=E_out)
 
     def advance(arrays: tuple, h: float) -> tuple:
         kern = kernels.get(h)
         if kern is None:
-            kern = kernels[h] = _QMNLSKernel(grid, eps, h, dealias)
+            kern = kernels[h] = _QMNLSKernel(grid, eps, h)
         (E,) = arrays
-        kick(E, h, kern)
+        kick(E, h)
         fft(E_out, out=work)
         np.multiply(work, kern.schrod, out=work)
         ifft(work, out=E_out)
-        kick(E_out, h, kern)
+        kick(E_out, h)
         return (E_out,)
     return advance
 

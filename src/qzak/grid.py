@@ -43,6 +43,12 @@ class Grid:
         return (self.N,) * self.d
 
     @property
+    def axes(self) -> tuple[int, ...]:
+        """The trailing array axes of a field's values, so that a reduction
+        over them gives one value per field of a stack."""
+        return tuple(range(-self.d, 0))
+
+    @property
     def size(self) -> int:
         return self.N**self.d
 

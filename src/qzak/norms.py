@@ -18,15 +18,20 @@ def l2_norm(f: Field) -> float:
     return float(np.sqrt(f.grid.cell_volume * np.sum(np.abs(f.values) ** 2)))
 
 
-def _sobolev_norm(grid: Grid, coeffs: np.ndarray, m: int) -> float:
-    """``sobolev_norm`` of the field with spectral coefficients coeffs."""
-    weight = (1.0 + grid.k_squared) ** m
-    return float(np.sqrt(np.sum(weight * np.abs(coeffs) ** 2)))
+def _sobolev_weight(grid: Grid, m: int) -> np.ndarray:
+    return (1.0 + grid.k_squared) ** m
+
+
+def _sobolev_norm(grid: Grid, coeffs: np.ndarray, weight: np.ndarray):
+    """``sobolev_norm`` of the field with spectral coefficients coeffs, or
+    of each field of a stack of them, with weight = _sobolev_weight(grid, m).
+    Each field sums to the bits of a lone one."""
+    return np.sqrt(np.sum(weight * np.abs(coeffs) ** 2, axis=grid.axes))
 
 
 def sobolev_norm(f: Field, m: int) -> float:
     """Bessel-weighted H^m norm (sum_xi (1+|xi|^2)^m |fhat|^2)^(1/2)."""
     if m < 0:
         raise ParameterError(f"Sobolev index must be >= 0, got {m}")
-    return _sobolev_norm(f.grid, to_spectral(f), m)
+    return float(_sobolev_norm(f.grid, to_spectral(f), _sobolev_weight(f.grid, m)))
 

@@ -168,6 +168,19 @@ def test_layer_decay_probe_points_must_lie_in_box():
     assert resolve_config({**base, "probe_points": [-20.0, 0.0]}).probe_points == (-20.0, 0.0)
 
 
+def test_layer_decay_k_max_bounded_by_rounding_growth():
+    # eps_mach (pi N / L)^k_max <= 1e-6: k_max <= 6 at the default
+    # xi_max = 25.6, and <= 4 at N=1024, L=10 pi (xi_max = 102.4), whose
+    # box needs probe points nearer the center than the defaults
+    small = {"L": 10.0 * np.pi, "probe_points": [0.0, 1.0, 2.0]}
+    assert resolve_config({"experiment": "layer-decay", "k_max": 6}).k_max == 6
+    assert resolve_config({"experiment": "layer-decay", "k_max": 4, **small}).k_max == 4
+    for raw in ({"k_max": 7}, {"k_max": 5, **small}):
+        with pytest.raises(ConfigError) as err:
+            resolve_config({"experiment": "layer-decay", **raw})
+        assert err.value.path == "k_max"
+
+
 def test_overrides_dotted_paths():
     raw = json.loads('{"experiment": "sweep"}')
     out = apply_overrides(raw, ["epsilon=0.5", "data.width=3.5",

@@ -219,6 +219,29 @@ def test_stacked_advance_rows_equal_lone_marches_bitwise(d, N):
             assert np.array_equal(got[row], want[0]), (lam, name)
 
 
+# The stacked transforms: fft and ifft of E for the first half linear
+# step, one forward call on the (E, n, nt, |E|^2) stack and one inverse
+# call on its (E, n, nt) rows. The second step reuses the first one's
+# buffers and trailing phase.
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 32)])
+def test_coupled_step_makes_four_transform_calls(monkeypatch, d, N, batch):
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    grid = make_grid(d, N, 2.0 * np.pi)
+    data = _smooth_data(grid)
+    advance = _qz_advance(grid, 1.0, (4.0, 8.0, 16.0)[:batch], True)
+    arrays = _stacked(_arrays(data.E0, data.n0, data.n1), batch)
+    for _ in range(2):
+        calls.clear()
+        arrays = advance(arrays, 1e-3)
+        assert len(calls) == 4, calls
+
+
 def test_mass_drift_over_many_steps():
     g = make_grid(1, 64, 16.0 * np.pi)
     params = PresetParams(amplitude=0.8, width=5.0, n_amplitude=0.4, n_width=5.0,

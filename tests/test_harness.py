@@ -10,6 +10,7 @@ from qzak import (PresetParams, SimConfig, SweepRecord, fit_rate,
 from qzak.diagnostics import drift, spectral_tail
 from qzak.errors import DegenerateInputError, ParameterError
 from qzak.field import Field, real_field
+from qzak import dynamics, harness, operators
 from qzak.harness import oracle_discrepancy
 
 
@@ -149,6 +150,29 @@ def test_sweep_builds_no_field_per_sample(monkeypatch):
         run = replace(cfg, sample_times=tuple(np.linspace(0.0, cfg.T, samples)))
         lambda_sweep(run, data, [4.0, 8.0, 16.0], 2)
         counts.append(built[0])
+    assert counts[0] == counts[1]
+
+
+def test_sweep_builds_symbols_once_per_group(monkeypatch):
+    # omega_eps is built once per kernel and once per dt group, never per
+    # sample; the kernel cache is cleared so that each sweep builds its own
+    calls = [0]
+    omega = operators.omega_eps
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return omega(*args, **kwargs)
+
+    for module in (operators, dynamics, harness):
+        monkeypatch.setattr(module, "omega_eps", counted, raising=False)
+    cfg, data = small_sweep_setup()
+    counts = []
+    for samples in (9, 17):
+        dynamics._QZKernel.cache_clear()
+        calls[0] = 0
+        run = replace(cfg, sample_times=tuple(np.linspace(0.0, cfg.T, samples)))
+        lambda_sweep(run, data, [4.0, 8.0, 16.0], 2)
+        counts.append(calls[0])
     assert counts[0] == counts[1]
 
 

@@ -4,8 +4,9 @@ import pytest
 from qzak import apply_multiplier, complex_field, real_field
 from qzak.errors import ParameterError
 from qzak.field import dealias_mask, inverse_values, to_spectral
+from qzak.grid import make_grid
 from qzak.operators import (delta_eps, i_eps, omega_eps, potential_symbol,
-                            schrodinger_group, wave_cos, wave_sinc)
+                            schrodinger_group, unit_phase, wave_cos, wave_sinc)
 
 from conftest import random_real_values
 
@@ -101,3 +102,27 @@ def test_invalid_lam_and_sigma(grid16):
             symbol(grid16, 1.0, 2.0, None)
     with pytest.raises(ParameterError):
         schrodinger_group(grid16, 1.0, None)
+
+
+# The solvers build their phases from cos and sin on the premise that
+# numpy's complex exp of (0, x) returns exactly (cos x, sin x); a numpy
+# upgrade that breaks it must fail here. The grids are those of the
+# committed d=1 configs and of the d=2 benchmark workload; t covers the
+# half steps of their dt values and short landing steps, and the kick
+# arguments h/2 n cover |n| up to 1e3. Signed zeros compare equal.
+@pytest.mark.parametrize("d,N,L", [(1, 1024, 40.0 * np.pi), (2, 256, 16.0 * np.pi)])
+def test_unit_phase_equals_complex_exp(rng, d, N, L):
+    grid = make_grid(d, N, L)
+    out = np.empty(grid.shape, dtype=complex)
+    k2 = grid.k_squared
+    y = k2 + k2 * k2
+    for t in (2e-3, 1e-3, 5e-4, 3.125e-4, 1.25e-4, 1e-7):
+        np.testing.assert_array_equal(schrodinger_group(grid, 1.0, t), np.exp(-1j * t * y))
+        np.testing.assert_array_equal(unit_phase(-t * y, out), np.exp(1j * (-t * y)))
+    for h in (4e-3, 1e-3, 6.25e-4, 1e-6):
+        n = rng.uniform(-1e3, 1e3, grid.shape)
+        np.testing.assert_array_equal(unit_phase(-0.5 * h * n, out),
+                                      np.exp(-0.5j * h * n))
+        np.testing.assert_array_equal(unit_phase(0.5 * h * n, out),
+                                      np.exp(-0.5j * h * -n))
+
