@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import json
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -102,7 +103,15 @@ def _run_simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 
 
 def _simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    """Write each sample and its mass and energy as it lands."""
+    """Write each sample and its mass and energy as it lands.
+
+    The sink copies the march's live arrays into one slot and hands it
+    to a worker thread, which measures the sample and writes its
+    snapshot and diagnostics row while the march steps on. One sample is
+    in flight: the sink waits for the worker to finish the last one
+    before it refills the slot, so samples are handled in order and the
+    first failure, in the worker or in the march, is the one raised.
+    """
     sim = cfg.sim
     data = preset_initial_data(cfg.data_kind, cfg.data_params, sim.grid, sim.eps)
     if cfg.solver == "qz":
@@ -111,18 +120,54 @@ def _simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     else:
         evolve, start, names = qmnls_evolve, data.E0, ("E",)
         measure = qmnls_monitor(sim.grid, sim.eps)
+    slot = tuple(np.empty(sim.grid.shape, complex if name == "E" else float)
+                 for name in names)
+    landed = []    # sample times handed to the worker, in order; None stops it
+    full, free = threading.Semaphore(0), threading.Semaphore(1)
     masses = []
+    failed = []
     with SnapshotWriter(out, sim.grid, names) as writer, \
             open(out / "diagnostics.csv", "w") as diag:
         diag.write("t,mass,hamiltonian\n")
 
-        def sink(t: float, arrays: tuple) -> None:
-            m, energy = measure(*arrays)
-            writer.write(t, arrays)
-            diag.write(f"{t!r},{m!r},{energy!r}\n")
-            masses.append(m)
+        def work() -> None:
+            # records every failure, so that it always frees the slot
+            while True:
+                full.acquire()
+                t = landed.pop(0)
+                if t is None:
+                    return
+                try:
+                    m, energy = measure(*slot)
+                    writer.write(t, slot)
+                    diag.write(f"{t!r},{m!r},{energy!r}\n")
+                    masses.append(m)
+                except BaseException as exc:
+                    failed.append(exc)
+                free.release()
 
-        evolve(sim, start, sink=sink)
+        def hand_over(t) -> None:
+            landed.append(t)
+            full.release()
+
+        def sink(t: float, arrays: tuple) -> None:
+            free.acquire()
+            if failed:
+                raise failed.pop()
+            for dst, src in zip(slot, arrays):
+                np.copyto(dst, src)
+            hand_over(t)
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        try:
+            evolve(sim, start, sink=sink)
+        finally:
+            hand_over(None)
+            worker.join()
+            # a failed sample came before whatever else stopped the march
+            if failed:
+                raise failed.pop()
         files = ["diagnostics.csv"] + writer.finish()
     write_manifest(out, cfg.resolved, files + ["manifest.json"])
     _say(quiet, f"lambda={sim.lam:g} solver={cfg.solver} samples={len(masses)} "

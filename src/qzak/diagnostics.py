@@ -79,7 +79,8 @@ def qz_monitor(grid: Grid, eps: float, lam: float):
 
     The coupling integral is taken over the 2/3 band, by Plancherel.
     Raises ZeroModeError unless nt has zero mean. Not thread-safe: the
-    monitor owns its buffers.
+    monitor owns its buffers, so one thread at a time may call it (in
+    ``qzak simulate``, the one worker thread that handles the samples).
     """
     fft, rfft = _transforms(grid)
     k2 = grid.k_squared
@@ -127,7 +128,9 @@ def qmnls_monitor(grid: Grid, eps: float):
     (1/2)||grad E||^2 + (eps^2/2)||Lap E||^2
     - (1/4) int |E|^2 (1 - eps^2 Lap)^-1 |E|^2 dx
 
-    Not thread-safe: the monitor owns its buffers.
+    Not thread-safe: the monitor owns its buffers, so one thread at a
+    time may call it (in ``qzak simulate``, the one worker thread that
+    handles the samples).
     """
     fft, rfft = _transforms(grid)
     w_E = -0.5 * delta_eps(grid, eps) * _forward_factor(grid) ** 2

@@ -109,9 +109,6 @@ class SnapshotWriter:
         self.names = tuple(names)
         self.times = []
         self._dtypes = [_SNAPSHOT_DTYPES[name] for name in self.names]
-        # real fields arrive as views into complex buffers; tofile needs
-        # them contiguous
-        self._real = np.empty(grid.shape)
         self._files = []
         try:
             for fname in self.files(self.names)[:-1]:
@@ -126,10 +123,9 @@ class SnapshotWriter:
         return [f"snapshots_{name}.bin" for name in names] + ["snapshots_meta.txt"]
 
     def write(self, t: float, arrays: tuple) -> None:
+        """Append one sample. tofile writes a strided array (a real view
+        into a complex buffer) element by element: pass contiguous ones."""
         for fh, arr, dtype in zip(self._files, arrays, self._dtypes):
-            if dtype == "<f8":
-                np.copyto(self._real, arr)
-                arr = self._real
             np.asarray(arr, dtype=dtype).tofile(fh)
         self.times.append(t)
 

@@ -367,14 +367,12 @@ def _simulate_config(d, N, solver, num_samples=5):
                      "min_points_per_width": 3.0, "edge_tol": 1e-6}}
 
 
-@pytest.mark.parametrize("d, N, solver", [(1, 64, "qz"), (1, 64, "qmnls"),
-                                          (2, 32, "qz"), (2, 32, "qmnls")])
-def test_simulate_stream_equals_library_path(tmp_path, d, N, solver):
+def _assert_simulate_equals_library_path(tmp_path, raw):
     from qzak.config import resolve_config
     from qzak.diagnostics import hamiltonian_qmnls
     from qzak.outputs import write_snapshots
 
-    raw = _simulate_config(d, N, solver)
+    solver = raw["solver"]
     out = tmp_path / "cli"
     assert run_cli(["simulate", "--config", write_config(tmp_path, raw),
                     "--out", str(out), "--quiet"]) == 0
@@ -396,6 +394,32 @@ def test_simulate_stream_equals_library_path(tmp_path, d, N, solver):
     rows = (out / "diagnostics.csv").read_text().splitlines()
     assert rows[0] == "t,mass,hamiltonian"
     assert rows[1:] == [f"{t!r},{mass(s.E)!r},{energy(s)!r}" for t, s in traj.samples]
+
+
+@pytest.mark.parametrize("d, N, solver", [(1, 64, "qz"), (1, 64, "qmnls"),
+                                          (2, 32, "qz"), (2, 32, "qmnls")])
+def test_simulate_stream_equals_library_path(tmp_path, d, N, solver):
+    _assert_simulate_equals_library_path(tmp_path, _simulate_config(d, N, solver))
+
+
+def test_slow_simulate_worker_sees_each_sample_as_it_landed(tmp_path, monkeypatch):
+    # The worker measures and writes a sample after the march has stepped
+    # on, so it must work on a copy, not on the march's live buffers.
+    import time
+    from qzak import cli
+
+    real_monitor = cli.qz_monitor
+
+    def slow_monitor(*args):
+        measure = real_monitor(*args)
+
+        def slow(*arrays):
+            time.sleep(0.005)
+            return measure(*arrays)
+        return slow
+
+    monkeypatch.setattr(cli, "qz_monitor", slow_monitor)
+    _assert_simulate_equals_library_path(tmp_path, _simulate_config(2, 32, "qz"))
 
 
 def test_failed_simulate_leaves_only_error_txt(tmp_path, monkeypatch):
@@ -423,6 +447,59 @@ def test_failed_simulate_leaves_only_error_txt(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "qz_monitor", failing_monitor)
     assert run_cli(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 2
     assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+
+
+def _fail_on_third_call(call, exc):
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise exc
+        return call(*args)
+    return failing
+
+
+@pytest.mark.parametrize("stage", ["monitor", "writer"])
+def test_simulate_reports_the_first_failing_sample(tmp_path, monkeypatch, stage):
+    # sample 3 fails on the worker while the march goes on to fail at
+    # sample 4: the run reports sample 3, as a serial run would
+    import threading
+    from qzak import cli
+    from qzak.errors import NonFiniteFieldError, ZeroModeError
+    from qzak.outputs import SnapshotWriter
+
+    path = write_config(tmp_path, _simulate_config(1, 64, "qz"))
+    out = tmp_path / "out"
+    threads = threading.active_count()
+    assert run_cli(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 0
+    assert threading.active_count() == threads
+
+    message = f"{stage} failed at sample 3"
+    if stage == "monitor":
+        real_monitor = cli.qz_monitor
+        monkeypatch.setattr(cli, "qz_monitor", lambda *args: _fail_on_third_call(
+            real_monitor(*args), ZeroModeError(message)))
+    else:
+        monkeypatch.setattr(SnapshotWriter, "write",
+                            _fail_on_third_call(SnapshotWriter.write, OSError(message)))
+    real_evolve = cli.qz_evolve
+
+    def evolve_failing_at_fourth_sample(config, data, sink):
+        calls = []
+
+        def checked(t, arrays):
+            calls.append(t)
+            if len(calls) == 4:
+                raise NonFiniteFieldError(f"field 'E' became non-finite at t={t!r}")
+            sink(t, arrays)
+        return real_evolve(config, data, sink=checked)
+
+    monkeypatch.setattr(cli, "qz_evolve", evolve_failing_at_fourth_sample)
+    assert run_cli(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 2
+    assert (out / "error.txt").read_text() == message + "\n"
+    assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+    assert threading.active_count() == threads
 
 
 def test_simulate_memory_is_bounded_by_the_grid(tmp_path):
