@@ -286,19 +286,19 @@ def qmnls_step(s: SchrodingerState, dt: float, eps: float,
     return _qmnls_state(s.grid, t, arrays)
 
 
-def _march(config: SimConfig, arrays: tuple, advance, sink,
-           lams: tuple | None = None) -> int:
+def _march(config: SimConfig, arrays: tuple, advance, lams: tuple | None = None):
     """Step arrays with advance, landing exactly on every sample time, and
-    return the number of steps taken.
+    yield (t, steps, arrays) at each sample, steps being the number of
+    steps taken so far.
 
-    Calls sink(t, arrays) at each sample. The arrays are advance's live
-    buffers (the initial data's arrays at t = 0): the next step
-    overwrites them, so a sink copies what it keeps.
+    The arrays are advance's live buffers (the initial data's arrays at
+    t = 0): the next step overwrites them, so a caller copies what it
+    keeps. Nothing is stepped until the caller asks for the next sample.
 
     Finiteness is checked once per sample, not once per step. A
     non-finite value reaches every mode within one FFT and stays, so no
-    non-finite sample reaches the sink; the error names the sample time,
-    and the lam of the row when lams names the rows of a batch.
+    non-finite sample is yielded; the error names the sample time, and
+    the lam of the row when lams names the rows of a batch.
     """
     dt = config.dt
     t = 0.0
@@ -306,7 +306,7 @@ def _march(config: SimConfig, arrays: tuple, advance, sink,
     if not targets or abs(targets[-1] - config.T) > _LANDING_TOL:
         targets.append(config.T)
     if targets[0] <= _LANDING_TOL:
-        sink(0.0, arrays)
+        yield 0.0, 0, arrays
         targets = targets[1:]
     tol = _LANDING_TOL * max(1.0, config.T)
     steps = 0
@@ -318,29 +318,17 @@ def _march(config: SimConfig, arrays: tuple, advance, sink,
             steps += 1
         t = target
         _check_finite(t, arrays, lams)
-        sink(t, arrays)
-    return steps
-
-
-def _evolve(config: SimConfig, arrays: tuple, advance, state_of, sink) -> Trajectory:
-    samples = []
-    if sink is None:
-        # n and nt are real parts of complex buffers: a contiguous copy
-        # keeps half the bytes a view would keep alive.
-        def sink(t, arrays):
-            samples.append((t, state_of(config.grid, t, tuple(a.copy() for a in arrays))))
-    steps = _march(config, arrays, advance, sink)
-    return Trajectory(config=config, samples=tuple(samples), steps=steps)
+        yield t, steps, arrays
 
 
 def qz_evolve(config: SimConfig, data: InitialData, sink=None, lams=None) -> Trajectory:
     """Evolve the coupled system, snapshotting at the config's sample times.
 
-    With a sink, sink(t, (E, n, nt)) is called at each sample time
-    instead, with the march's live arrays: complex E and real n and nt
-    (views into complex buffers). They are valid only during the call,
-    as the next step overwrites them, and the returned Trajectory then
-    holds no samples.
+    With a sink, sink(t, (E, n, nt)) is called as the march lands on each
+    sample time, instead of a snapshot, with its live arrays: complex E
+    and real n and nt (views into complex buffers). They are valid only
+    during the call, as the march steps on when it returns, and the
+    returned Trajectory then holds no samples.
 
     With lams, one march runs every sound speed in lams at once.
     config.lam then only sets the step size config.dt, which every lam
@@ -350,27 +338,29 @@ def qz_evolve(config: SimConfig, data: InitialData, sink=None, lams=None) -> Tra
     """
     if data.grid != config.grid:
         raise ParameterError("initial data grid does not match config grid")
-    arrays = _arrays(data.E0, data.n0, data.n1)
-    if lams is None:
-        # a batch of one: the sink and the states see its row
-        def state_of(grid, t, arrays):
-            return _qz_state(grid, t, tuple(a[0] for a in arrays))
-        if sink is not None:
-            row_sink = sink
-
-            def sink(t, arrays):
-                row_sink(t, tuple(a[0] for a in arrays))
-        advance = _qz_advance(config.grid, config.eps, (config.lam,), config.dealias)
-        return _evolve(config, _stacked(arrays, 1), advance, state_of, sink)
-    lams = tuple(float(lam) for lam in lams)
-    if sink is None:
-        raise ParameterError("a march over several lam needs a sink")
-    if not lams or any(replace(config, lam=lam).dt != config.dt for lam in lams):
-        raise ParameterError("lams must be nonempty and every lam must give "
-                             f"the config's step size dt = {config.dt!r}")
+    batch = lams is not None
+    if batch:
+        lams = tuple(float(lam) for lam in lams)
+        if sink is None:
+            raise ParameterError("a march over several lam needs a sink")
+        if not lams or any(replace(config, lam=lam).dt != config.dt for lam in lams):
+            raise ParameterError("lams must be nonempty and every lam must give "
+                                 f"the config's step size dt = {config.dt!r}")
+    else:
+        lams = (config.lam,)
     advance = _qz_advance(config.grid, config.eps, lams, config.dealias)
-    steps = _march(config, _stacked(arrays, len(lams)), advance, sink, lams)
-    return Trajectory(config=config, samples=(), steps=steps)
+    arrays = _stacked(_arrays(data.E0, data.n0, data.n1), len(lams))
+    samples = []
+    for t, steps, arrays in _march(config, arrays, advance, lams if batch else None):
+        if not batch:  # a batch of one: the sink and the states see its row
+            arrays = tuple(a[0] for a in arrays)
+        if sink is not None:
+            sink(t, arrays)
+        else:
+            # n and nt are real parts of complex buffers: a contiguous
+            # copy keeps half the bytes a view would keep alive.
+            samples.append((t, _qz_state(config.grid, t, tuple(a.copy() for a in arrays))))
+    return Trajectory(config=config, samples=tuple(samples), steps=steps)
 
 
 def qmnls_evolve(config: SimConfig, E0: Field, sink=None) -> Trajectory:
@@ -381,7 +371,13 @@ def qmnls_evolve(config: SimConfig, E0: Field, sink=None) -> Trajectory:
     if E0.grid != config.grid:
         raise ParameterError("E0 grid does not match config grid")
     advance = _qmnls_advance(config.grid, config.eps, config.dealias)
-    return _evolve(config, _arrays(E0), advance, _qmnls_state, sink)
+    samples = []
+    for t, steps, arrays in _march(config, _arrays(E0), advance):
+        if sink is not None:
+            sink(t, arrays)
+        else:
+            samples.append((t, _qmnls_state(config.grid, t, (arrays[0].copy(),))))
+    return Trajectory(config=config, samples=tuple(samples), steps=steps)
 
 
 def oracle_evolve(config: SimConfig, data: InitialData, max_points: int = 64):

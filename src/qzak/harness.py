@@ -1,9 +1,10 @@
 """Sweep experiments measuring the approach to the subsonic limit.
 
 A sweep runs the coupled solver across a ladder of sound speeds against
-one limit-equation reference computed with the same step-size law as the
+one limit-equation reference marched with the same step-size law as the
 slowest run, so that splitting bias is common mode and the fitted
-log-log slopes measure the lam asymptotics alone.
+log-log slopes measure the lam asymptotics alone. The reference steps
+in lockstep with the coupled march and none of its samples is stored.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from .diagnostics import _mass, _outer_modes, _spectral_tail, drift
 from .errors import DegenerateInputError, ParameterError
 from .field import Field, _forward_factor, to_spectral
 from .norms import _sobolev_norm, _sobolev_weight, l2_norm
-from .dynamics import _transforms, oracle_evolve, qmnls_evolve, qz_evolve
+from .dynamics import (_arrays, _march, _qmnls_advance, _transforms, oracle_evolve,
+                       qmnls_evolve, qz_evolve)
 from .operators import omega_eps, potential_symbol
 from .state import InitialData, SimConfig, q_field
 
@@ -53,9 +55,10 @@ class RateFit:
 
 
 def _run_group(config: SimConfig, data: InitialData, m: int, lams: tuple,
-               reference_E: list[np.ndarray], f0_hat: np.ndarray) -> list[SweepRecord]:
+               reference: SimConfig, f0_hat: np.ndarray) -> list[SweepRecord]:
     """March the lams of one step size as one batch, measuring each sample
-    of every row on the march's live arrays.
+    of every row on the march's live arrays against the sample of a fresh
+    limit march on the reference config, stepped in lockstep.
 
     Each sample costs four transforms of the whole batch: E - E_ref
     (differenced in physical space), E, n and |E|^2. Q and the layer
@@ -63,8 +66,8 @@ def _run_group(config: SimConfig, data: InitialData, m: int, lams: tuple,
     maxima and the masses are kept. The Sobolev weight, the tail modes
     and omega_eps are built once per group, and each sample is reduced
     over the rows of the batch at once; every row sums to the bits of a
-    lone field. Every record carries the batch's wall time: its march
-    plus the measurement of its samples.
+    lone field. Every record carries the batch's wall time: its march,
+    the group's reference march and the measurement of its samples.
     """
     start = time.perf_counter()
     grid, eps = config.grid, config.eps
@@ -75,13 +78,15 @@ def _run_group(config: SimConfig, data: InitialData, m: int, lams: tuple,
     outer = _outer_modes(grid, 2.0 / 3.0)
     om = omega_eps(grid, eps)
     lam_column = np.reshape(lams, (-1,) + (1,) * grid.d)
-    reference = iter(reference_E)
+    reference_march = _march(reference, _arrays(data.E0),
+                             _qmnls_advance(grid, eps, reference.dealias))
     sup_err_E, sup_err_Q, sup_Q, max_tail = (np.zeros(len(lams)) for _ in range(4))
     masses = []
 
     def measure(t: float, arrays: tuple) -> None:
         E, n, _ = arrays
-        diff_hat = fft(E - next(reference)) * factor
+        _, _, (E_ref,) = next(reference_march)
+        diff_hat = fft(E - E_ref) * factor
         S = np.abs(E) ** 2
         Q_hat = (fft(n) + potential * fft(S)) * factor
         E_hat = fft(E) * factor
@@ -111,7 +116,8 @@ def lambda_sweep(config: SimConfig, data: InitialData, lambdas,
     discretization bias is shared by every run. The lams that share a
     step size run as one batched march; since the step size never grows
     along the sorted ladder, each batch is a contiguous run of it, and
-    the records come back in ladder order.
+    the records come back in ladder order. Each batch marches its own
+    reference, so the reference is marched once per step size.
     """
     lambdas = [float(l) for l in lambdas]
     if not lambdas or lambdas != sorted(lambdas) or any(l < 1.0 for l in lambdas):
@@ -120,9 +126,7 @@ def lambda_sweep(config: SimConfig, data: InitialData, lambdas,
     if data.grid != config.grid:
         raise ParameterError("data grid does not match config grid")
 
-    reference_E = []
-    qmnls_evolve(replace(config, lam=lambdas[0]), data.E0,
-                 sink=lambda t, arrays: reference_E.append(arrays[0].copy()))
+    reference = replace(config, lam=lambdas[0])
     f0_hat = to_spectral(q_field(data.initial_state(), config.eps))
 
     records = []
@@ -130,7 +134,7 @@ def lambda_sweep(config: SimConfig, data: InitialData, lambdas,
     for _, group in groupby(runs, key=attrgetter("dt")):
         group = list(group)
         records += _run_group(group[0], data, m, tuple(r.lam for r in group),
-                              reference_E, f0_hat)
+                              reference, f0_hat)
     return records
 
 

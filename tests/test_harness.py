@@ -153,6 +153,28 @@ def test_sweep_builds_no_field_per_sample(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_sweep_memory_does_not_grow_with_samples():
+    # The limit reference steps in lockstep with the coupled march, so
+    # 48 more sample times must not keep 48 more reference grids alive.
+    import tracemalloc
+
+    cfg, data = small_sweep_setup()
+    runs = [replace(cfg, sample_times=tuple(np.linspace(0.0, cfg.T, samples)))
+            for samples in (17, 65)]
+    for run in runs:  # warm the kernel cache, which outlives a sweep
+        lambda_sweep(run, data, [4.0, 8.0, 16.0], 2)
+    peaks = []
+    for run in runs:
+        tracemalloc.start()
+        try:
+            lambda_sweep(run, data, [4.0, 8.0, 16.0], 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    grid_bytes = cfg.grid.N * 16
+    assert peaks[1] - peaks[0] < 48 * grid_bytes / 4
+
+
 def test_sweep_builds_symbols_once_per_group(monkeypatch):
     # omega_eps is built once per kernel and once per dt group, never per
     # sample; the kernel cache is cleared so that each sweep builds its own
