@@ -12,7 +12,9 @@ discrete mass is conserved to rounding regardless of dt or lam.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from collections import Counter
+from functools import partial
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .errors import InstabilityError, NonFiniteFieldError, ParameterError
 from .field import Field, complex_field, dealias_mask, real_field
 from .grid import Grid
 from .operators import (delta_eps, omega_eps, potential_symbol, schrodinger_group,
-                        unit_phase, wave_cos, wave_sinc)
+                        unit_phase, wave_propagator)
 from .state import InitialData, SchrodingerState, SimConfig, ZakharovState
 
 _LANDING_TOL = 1e-12
@@ -49,15 +51,15 @@ class Trajectory:
         return self.samples[-1][1]
 
 
-# lru_cache on a kernel class returns the cached instance for arguments
-# seen before, so each (grid, eps, lams, dt) is built once per process.
-# The call hashes the grid, so a march looks each kernel up once and
-# keeps it in a dict keyed by the step size. A kernel holds only the
-# symbols that depend on the step size; the potential symbol does not,
-# and each advance builds it once.
-@lru_cache(maxsize=512)
+# An advance builds the kernel of a step size at its first step of that
+# size and drops it after the last one, which the march's plan names (see
+# _march), so only the kernels of step sizes whose steps interleave are
+# alive at once. A kernel holds only the symbols that depend on the step
+# size; the potential symbol and omega_eps do not, and each advance
+# builds them once.
 class _QZKernel:
-    """Symbol arrays for one (grid, eps, lams, dt) step.
+    """Symbol arrays for one (grid, eps, lams, dt) step, om being
+    omega_eps on the grid.
 
     The lam-dependent symbols are stacked, one row per entry of lams,
     with shape (len(lams),) + grid.shape; schrod_half has shape
@@ -68,16 +70,14 @@ class _QZKernel:
 
     __slots__ = ("schrod_half", "cos", "sinc", "minus_lam_om_sin")
 
-    def __init__(self, grid: Grid, eps: float, lams: tuple, dt: float):
-        om = omega_eps(grid, eps)
+    def __init__(self, grid: Grid, eps: float, lams: tuple, dt: float, om: np.ndarray):
         self.schrod_half = schrodinger_group(grid, eps, 0.5 * dt)[np.newaxis]
-        self.cos = np.stack([wave_cos(grid, eps, lam, dt) for lam in lams])
-        self.sinc = np.stack([wave_sinc(grid, eps, lam, dt) for lam in lams])
-        self.minus_lam_om_sin = np.stack(
-            [-(lam * om * np.sin(lam * dt * om)) for lam in lams])
+        rows = np.empty((3, len(lams)) + grid.shape)
+        self.cos, self.sinc, self.minus_lam_om_sin = rows
+        for i, lam in enumerate(lams):
+            wave_propagator(om, lam, dt, *rows[:, i])
 
 
-@lru_cache(maxsize=512)
 class _QMNLSKernel:
     __slots__ = ("schrod",)
 
@@ -87,9 +87,11 @@ class _QMNLSKernel:
 
 # Every march and single step shares one protocol: the fields travel as
 # a tuple of plain arrays, (E, n, nt) for the coupled system and (E,) for
-# the limit equation, and advance(arrays, h) returns them one step of
-# size h later. The coupled arrays are stacked, one row per sound speed
-# of the batch, with shape (B,) + grid.shape (B = 1 for a single lam).
+# the limit equation, and advance(arrays, h, last) returns them one step
+# of size h later. A true last says that no later step has size h, and
+# the advance then drops that size's kernel. The coupled arrays are
+# stacked, one row per sound speed of the batch, with shape
+# (B,) + grid.shape (B = 1 for a single lam).
 # An advance allocates its work buffers once and returns arrays that
 # live in them, so its next call overwrites what it returned before: a
 # caller copies what it keeps. It writes into no other array, so a
@@ -121,6 +123,7 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool):
     """The coupled advance for the batch of sound speeds lams."""
     fft, ifft = _transforms(grid)
     potential = potential_symbol(grid, eps, dealias)[np.newaxis]
+    om = omega_eps(grid, eps)
     kernels = {}
     shape = (len(lams),) + grid.shape
     # H stacks the rows (E, n, nt, |E|^2), the real fields with zero
@@ -151,12 +154,14 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool):
         # exp(-i h/2 n), with the argument in the spent E_hat
         unit_phase(np.multiply(-0.5 * h, n_flat, out=arg_flat), phase_flat)
 
-    def advance(arrays: tuple, h: float) -> tuple:
+    def advance(arrays: tuple, h: float, last: bool) -> tuple:
         nonlocal phase_of
         E, n, nt = arrays
         kern = kernels.get(h)
         if kern is None:
-            kern = kernels[h] = _QZKernel(grid, eps, lams, h)
+            kern = kernels[h] = _QZKernel(grid, eps, lams, h, om)
+        if last:
+            del kernels[h]
         if n is not n_out:  # the initial data, read-only
             H[1], H[2] = n, nt
             phase_of = None
@@ -212,10 +217,12 @@ def _qmnls_advance(grid: Grid, eps: float, dealias: bool):
         unit_phase(np.multiply(0.5 * h, work.real, out=work.real), phase)
         np.multiply(E, phase, out=E_out)
 
-    def advance(arrays: tuple, h: float) -> tuple:
+    def advance(arrays: tuple, h: float, last: bool) -> tuple:
         kern = kernels.get(h)
         if kern is None:
             kern = kernels[h] = _QMNLSKernel(grid, eps, h)
+        if last:
+            del kernels[h]
         (E,) = arrays
         kick(E, h)
         fft(E_out, out=work)
@@ -268,7 +275,7 @@ def qz_step(s: ZakharovState, dt: float, eps: float, lam: float,
     if dt == 0.0:
         raise ParameterError("dt must be nonzero")
     advance = _qz_advance(s.grid, float(eps), (float(lam),), bool(dealias))
-    arrays = advance(_stacked(_arrays(s.E, s.n, s.nt), 1), float(dt))
+    arrays = advance(_stacked(_arrays(s.E, s.n, s.nt), 1), float(dt), True)
     t = s.t + dt
     _check_finite(t, arrays)
     return _qz_state(s.grid, t, tuple(a[0] for a in arrays))
@@ -280,10 +287,32 @@ def qmnls_step(s: SchrodingerState, dt: float, eps: float,
     if dt == 0.0:
         raise ParameterError("dt must be nonzero")
     advance = _qmnls_advance(s.grid, float(eps), bool(dealias))
-    arrays = advance(_arrays(s.E), float(dt))
+    arrays = advance(_arrays(s.E), float(dt), True)
     t = s.t + dt
     _check_finite(t, arrays)
     return _qmnls_state(s.grid, t, arrays)
+
+
+def _plan(dt: float, targets: list, tol: float) -> list:
+    """One (target, full, landing) per sample interval: the march takes
+    full steps of dt, then the steps in the tuple landing, and is at
+    target. The step sizes and times are those of stepping t by
+    h = min(dt, target - t) until t is within tol of target, and then
+    setting t = target, bit for bit. Once h < dt, target - t only
+    shrinks, so no full step follows a landing one."""
+    plan, t = [], 0.0
+    for target in targets:
+        full, landing = 0, ()
+        while t < target - tol:
+            h = min(dt, target - t)
+            if h == dt:
+                full += 1
+            else:
+                landing += (h,)
+            t += h
+        plan.append((target, full, landing))
+        t = target
+    return plan
 
 
 def _march(config: SimConfig, arrays: tuple, advance, lams: tuple | None = None):
@@ -294,6 +323,8 @@ def _march(config: SimConfig, arrays: tuple, advance, lams: tuple | None = None)
     The arrays are advance's live buffers (the initial data's arrays at
     t = 0): the next step overwrites them, so a caller copies what it
     keeps. Nothing is stepped until the caller asks for the next sample.
+    The steps are planned before the first one, so the march tells
+    advance which step is the last of its size.
 
     Finiteness is checked once per sample, not once per step. A
     non-finite value reaches every mode within one FFT and stays, so no
@@ -301,24 +332,25 @@ def _march(config: SimConfig, arrays: tuple, advance, lams: tuple | None = None)
     the lam of the row when lams names the rows of a batch.
     """
     dt = config.dt
-    t = 0.0
     targets = list(config.sample_times)
     if not targets or abs(targets[-1] - config.T) > _LANDING_TOL:
         targets.append(config.T)
     if targets[0] <= _LANDING_TOL:
         yield 0.0, 0, arrays
         targets = targets[1:]
-    tol = _LANDING_TOL * max(1.0, config.T)
+    plan = _plan(dt, targets, _LANDING_TOL * max(1.0, config.T))
+    left = Counter()  # the steps of each size still to take
+    for _, full, landing in plan:
+        left[dt] += full
+        left.update(landing)
     steps = 0
-    for target in targets:
-        while t < target - tol:
-            h = min(dt, target - t)
-            arrays = advance(arrays, h)
-            t += h
-            steps += 1
-        t = target
-        _check_finite(t, arrays, lams)
-        yield t, steps, arrays
+    for target, full, landing in plan:
+        for h in chain(repeat(dt, full), landing):
+            left[h] -= 1
+            arrays = advance(arrays, h, left[h] == 0)
+        steps += full + len(landing)
+        _check_finite(target, arrays, lams)
+        yield target, steps, arrays
 
 
 def qz_evolve(config: SimConfig, data: InitialData, sink=None, lams=None) -> Trajectory:

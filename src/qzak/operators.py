@@ -8,7 +8,9 @@ wavenumber lattice with k2 = |xi|^2:
     omega_eps            sqrt(k2) sqrt(1 + eps^2 k2)
     schrodinger_group    exp(-i t (k2 + eps^2 k2^2)), built by unit_phase
     wave_cos             cos(lam t omega_eps)
-    wave_sinc            sin(lam t omega_eps) / (lam omega_eps), value t at xi=0
+    wave_propagator      the exact wave step: cos(lam t omega_eps),
+                         sin(lam t omega_eps) / (lam omega_eps) (value t
+                         at xi=0) and -lam omega_eps sin(lam t omega_eps)
     potential_symbol     i_eps on the 2/3 band (all of i_eps without dealiasing)
 """
 
@@ -97,16 +99,26 @@ def wave_cos(grid: Grid, eps: float, lam: float, t: float) -> np.ndarray:
     return np.cos(lam * t * omega_eps(grid, eps))
 
 
-def wave_sinc(grid: Grid, eps: float, lam: float, t: float) -> np.ndarray:
-    """sin(lam t omega)/(lam omega) with the removable xi=0 limit t."""
+def wave_propagator(om: np.ndarray, lam: float, t: float, cos: np.ndarray,
+                    sinc: np.ndarray, rate: np.ndarray) -> None:
+    """Write the exact wave step over time t for om = omega_eps: the
+    cosine propagator cos(lam t om) into cos, sin(lam t om)/(lam om),
+    with the removable limit t where om = 0, into sinc, and
+    -lam om sin(lam t om) into rate.
+
+    One sin serves both sin symbols. cos has the bits of wave_cos, and
+    each element the bits of a lone evaluation of its expression.
+    """
     lam = _check_lam(lam)
-    _check_t(t, "wave_sinc")
-    om = omega_eps(grid, eps)
-    out = np.empty_like(om)
+    _check_t(t, "wave_propagator")
+    angle = lam * t * om
+    np.cos(angle, out=cos)
+    sin = np.sin(angle, out=angle)
+    lam_om = lam * om
     nz = om > 0.0
-    out[nz] = np.sin(lam * t * om[nz]) / (lam * om[nz])
-    out[~nz] = t
-    return out
+    np.divide(sin, lam_om, out=sinc, where=nz)
+    sinc[~nz] = t
+    np.negative(np.multiply(lam_om, sin, out=rate), out=rate)
 
 
 def _derivative_symbol(grid: Grid, axis: int) -> np.ndarray:

@@ -508,7 +508,9 @@ def test_simulate_memory_is_bounded_by_the_grid(tmp_path):
     raw = _simulate_config(2, 64, "qz", num_samples=64)
     path = write_config(tmp_path, raw)
     sample_bytes = 64 * 64 * (16 + 8 + 8)
-    # warm the kernel and grid caches, which outlive a run
+    # a first run in the process makes one-off allocations that later runs
+    # do not; the step kernels are built in every run, and each lives only
+    # from the first to the last step of its size
     assert run_cli(["simulate", "--config", path, "--out", str(tmp_path / "warm"),
                     "--quiet"]) == 0
     tracemalloc.start()

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,10 @@ from qzak import (InitialData, PresetParams, SchrodingerState, SimConfig,
                   ZakharovState, complex_field, l2_norm, make_grid, mass,
                   oracle_evolve, preset_initial_data, qmnls_evolve, qmnls_step,
                   qz_evolve, qz_step, real_field)
-from qzak.dynamics import _arrays, _check_finite, _qz_advance, _stacked
+from qzak import dynamics
+from qzak.dynamics import _arrays, _check_finite, _march, _qz_advance, _stacked
 from qzak.errors import InstabilityError, NonFiniteFieldError, ParameterError
-from qzak.operators import (omega_eps, potential_symbol, schrodinger_group,
-                            wave_cos, wave_sinc)
+from qzak.operators import omega_eps, potential_symbol, schrodinger_group, wave_cos
 
 
 def zero_E_state(grid, n_vals, nt_vals=None):
@@ -118,6 +120,82 @@ def _stepped_chain(cfg, state, step):
     return out
 
 
+def _accumulated_steps(cfg):
+    """(step sizes, sample times) of a march that accumulates t += h with
+    h = min(dt, target - t) step by step and sets t to each target it
+    lands on: the march's loop before it planned its steps."""
+    dt, tol = cfg.dt, 1e-12 * max(1.0, cfg.T)
+    targets = list(cfg.sample_times)
+    if not targets or abs(targets[-1] - cfg.T) > 1e-12:
+        targets.append(cfg.T)
+    t, steps, times = 0.0, [], []
+    if targets[0] <= 1e-12:
+        times.append(0.0)
+        targets = targets[1:]
+    for target in targets:
+        while t < target - tol:
+            h = min(dt, target - t)
+            steps.append(h)
+            t += h
+        t = target
+        times.append(t)
+    return steps, times
+
+
+MARCH_SCHEDULES = {
+    # dt larger than the gaps: every step lands on a sample (simulate-2d)
+    "landing": dict(T=0.05, sample_times=tuple(np.linspace(0.0, 0.05, 64))),
+    # full steps between samples, each interval ending on a landing step
+    "full-and-landing": dict(T=0.5, sample_times=tuple(np.linspace(0.0, 0.5, 64))),
+    "T-only": dict(T=0.5, sample_times=(0.5,)),
+}
+
+
+@pytest.mark.parametrize("schedule", MARCH_SCHEDULES)
+def test_march_steps_and_times_equal_the_accumulating_loop(grid64, schedule):
+    cfg = SimConfig(eps=1.0, lam=4.0, grid=grid64, dt0=1e-3, c_lam=1.0,
+                    **MARCH_SCHEDULES[schedule])
+    taken = []
+
+    def advance(arrays, h, last):
+        taken.append((h, last))
+        return arrays
+
+    times = [t for t, _, _ in _march(cfg, (), advance)]
+    steps, want_times = _accumulated_steps(cfg)
+    assert [h.hex() for h, _ in taken] == [h.hex() for h in steps]
+    assert [t.hex() for t in times] == [t.hex() for t in want_times]
+    # last marks the final step of each size and no other
+    assert [last for _, last in taken] == [h not in steps[i + 1:]
+                                           for i, h in enumerate(steps)]
+
+
+def test_march_keeps_each_kernel_only_while_it_needs_it(monkeypatch):
+    # simulate-2d's schedule: 63 landing steps of 7 sizes, at most 2 of
+    # which are needed at once
+    grid = make_grid(2, 32, 2.0 * np.pi)
+    cfg = SimConfig(eps=1.0, lam=4.0, grid=grid, dt0=1e-3, c_lam=1.0,
+                    **MARCH_SCHEDULES["landing"])
+    steps, _ = _accumulated_steps(cfg)
+    spans = {h: (steps.index(h), len(steps) - 1 - steps[::-1].index(h)) for h in steps}
+    overlap = max(sum(a <= i <= b for a, b in spans.values()) for i in range(len(steps)))
+    assert (len(spans), overlap) == (7, 2)
+    built, live, peak = [], weakref.WeakSet(), [0]
+
+    class Counted(dynamics._QZKernel):  # no __slots__, so weakly referable
+        def __init__(self, grid, eps, lams, dt, om):
+            super().__init__(grid, eps, lams, dt, om)
+            built.append(dt)
+            live.add(self)
+            peak[0] = max(peak[0], len(live))
+
+    monkeypatch.setattr(dynamics, "_QZKernel", Counted)
+    qz_evolve(cfg, _smooth_data(grid), sink=lambda t, arrays: None)
+    assert sorted(built) == sorted(spans)
+    assert peak[0] == overlap
+    assert len(live) == 0
+
+
 # d=1 N=64 and d=2 N=128 lie on either side of the 256 KiB size from
 # which numpy reuses temporaries, and the sample times force short
 # landing steps between full ones. Every
@@ -152,7 +230,9 @@ def _plain_qz_step(grid, E, n, nt, h, eps, lam):
     fft, ifft = np.fft.fftn, np.fft.ifftn
     om = omega_eps(grid, eps)
     half = schrodinger_group(grid, eps, 0.5 * h)
-    cos, sinc = wave_cos(grid, eps, lam, h), wave_sinc(grid, eps, lam, h)
+    cos, sinc = wave_cos(grid, eps, lam, h), np.full(grid.shape, h)
+    nz = om > 0.0
+    sinc[nz] = np.sin(lam * h * om[nz]) / (lam * om[nz])
     E = np.multiply(E, np.exp(-0.5j * h * n))
     E = ifft(fft(E) * half)
     IS_hat = fft(np.abs(E) ** 2) * potential_symbol(grid, eps)
@@ -209,8 +289,8 @@ def test_stacked_advance_rows_equal_lone_marches_bitwise(d, N):
     def march(batch):
         advance = _qz_advance(grid, 1.0, batch, True)
         arrays = _stacked(_arrays(data.E0, data.n0, data.n1), len(batch))
-        for h in (1e-3, 1e-3, 1e-3, 4e-4):
-            arrays = advance(arrays, h)
+        for h, last in ((1e-3, False), (1e-3, False), (1e-3, True), (4e-4, True)):
+            arrays = advance(arrays, h, last)
         return [a.copy() for a in arrays]
 
     stacked = march(lams)
@@ -238,7 +318,7 @@ def test_coupled_step_makes_four_transform_calls(monkeypatch, d, N, batch):
     arrays = _stacked(_arrays(data.E0, data.n0, data.n1), batch)
     for _ in range(2):
         calls.clear()
-        arrays = advance(arrays, 1e-3)
+        arrays = advance(arrays, 1e-3, False)
         assert len(calls) == 4, calls
 
 

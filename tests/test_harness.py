@@ -161,7 +161,7 @@ def test_sweep_memory_does_not_grow_with_samples():
     cfg, data = small_sweep_setup()
     runs = [replace(cfg, sample_times=tuple(np.linspace(0.0, cfg.T, samples)))
             for samples in (17, 65)]
-    for run in runs:  # warm the kernel cache, which outlives a sweep
+    for run in runs:  # a first run makes one-off allocations
         lambda_sweep(run, data, [4.0, 8.0, 16.0], 2)
     peaks = []
     for run in runs:
@@ -176,8 +176,8 @@ def test_sweep_memory_does_not_grow_with_samples():
 
 
 def test_sweep_builds_symbols_once_per_group(monkeypatch):
-    # omega_eps is built once per kernel and once per dt group, never per
-    # sample; the kernel cache is cleared so that each sweep builds its own
+    # omega_eps is built once per advance and once per dt group, never per
+    # sample or per kernel
     calls = [0]
     omega = operators.omega_eps
 
@@ -190,7 +190,6 @@ def test_sweep_builds_symbols_once_per_group(monkeypatch):
     cfg, data = small_sweep_setup()
     counts = []
     for samples in (9, 17):
-        dynamics._QZKernel.cache_clear()
         calls[0] = 0
         run = replace(cfg, sample_times=tuple(np.linspace(0.0, cfg.T, samples)))
         lambda_sweep(run, data, [4.0, 8.0, 16.0], 2)

@@ -6,9 +6,16 @@ from qzak.errors import ParameterError
 from qzak.field import dealias_mask, inverse_values, to_spectral
 from qzak.grid import make_grid
 from qzak.operators import (delta_eps, i_eps, omega_eps, potential_symbol,
-                            schrodinger_group, unit_phase, wave_cos, wave_sinc)
+                            schrodinger_group, unit_phase, wave_cos, wave_propagator)
 
 from conftest import random_real_values
+
+
+def wave_symbols(grid, eps, lam, t):
+    """(cos, sinc, rate) of wave_propagator as fresh arrays."""
+    rows = np.empty((3,) + grid.shape)
+    wave_propagator(omega_eps(grid, eps), lam, t, *rows)
+    return rows
 
 
 def single_mode(grid, j):
@@ -41,9 +48,12 @@ def test_i_eps_and_omega_single_mode(grid16):
 
 def test_wave_propagators_at_t0(rng, grid64):
     f = real_field(grid64, random_real_values(rng, grid64))
-    zero = apply_multiplier(f, wave_sinc(grid64, 1.0, 10.0, 0.0))
+    cos, sinc, rate = wave_symbols(grid64, 1.0, 10.0, 0.0)
+    zero = apply_multiplier(f, sinc)
     ident = apply_multiplier(f, wave_cos(grid64, 1.0, 10.0, 0.0))
     assert np.max(np.abs(zero.values)) == 0.0
+    assert np.max(np.abs(rate)) == 0.0
+    np.testing.assert_array_equal(cos, wave_cos(grid64, 1.0, 10.0, 0.0))
     np.testing.assert_allclose(ident.values, f.values, atol=1e-14)
 
 
@@ -58,17 +68,35 @@ def test_wave_energy_identity(grid64):
     # per-mode rotation invariant: cos^2 + (lam*omega*sinc)^2 = 1 off the zero mode
     lam, t, eps = 7.0, 0.37, 0.8
     om = omega_eps(grid64, eps)
-    cos = wave_cos(grid64, eps, lam, t)
-    sinc = wave_sinc(grid64, eps, lam, t)
+    cos, sinc, rate = wave_symbols(grid64, eps, lam, t)
     nz = om > 0
     np.testing.assert_allclose(cos[nz] ** 2 + (lam * om[nz] * sinc[nz]) ** 2,
                                np.ones(nz.sum()), atol=1e-12)
+    # rate is d/dt cos(lam t om) = -(lam om)^2 sinc
+    np.testing.assert_allclose(rate[nz], -(lam * om[nz]) ** 2 * sinc[nz], rtol=1e-12)
+    assert sinc[~nz][0] == t and rate[~nz][0] == 0.0
+
+
+@pytest.mark.parametrize("d,N,L", [(1, 1024, 40 * np.pi), (2, 256, 16 * np.pi)])
+def test_wave_propagator_has_the_bits_of_each_symbol_alone(d, N, L):
+    # one sin shared by both sin symbols, written into given rows, leaves
+    # every element as the lone expression of its symbol gives it
+    grid = make_grid(d, N, L)
+    eps, lam, t = 0.5, 16.0, 0.05 / 63
+    om = omega_eps(grid, eps)
+    cos, sinc, rate = wave_symbols(grid, eps, lam, t)
+    nz = om > 0.0
+    alone = np.full(grid.shape, t)
+    alone[nz] = np.sin(lam * t * om[nz]) / (lam * om[nz])
+    assert cos.tobytes() == wave_cos(grid, eps, lam, t).tobytes()
+    assert sinc.tobytes() == alone.tobytes()
+    assert rate.tobytes() == (-(lam * om * np.sin(lam * t * om))).tobytes()
 
 
 def test_real_symbols_preserve_realness(rng, grid64):
     f = real_field(grid64, random_real_values(rng, grid64))
     for symbol in (delta_eps(grid64, 0.5), i_eps(grid64, 0.5), omega_eps(grid64, 0.5),
-                   wave_cos(grid64, 0.5, 3.0, 0.2), wave_sinc(grid64, 0.5, 3.0, 0.2)):
+                   wave_cos(grid64, 0.5, 3.0, 0.2), *wave_symbols(grid64, 0.5, 3.0, 0.2)):
         out = apply_multiplier(f, symbol)
         assert out.values.dtype == np.float64
 
@@ -89,17 +117,18 @@ def test_invalid_eps(grid16, kw):
             symbol(grid16, **kw)
     with pytest.raises(ParameterError):
         schrodinger_group(grid16, t=0.1, **kw)
-    for symbol in (wave_cos, wave_sinc):
-        with pytest.raises(ParameterError):
-            symbol(grid16, lam=2.0, t=0.1, **kw)
+    with pytest.raises(ParameterError):
+        wave_cos(grid16, lam=2.0, t=0.1, **kw)
 
 
 def test_invalid_lam_and_sigma(grid16):
-    for symbol in (wave_cos, wave_sinc):
+    with pytest.raises(ParameterError):
+        wave_cos(grid16, 1.0, 0.5, 0.1)
+    with pytest.raises(ParameterError):
+        wave_cos(grid16, 1.0, 2.0, None)
+    for lam, t in ((0.5, 0.1), (2.0, None)):
         with pytest.raises(ParameterError):
-            symbol(grid16, 1.0, 0.5, 0.1)
-        with pytest.raises(ParameterError):
-            symbol(grid16, 1.0, 2.0, None)
+            wave_symbols(grid16, 1.0, lam, t)
     with pytest.raises(ParameterError):
         schrodinger_group(grid16, 1.0, None)
 
