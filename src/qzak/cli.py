@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import json
 import sys
-import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -105,13 +104,17 @@ def _run_simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 def _simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     """Write each sample and its mass and energy as it lands.
 
-    The sink copies the march's live arrays into one slot and hands it
-    to a worker thread, which measures the sample and writes its
-    snapshot and diagnostics row while the march steps on. One sample is
-    in flight: the sink waits for the worker to finish the last one
-    before it refills the slot, so samples are handled in order and the
-    first failure, in the worker or in the march, is the one raised.
+    The sink copies the march's live arrays into one slot and submits
+    the sample to an executor with one worker thread, which measures it
+    and writes its snapshot and diagnostics row while the march steps
+    on. One sample is in flight: the sink waits for the worker to finish
+    the last one before it refills the slot, so samples are handled in
+    order and the first failure, in the worker or in the march, is the
+    one raised.
     """
+    # imported here: it pulls in logging, and only simulate runs a worker
+    from concurrent.futures import ThreadPoolExecutor
+
     sim = cfg.sim
     data = preset_initial_data(cfg.data_kind, cfg.data_params, sim.grid, sim.eps)
     if cfg.solver == "qz":
@@ -122,56 +125,36 @@ def _simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         measure = qmnls_monitor(sim.grid, sim.eps)
     slot = tuple(np.empty(sim.grid.shape, complex if name == "E" else float)
                  for name in names)
-    landed = []    # sample times handed to the worker, in order; None stops it
-    full, free = threading.Semaphore(0), threading.Semaphore(1)
-    masses = []
-    failed = []
+    pending = None   # the future of the sample in the slot; its result is the mass
     with SnapshotWriter(out, sim.grid, names) as writer, \
-            open(out / "diagnostics.csv", "w") as diag:
+            open(out / "diagnostics.csv", "w") as diag, \
+            ThreadPoolExecutor(max_workers=1) as worker:
         diag.write("t,mass,hamiltonian\n")
 
-        def work() -> None:
-            # records every failure, so that it always frees the slot
-            while True:
-                full.acquire()
-                t = landed.pop(0)
-                if t is None:
-                    return
-                try:
-                    m, energy = measure(*slot)
-                    writer.write(t, slot)
-                    diag.write(f"{t!r},{m!r},{energy!r}\n")
-                    masses.append(m)
-                except BaseException as exc:
-                    failed.append(exc)
-                free.release()
-
-        def hand_over(t) -> None:
-            landed.append(t)
-            full.release()
+        def handle(t: float) -> float:
+            m, energy = measure(*slot)
+            writer.write(t, slot)
+            diag.write(f"{t!r},{m!r},{energy!r}\n")
+            return m
 
         def sink(t: float, arrays: tuple) -> None:
-            free.acquire()
-            if failed:
-                raise failed.pop()
+            nonlocal pending
+            if pending is not None:
+                pending.result()
             for dst, src in zip(slot, arrays):
                 np.copyto(dst, src)
-            hand_over(t)
+            pending = worker.submit(handle, t)
 
-        worker = threading.Thread(target=work)
-        worker.start()
         try:
             evolve(sim, start, sink=sink)
         finally:
-            hand_over(None)
-            worker.join()
             # a failed sample came before whatever else stopped the march
-            if failed:
-                raise failed.pop()
+            if pending is not None:
+                pending.result()
         files = ["diagnostics.csv"] + writer.finish()
     write_manifest(out, cfg.resolved, files + ["manifest.json"])
-    _say(quiet, f"lambda={sim.lam:g} solver={cfg.solver} samples={len(masses)} "
-                f"final_mass={masses[-1]:.12e}")
+    _say(quiet, f"lambda={sim.lam:g} solver={cfg.solver} samples={len(writer.times)} "
+                f"final_mass={pending.result():.12e}")
     return EXIT_OK
 
 

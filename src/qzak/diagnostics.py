@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, ZeroModeError
-from .field import Field, _forward_factor, dealias_mask, to_spectral
+from .field import Field, _forward_factor, _transforms, dealias_mask, to_spectral
 from .grid import Grid
 from .operators import delta_eps, i_eps, potential_symbol
 from .state import ZakharovState
@@ -38,13 +38,6 @@ def mass(E: Field) -> float:
 # spectrum stands for the full one with each column weighted 2 when it
 # holds a conjugate pair and 1 for the zero and Nyquist columns. Every
 # weight includes the square of the transform normalization.
-
-def _transforms(grid: Grid) -> tuple:
-    # looked up per monitor, so that a wrapper in numpy.fft sees the calls
-    if grid.d == 1:
-        return np.fft.fft, np.fft.rfft
-    return np.fft.fftn, np.fft.rfftn
-
 
 def _half_shape(grid: Grid) -> tuple:
     return grid.shape[:-1] + (grid.N // 2 + 1,)
@@ -82,7 +75,7 @@ def qz_monitor(grid: Grid, eps: float, lam: float):
     monitor owns its buffers, so one thread at a time may call it (in
     ``qzak simulate``, the one worker thread that handles the samples).
     """
-    fft, rfft = _transforms(grid)
+    fft, _, rfft = _transforms(grid)
     k2 = grid.k_squared
     inv_k2 = np.zeros_like(k2)
     np.divide(1.0, k2, out=inv_k2, where=k2 > 0.0)
@@ -132,7 +125,7 @@ def qmnls_monitor(grid: Grid, eps: float):
     time may call it (in ``qzak simulate``, the one worker thread that
     handles the samples).
     """
-    fft, rfft = _transforms(grid)
+    fft, _, rfft = _transforms(grid)
     w_E = -0.5 * delta_eps(grid, eps) * _forward_factor(grid) ** 2
     w_quartic = _real_weights(grid, 0.25 * potential_symbol(grid, eps))
     S, E_hat = np.empty(grid.shape), np.empty(grid.shape, dtype=np.complex128)

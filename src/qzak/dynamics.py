@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from collections import Counter
-from functools import partial
 from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import InstabilityError, NonFiniteFieldError, ParameterError
-from .field import Field, complex_field, dealias_mask, real_field
+from .field import Field, _transforms, complex_field, dealias_mask, real_field
 from .grid import Grid
 from .operators import (delta_eps, omega_eps, potential_symbol, schrodinger_group,
                         unit_phase, wave_propagator)
@@ -98,14 +97,10 @@ class _QMNLSKernel:
 # march starts from the read-only arrays of the initial data, or from
 # np.broadcast_to views of them, without copying them.
 #
-# The transforms act on the grid axes only, so every row of a batch is
-# transformed on its own; numpy gives each row the bits of a lone
-# transform of it. At d=1 they are np.fft.fft/ifft along the last axis,
-# which give the same bits as fftn/ifftn without fftn's per-call axis
-# bookkeeping (a few us per call, about as long as the transform itself
-# at N=1024). They are looked up when the advance is built, not at
-# import, so that a caller who wraps the functions in numpy.fft (a
-# counter or a tracer) sees every call.
+# The transforms (field._transforms) act on the grid axes only, so every
+# row of a batch is transformed on its own; numpy gives each row the bits
+# of a lone transform of it. They are looked up when the advance is
+# built, so that a wrapper in numpy.fft sees every call.
 #
 # A kick is np.multiply(E, phase) in that order on every grid. Complex
 # products round differently when their operands swap, and E * np.exp(...)
@@ -113,15 +108,9 @@ class _QMNLSKernel:
 # exp temporary as the output and computes exp(...) * E. The phase comes
 # from operators.unit_phase, whose cos and sin carry the bits of that exp.
 
-def _transforms(grid: Grid) -> tuple:
-    if grid.d == 1:
-        return np.fft.fft, np.fft.ifft
-    return partial(np.fft.fftn, axes=grid.axes), partial(np.fft.ifftn, axes=grid.axes)
-
-
 def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool):
     """The coupled advance for the batch of sound speeds lams."""
-    fft, ifft = _transforms(grid)
+    fft, ifft, _ = _transforms(grid)
     potential = potential_symbol(grid, eps, dealias)[np.newaxis]
     om = omega_eps(grid, eps)
     kernels = {}
@@ -201,7 +190,7 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool):
 
 
 def _qmnls_advance(grid: Grid, eps: float, dealias: bool):
-    fft, ifft = _transforms(grid)
+    fft, ifft, _ = _transforms(grid)
     potential = potential_symbol(grid, eps, dealias)
     kernels = {}
     E_out, work, phase = (np.empty(grid.shape, dtype=np.complex128) for _ in range(3))

@@ -7,6 +7,8 @@ resolved fields match their continuum integrals.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .errors import InconsistentGridError, RepresentationError
@@ -60,6 +62,19 @@ def complex_field(grid: Grid, values: np.ndarray) -> Field:
 def _forward_factor(grid: Grid) -> float:
     # fhat = L^{d/2} / N^d * FFT(f), which makes Plancherel exact.
     return grid.L ** (grid.d / 2.0) / grid.size
+
+
+def _transforms(grid: Grid) -> tuple:
+    """(fft, ifft, rfft) over the grid axes, so that every row of a batch
+    is transformed on its own. At d=1 they are np.fft.fft/ifft/rfft along
+    the last axis, which give the bits of fftn/ifftn/rfftn without their
+    per-call axis bookkeeping. Looked up on each call, not at import, so
+    that a wrapper in numpy.fft (a counter or a tracer) sees every
+    transform."""
+    if grid.d == 1:
+        return np.fft.fft, np.fft.ifft, np.fft.rfft
+    return tuple(partial(f, axes=grid.axes)
+                 for f in (np.fft.fftn, np.fft.ifftn, np.fft.rfftn))
 
 
 def inverse_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:

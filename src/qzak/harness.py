@@ -18,9 +18,9 @@ import numpy as np
 
 from .diagnostics import _mass, _outer_modes, _spectral_tail, drift
 from .errors import DegenerateInputError, ParameterError
-from .field import Field, _forward_factor, to_spectral
+from .field import Field, _forward_factor, _transforms, to_spectral
 from .norms import _sobolev_norm, _sobolev_weight, l2_norm
-from .dynamics import (_arrays, _march, _qmnls_advance, _transforms, oracle_evolve,
+from .dynamics import (_arrays, _march, _qmnls_advance, oracle_evolve,
                        qmnls_evolve, qz_evolve)
 from .operators import omega_eps, potential_symbol
 from .state import InitialData, SimConfig, q_field
@@ -71,7 +71,7 @@ def _run_group(config: SimConfig, data: InitialData, m: int, lams: tuple,
     """
     start = time.perf_counter()
     grid, eps = config.grid, config.eps
-    fft, _ = _transforms(grid)
+    fft, _, _ = _transforms(grid)
     factor = _forward_factor(grid)
     potential = potential_symbol(grid, eps)
     weight = _sobolev_weight(grid, m)

@@ -19,6 +19,8 @@ def l2_norm(f: Field) -> float:
 
 
 def _sobolev_weight(grid: Grid, m: int) -> np.ndarray:
+    if m < 0:
+        raise ParameterError(f"Sobolev index must be >= 0, got {m}")
     return (1.0 + grid.k_squared) ** m
 
 
@@ -31,7 +33,5 @@ def _sobolev_norm(grid: Grid, coeffs: np.ndarray, weight: np.ndarray):
 
 def sobolev_norm(f: Field, m: int) -> float:
     """Bessel-weighted H^m norm (sum_xi (1+|xi|^2)^m |fhat|^2)^(1/2)."""
-    if m < 0:
-        raise ParameterError(f"Sobolev index must be >= 0, got {m}")
     return float(_sobolev_norm(f.grid, to_spectral(f), _sobolev_weight(f.grid, m)))
 

@@ -422,7 +422,10 @@ def test_slow_simulate_worker_sees_each_sample_as_it_landed(tmp_path, monkeypatc
     _assert_simulate_equals_library_path(tmp_path, _simulate_config(2, 32, "qz"))
 
 
-def test_failed_simulate_leaves_only_error_txt(tmp_path, monkeypatch):
+@pytest.mark.parametrize("failing_call", [3, 5])
+def test_failed_simulate_leaves_only_error_txt(tmp_path, monkeypatch, failing_call):
+    # call 5 is the last sample, which the worker handles after the march
+    # has returned
     from qzak import cli
     from qzak.errors import NonFiniteFieldError
 
@@ -439,13 +442,15 @@ def test_failed_simulate_leaves_only_error_txt(tmp_path, monkeypatch):
 
         def failing(*arrays):
             calls.append(None)
-            if len(calls) == 3:
-                raise NonFiniteFieldError("field 'E' became non-finite")
+            if len(calls) == failing_call:
+                raise NonFiniteFieldError(message)
             return measure(*arrays)
         return failing
 
+    message = "field 'E' became non-finite"
     monkeypatch.setattr(cli, "qz_monitor", failing_monitor)
     assert run_cli(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 2
+    assert (out / "error.txt").read_text() == message + "\n"
     assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
 
 

@@ -203,6 +203,12 @@ def test_sweep_rejects_unsorted(grid256):
         lambda_sweep(cfg, data, [8.0, 4.0], 2)
 
 
+def test_sweep_rejects_negative_sobolev_index(grid256):
+    cfg, data = small_sweep_setup()
+    with pytest.raises(ParameterError, match="Sobolev index"):
+        lambda_sweep(cfg, data, [4.0, 8.0, 16.0], -1)
+
+
 def test_sweep_rejects_empty_lambda_list():
     cfg, data = small_sweep_setup()
     with pytest.raises(ParameterError, match="nonempty"):
