@@ -4,6 +4,8 @@ Subcommands: simulate, sweep, layer-decay, oracle-check, self-converge,
 version. Exit codes: 0 success, 1 configuration error, 2 runtime or
 solver error; failures are also recorded in <out>/error.txt. Any other
 exception is recorded there as "<Type>: <message>" and then re-raised.
+<out>/manifest.json exists only after a run that exited 0, and it lists
+exactly that run's files.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .field import complex_field, real_field
 from .harness import fit_rate, lambda_sweep, oracle_discrepancy, self_convergence
 from .layer import decay_probe
 from .norms import l2_norm
-from .outputs import (SnapshotWriter, write_decay_report, write_error,
+from .outputs import (SnapshotWriter, _write_json, write_decay_report, write_error,
                       write_manifest, write_outputs, write_selfconv)
 from .state import _gaussian, check_resolution, preset_initial_data
 
@@ -85,13 +87,13 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
-# Everything a simulate run writes besides error.txt. A failed run
-# removes all of it, so that no manifest lists half-written snapshots.
-_SIMULATE_FILES = (["diagnostics.csv", "manifest.json"]
-                   + SnapshotWriter.files(("E", "n", "nt")))
+# Everything a simulate run writes besides error.txt. It is the one
+# experiment that writes while it runs, so a failed run removes all of
+# it rather than leave snapshots that stop partway.
+_SIMULATE_FILES = ["diagnostics.csv"] + SnapshotWriter.files(("E", "n", "nt"))
 
 
-def _run_simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
+def _run_simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     try:
         return _simulate(cfg, out, quiet)
     except BaseException:
@@ -101,7 +103,7 @@ def _run_simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         raise
 
 
-def _simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
+def _simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     """Write each sample and its mass and energy as it lands.
 
     The sink copies the march's live arrays into one slot and submits
@@ -152,13 +154,12 @@ def _simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
             if pending is not None:
                 pending.result()
         files = ["diagnostics.csv"] + writer.finish()
-    write_manifest(out, cfg.resolved, files + ["manifest.json"])
     _say(quiet, f"lambda={sim.lam:g} solver={cfg.solver} samples={len(writer.times)} "
                 f"final_mass={pending.result():.12e}")
-    return EXIT_OK
+    return files
 
 
-def _run_sweep(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
+def _run_sweep(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     sim = cfg.sim
     data = preset_initial_data(cfg.data_kind, cfg.data_params, sim.grid, sim.eps)
     records = lambda_sweep(sim, data, cfg.lambdas, sim.m)
@@ -167,13 +168,13 @@ def _run_sweep(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
                     f"err_Q={r.sup_err_Q_Hm:.6e} Q={r.sup_Q_Hm:.6e} "
                     f"wall={r.walltime_s:.2f}s")
     fits = {"E": fit_rate(records, "E-error"), "Q": fit_rate(records, "Q-error")}
-    write_outputs(out, records, cfg.resolved, fits=fits)
+    files = write_outputs(out, records, fits=fits)
     _say(quiet, f"fitted E-error slope {fits['E'].slope:.3f} "
                 f"(residual {fits['E'].residual:.3f})")
-    return EXIT_OK
+    return files
 
 
-def _run_layer_decay(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
+def _run_layer_decay(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     sim = cfg.sim
     grid = sim.grid
     p = cfg.data_params
@@ -186,12 +187,10 @@ def _run_layer_decay(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         reports.append(rep)
         _say(quiet, f"lambda={lam:g} inner_exponent={rep.inner_exponent:.3f} "
                     f"outer_envelope_factor={rep.outer_envelope_factor:.3f}")
-    files = write_decay_report(out, reports)
-    write_manifest(out, cfg.resolved, files + ["manifest.json"])
-    return EXIT_OK
+    return write_decay_report(out, reports)
 
 
-def _run_oracle_check(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
+def _run_oracle_check(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     sim = cfg.sim
     data = preset_initial_data(cfg.data_kind, cfg.data_params, sim.grid, sim.eps)
     disc = oracle_discrepancy(sim, data)
@@ -206,10 +205,10 @@ def _run_oracle_check(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     exact = amp * np.exp(1j * xi * grid.coordinates[0]) * np.exp(1j * phase)
     plane_err = l2_norm(real_field(grid, np.abs(traj.final_state().E.values - exact)))
 
-    payload = {"discrepancy": disc, "tolerance": cfg.tolerance,
-               "plane_wave_error": plane_err, "plane_wave_tolerance": PLANE_WAVE_TOL}
-    (out / "oracle.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    write_manifest(out, cfg.resolved, ["oracle.json", "manifest.json"])
+    # written before the checks, so that a mismatch keeps its measurement
+    _write_json(out, "oracle.json", {
+        "discrepancy": disc, "tolerance": cfg.tolerance,
+        "plane_wave_error": plane_err, "plane_wave_tolerance": PLANE_WAVE_TOL})
     _say(quiet, f"lambda={sim.lam:g} oracle discrepancy {disc:.3e} "
                 f"(tolerance {cfg.tolerance:g}); plane-wave error {plane_err:.3e}")
     if disc > cfg.tolerance:
@@ -218,19 +217,18 @@ def _run_oracle_check(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     if plane_err > PLANE_WAVE_TOL:
         raise QzakError(f"plane-wave phase error {plane_err:.6e} exceeds "
                         f"{PLANE_WAVE_TOL:g}")
-    return EXIT_OK
+    return ["oracle.json"]
 
 
-def _run_self_converge(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
+def _run_self_converge(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     sim = cfg.sim
     data = preset_initial_data(cfg.data_kind, cfg.data_params, sim.grid, sim.eps)
     result = self_convergence(sim, data, cfg.dt_list, target=cfg.solver)
     files = write_selfconv(out, result)
-    write_manifest(out, cfg.resolved, files + ["manifest.json"])
     for dt, err in zip(result.dts, result.errors):
         _say(quiet, f"dt={dt:g} error={err:.6e}")
     _say(quiet, f"measured order {result.order:.3f}")
-    return EXIT_OK
+    return files
 
 
 _RUNNERS = {
@@ -243,6 +241,9 @@ _RUNNERS = {
 
 
 def run_cli(argv: list[str]) -> int:
+    """Run one subcommand and return its exit code. An experiment's
+    runner returns the names of the files it wrote; once it has returned,
+    and only then, manifest.json records them with the resolved config."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -263,8 +264,11 @@ def run_cli(argv: list[str]) -> int:
     out = _out_dir(args, cfg)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "error.txt").unlink(missing_ok=True)
-        return _RUNNERS[args.command](cfg, out, args.quiet)
+        for name in ("error.txt", "manifest.json"):
+            (out / name).unlink(missing_ok=True)
+        files = _RUNNERS[args.command](cfg, out, args.quiet)
+        write_manifest(out, cfg.resolved, files + ["manifest.json"])
+        return EXIT_OK
     except (QzakError, OSError, MemoryError) as exc:
         # a bare MemoryError() has no message; name it instead
         message = str(exc) or type(exc).__name__

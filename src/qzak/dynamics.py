@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from collections import Counter
+from functools import partial
 from itertools import chain, repeat
 
 import numpy as np
@@ -37,10 +38,6 @@ class Trajectory:
     config: SimConfig
     samples: tuple
     steps: int
-
-    @property
-    def times(self) -> list[float]:
-        return [t for t, _ in self.samples]
 
     @property
     def states(self) -> list:
@@ -77,11 +74,15 @@ class _QZKernel:
             wave_propagator(om, lam, dt, *rows[:, i])
 
 
-class _QMNLSKernel:
-    __slots__ = ("schrod",)
-
-    def __init__(self, grid: Grid, eps: float, dt: float):
-        self.schrod = schrodinger_group(grid, eps, dt)
+def _kernel(kernels: dict, h: float, last: bool, build):
+    """The kernel of step size h: build(h) at its first step, dropped
+    from kernels after its last."""
+    kern = kernels.get(h)
+    if kern is None:
+        kern = kernels[h] = build(h)
+    if last:
+        del kernels[h]
+    return kern
 
 
 # Every march and single step shares one protocol: the fields travel as
@@ -113,7 +114,7 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool):
     fft, ifft, _ = _transforms(grid)
     potential = potential_symbol(grid, eps, dealias)[np.newaxis]
     om = omega_eps(grid, eps)
-    kernels = {}
+    kernels, build = {}, partial(_QZKernel, grid, eps, lams, om=om)
     shape = (len(lams),) + grid.shape
     # H stacks the rows (E, n, nt, |E|^2), the real fields with zero
     # imaginary parts (the transform of a real array and of its complex
@@ -146,11 +147,7 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool):
     def advance(arrays: tuple, h: float, last: bool) -> tuple:
         nonlocal phase_of
         E, n, nt = arrays
-        kern = kernels.get(h)
-        if kern is None:
-            kern = kernels[h] = _QZKernel(grid, eps, lams, h, om)
-        if last:
-            del kernels[h]
+        kern = _kernel(kernels, h, last, build)
         if n is not n_out:  # the initial data, read-only
             H[1], H[2] = n, nt
             phase_of = None
@@ -192,7 +189,7 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool):
 def _qmnls_advance(grid: Grid, eps: float, dealias: bool):
     fft, ifft, _ = _transforms(grid)
     potential = potential_symbol(grid, eps, dealias)
-    kernels = {}
+    kernels, build = {}, partial(schrodinger_group, grid, eps)
     E_out, work, phase = (np.empty(grid.shape, dtype=np.complex128) for _ in range(3))
 
     def kick(E, h):
@@ -207,15 +204,11 @@ def _qmnls_advance(grid: Grid, eps: float, dealias: bool):
         np.multiply(E, phase, out=E_out)
 
     def advance(arrays: tuple, h: float, last: bool) -> tuple:
-        kern = kernels.get(h)
-        if kern is None:
-            kern = kernels[h] = _QMNLSKernel(grid, eps, h)
-        if last:
-            del kernels[h]
+        schrod = _kernel(kernels, h, last, build)
         (E,) = arrays
         kick(E, h)
         fft(E_out, out=work)
-        np.multiply(work, kern.schrod, out=work)
+        np.multiply(work, schrod, out=work)
         ifft(work, out=E_out)
         kick(E_out, h)
         return (E_out,)

@@ -37,58 +37,57 @@ def _ensure_dir(out_dir) -> Path:
     return path
 
 
+def _write(out_dir, name: str, text: str) -> Path:
+    path = _ensure_dir(out_dir) / name
+    path.write_text(text)
+    return path
+
+
+def _write_json(out_dir, name: str, payload: dict) -> Path:
+    return _write(out_dir, name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def write_manifest(out_dir, resolved_config: dict, files: list[str]) -> Path:
-    path = _ensure_dir(out_dir) / "manifest.json"
-    payload = {
+    return _write_json(out_dir, "manifest.json", {
         "artifact": "qzak",
         "version": ARTIFACT_VERSION,
         "config": resolved_config,
         "files": sorted(files),
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    })
 
 
 def write_error(out_dir, message: str) -> None:
     try:
-        (_ensure_dir(out_dir) / "error.txt").write_text(message + "\n")
+        _write(out_dir, "error.txt", message + "\n")
     except OutputError:
         pass
 
 
 def write_sweep_csv(out_dir, records: list[SweepRecord]) -> Path:
-    path = _ensure_dir(out_dir) / "sweep.csv"
     lines = [SWEEP_HEADER]
     for r in records:
         lines.append(",".join(_fmt(v) for v in (
             r.lam, r.dt, r.sup_err_E_Hm, r.sup_err_Q_Hm, r.sup_Q_Hm,
             round(r.walltime_s, 3))))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write(out_dir, "sweep.csv", "\n".join(lines) + "\n")
 
 
 def write_sweep_metrics(out_dir, records: list[SweepRecord]) -> Path:
     """Per-lam figures the sweep.csv schema leaves out: the step size, the
     steps taken, the largest spectral tail of E and the mass drift."""
-    path = _ensure_dir(out_dir) / "sweep_metrics.json"
-    payload = {"records": [
+    return _write_json(out_dir, "sweep_metrics.json", {"records": [
         {"lam": r.lam, "dt": r.dt, "steps": r.steps, "max_tail_E": r.max_tail_E,
          "mass_drift": r.mass_drift}
-        for r in records]}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+        for r in records]})
 
 
 def write_ratefit(out_dir, fit: RateFit, name: str = "ratefit.json") -> Path:
-    path = _ensure_dir(out_dir) / name
-    payload = {
+    return _write_json(out_dir, name, {
         "slope": fit.slope,
         "intercept": fit.intercept,
         "residual": fit.residual,
         "lambdas": list(fit.lambdas),
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    })
 
 
 _SNAPSHOT_DTYPES = {"E": "<c16", "n": "<f8", "nt": "<f8"}
@@ -170,7 +169,6 @@ def write_snapshots(out_dir, traj: Trajectory) -> list[str]:
 
 def write_plot_script(out_dir, records: list[SweepRecord]) -> Path:
     """Emit a gnuplot script for the log-log errors with reference slopes."""
-    out = _ensure_dir(out_dir)
     lam0 = records[0].lam
     c1 = records[0].sup_err_E_Hm * lam0
     c2 = records[0].sup_err_E_Hm * lam0**2
@@ -188,13 +186,10 @@ plot 'sweep.csv' skip 1 using 1:3 with linespoints pt 7 title 'E error', \\
      {_fmt(c1)}/x with lines dashtype 2 title 'slope -1', \\
      {_fmt(c2)}/x**2 with lines dashtype 3 title 'slope -2'
 """
-    path = out / "plots.gp"
-    path.write_text(script)
-    return path
+    return _write(out_dir, "plots.gp", script)
 
 
 def write_decay_report(out_dir, reports: list[DecayProbeReport]) -> list[str]:
-    out = _ensure_dir(out_dir)
     lines = ["lambda,t,lambda_t,x0,region,k,sup_abs,weighted_sup"]
     for rep in reports:
         for row in rep.rows:
@@ -202,45 +197,40 @@ def write_decay_report(out_dir, reports: list[DecayProbeReport]) -> list[str]:
                 lines.append(",".join([
                     _fmt(rep.lam), _fmt(row.t), _fmt(row.lam_t), _fmt(row.x0),
                     row.region, str(k), _fmt(v), _fmt(w)]))
-    (out / "decay.csv").write_text("\n".join(lines) + "\n")
-    payload = {
+    _write(out_dir, "decay.csv", "\n".join(lines) + "\n")
+    _write_json(out_dir, "decayfit.json", {
         "per_lambda": [
             {"lambda": rep.lam,
              "inner_exponent": rep.inner_exponent,
              "outer_envelope_factor": rep.outer_envelope_factor}
             for rep in reports
         ],
-    }
-    (out / "decayfit.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    })
     return ["decay.csv", "decayfit.json"]
 
 
-def write_outputs(out_dir, records: list[SweepRecord], resolved_config: dict,
+def write_outputs(out_dir, records: list[SweepRecord],
                   fits: dict[str, RateFit]) -> list[str]:
-    """Persist a sweep's full file set and its manifest.
+    """Persist a sweep's full file set.
 
     Writes sweep.csv, sweep_metrics.json, ratefit.json (fits["E"], E
     error), ratefit_q.json (fits["Q"], corrected density error) and the
-    plot script. Returns the list of files written (manifest included).
+    plot script. Returns the names of the files written.
     """
     write_sweep_csv(out_dir, records)
     write_sweep_metrics(out_dir, records)
     write_ratefit(out_dir, fits["E"], "ratefit.json")
     write_ratefit(out_dir, fits["Q"], "ratefit_q.json")
     write_plot_script(out_dir, records)
-    files = ["sweep.csv", "sweep_metrics.json", "ratefit.json", "ratefit_q.json",
-             "plots.gp"]
-    write_manifest(out_dir, resolved_config, files + ["manifest.json"])
-    return files + ["manifest.json"]
+    return ["sweep.csv", "sweep_metrics.json", "ratefit.json", "ratefit_q.json",
+            "plots.gp"]
 
 
 def write_selfconv(out_dir, result: SelfConvergence) -> list[str]:
-    out = _ensure_dir(out_dir)
     lines = ["dt,error"]
     for dt, err in zip(result.dts, result.errors):
         lines.append(f"{_fmt(dt)},{_fmt(err)}")
-    (out / "selfconv.csv").write_text("\n".join(lines) + "\n")
-    payload = {"order": result.order, "dts": list(result.dts),
-               "errors": list(result.errors)}
-    (out / "selfconv.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(out_dir, "selfconv.csv", "\n".join(lines) + "\n")
+    _write_json(out_dir, "selfconv.json", {
+        "order": result.order, "dts": list(result.dts), "errors": list(result.errors)})
     return ["selfconv.csv", "selfconv.json"]

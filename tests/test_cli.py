@@ -131,6 +131,9 @@ def test_oracle_check_mismatch_exits_two(tmp_path, capsys):
     assert code == 2
     assert "discrepancy" in capsys.readouterr().err
     assert (out / "error.txt").exists()
+    # the measured discrepancy is kept, but a failed run writes no manifest
+    assert (out / "oracle.json").exists()
+    assert not (out / "manifest.json").exists()
 
 
 def test_simulate_writes_snapshots_and_diagnostics(tmp_path):
@@ -452,6 +455,34 @@ def test_failed_simulate_leaves_only_error_txt(tmp_path, monkeypatch, failing_ca
     assert run_cli(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 2
     assert (out / "error.txt").read_text() == message + "\n"
     assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+
+
+_RERUN_CONFIGS = {
+    "simulate": _simulate_config(1, 64, "qz"),
+    "sweep": {**SWEEP_CONFIG, "T": 0.02, "num_samples": 3},
+    "self-converge": {"experiment": "self-converge", "N": 256, "L": 20.0 * np.pi,
+                      "T": 0.02, "lambda": 8.0, "dt_list": [4e-3, 2e-3, 1e-3, 5e-4],
+                      "data": SWEEP_CONFIG["data"]},
+    "layer-decay": {"experiment": "layer-decay", "lambdas": [8.0],
+                    "lambda_times": [0.5, 1.0], "probe_points": [0.0, 1.0],
+                    "data": {"width": 4.5}},
+    "oracle-check": {**ORACLE_CONFIG, "T": 0.02},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_RERUN_CONFIGS))
+def test_failed_rerun_leaves_no_manifest(tmp_path, command):
+    # the earlier run's manifest, and the config it records, must not
+    # stand beside the failure of the rerun
+    path = write_config(tmp_path, _RERUN_CONFIGS[command])
+    out = tmp_path / "out"
+    argv = [command, "--config", path, "--out", str(out), "--quiet"]
+    assert run_cli(argv) == 0
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert files == sorted(p.name for p in out.iterdir())
+    assert run_cli(argv + ["--override", "data.width=0.01"]) == 2
+    assert (out / "error.txt").exists()
+    assert not (out / "manifest.json").exists()
 
 
 def _fail_on_third_call(call, exc):

@@ -286,7 +286,9 @@ def test_committed_manifest_records_only_the_keys_read(path, tmp_path):
     experiment = raw["experiment"]
     out = tmp_path / "out"
     assert run_cli([experiment, "--config", str(path), "--out", str(out), "--quiet"]) == 0
-    config = json.loads((out / "manifest.json").read_text())["config"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == sorted(p.name for p in out.iterdir())
+    config = manifest["config"]
     assert set(config) == EVERY | READS[experiment]
     owner = "layer-decay" if experiment == "layer-decay" else config["data"]["kind"]
     assert set(config["data"]) == DATA_READS[owner]
