@@ -238,6 +238,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     if experiment == "oracle-check":
         _expect(N <= 64, "N", f"oracle-check requires N <= 64, got {N}")
     if experiment == "self-converge":
+        _expect(len(dt_list) >= 4, "dt_list",
+                f"needs >= 4 entries (>= 3 plus the reference), got {list(dt_list)}")
         _expect(all(b < a for a, b in zip(dt_list, dt_list[1:])), "dt_list",
                 "must be strictly decreasing")
         for i, dt in enumerate(dt_list):

@@ -66,26 +66,30 @@ class Grid:
         """Integer mode indices j in FFT order."""
         return np.fft.fftfreq(self.N, d=1.0 / self.N).astype(int)
 
+    def _mesh(self, axis: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Read-only views of a 1-D axis broadcast to the grid shape, one
+        per dimension: at d=2 they hold no grid-sized buffer."""
+        if self.d == 1:
+            return (axis,)
+        return (np.broadcast_to(axis[:, None], self.shape),
+                np.broadcast_to(axis, self.shape))
+
     @cached_property
     def wavenumber_mesh(self) -> tuple[np.ndarray, ...]:
         """Per-axis wavenumber arrays broadcast to the full grid shape."""
-        k = self.wavenumbers_1d
-        if self.d == 1:
-            return (k,)
-        return tuple(np.meshgrid(k, k, indexing="ij"))
+        return self._mesh(self.wavenumbers_1d)
 
     @cached_property
     def k_squared(self) -> np.ndarray:
         """|xi|^2 on the full lattice."""
-        return sum(k**2 for k in self.wavenumber_mesh)
+        k2 = self.wavenumbers_1d**2
+        # the leading 0 + keeps the bits of summing the per-axis squares
+        return k2 if self.d == 1 else 0 + k2[:, None] + k2
 
     @cached_property
     def coordinates(self) -> tuple[np.ndarray, ...]:
         """Per-axis signed coordinates in [-L/2, L/2), broadcast to the grid."""
-        x = -0.5 * self.L + self.dx * np.arange(self.N)
-        if self.d == 1:
-            return (x,)
-        return tuple(np.meshgrid(x, x, indexing="ij"))
+        return self._mesh(-0.5 * self.L + self.dx * np.arange(self.N))
 
 
 def make_grid(d: int, N: int, L: float) -> Grid:

@@ -338,6 +338,18 @@ def test_unfittable_sweep_lambdas_exit_one(tmp_path, lambdas):
     assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
 
 
+def test_short_self_converge_dt_list_exits_one(tmp_path, capsys):
+    # self_convergence needs 3 step sizes plus the reference; a shorter list
+    # used to build the initial data, then exit 2 without naming the key
+    out = tmp_path / "out"
+    assert run_cli(["self-converge", "--override", "T=0.02",
+                    "--override", "dt_list=[4e-3,2e-3,1e-3]",
+                    "--out", str(out), "--quiet"]) == 1
+    assert "dt_list: needs >= 4 entries" in capsys.readouterr().err
+    assert (out / "error.txt").read_text().startswith("dt_list: ")
+    assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+
+
 def test_unexpected_error_is_recorded_and_reraised(tmp_path, monkeypatch):
     def broken(cfg, out, quiet):
         raise ValueError("boom")
@@ -349,15 +361,43 @@ def test_unexpected_error_is_recorded_and_reraised(tmp_path, monkeypatch):
     assert (out / "error.txt").read_text() == "ValueError: boom\n"
 
 
-def test_python_dash_m_runs_the_cli():
+def _fresh_python(args, **env_vars):
+    """Run a new interpreter that finds this qzak, with OPENBLAS_NUM_THREADS
+    unset (importing qzak here set it) unless given in env_vars."""
     src = str(Path(qzak.__file__).resolve().parents[1])
     env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_vars)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
     for module in ("qzak", "qzak.cli"):
-        done = subprocess.run([sys.executable, "-m", module, "version"], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = _fresh_python(["-m", module, "version"])
         assert done.returncode == 0, module
         assert done.stdout.strip() == f"qzak {qzak.__version__}", module
+
+
+_THREADS = ("import os, qzak; status = open('/proc/self/status').read();"
+            " print(status.split('Threads:')[1].split()[0],"
+            " os.environ['OPENBLAS_NUM_THREADS'])")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_import_starts_no_blas_threads():
+    # numpy's OpenBLAS would start nproc - 1 spinning workers for a polyfit
+    done = _fresh_python(["-c", _THREADS])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "1"]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_import_keeps_the_users_blas_threads():
+    done = _fresh_python(["-c", _THREADS], OPENBLAS_NUM_THREADS="2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[1] == "2"
 
 
 def _simulate_config(d, N, solver, num_samples=5):

@@ -152,6 +152,17 @@ def test_self_converge_dt_list_validation():
                      ' "dt_list": [3e-3, 1e-3, 5e-4, 2.5e-4]}')
 
 
+@pytest.mark.parametrize("dt_list,message", [
+    ([4e-3, 2e-3, 1e-3], "needs >= 4 entries"),
+    ([4e-3, 2e-3, 2e-3, 1e-3], "must be strictly decreasing"),
+])
+def test_self_converge_dt_list_names_the_key(dt_list, message):
+    with pytest.raises(ConfigError) as err:
+        resolve_config({"experiment": "self-converge", "T": 0.02, "dt_list": dt_list})
+    assert err.value.path == "dt_list"
+    assert message in str(err.value)
+
+
 def test_layer_decay_defaults():
     cfg = parse_config('{"experiment": "layer-decay"}')
     assert cfg.lambdas == (8.0, 16.0, 32.0)

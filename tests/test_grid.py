@@ -25,6 +25,18 @@ def test_lattice_2d_tensor_product():
     np.testing.assert_allclose(kx[:, 0], ky[0, :], atol=0)
 
 
+def test_2d_meshes_hold_no_grid_sized_buffer():
+    g = make_grid(2, 16, 3.0)
+    for mesh in (g.wavenumber_mesh, g.coordinates):
+        assert [a.shape for a in mesh] == [g.shape, g.shape]
+        assert [0 in a.strides for a in mesh] == [True, True]
+        assert not any(a.flags.writeable for a in mesh)
+    # the same bits as summing the squares of dense meshgrid arrays
+    old = sum(k**2 for k in np.meshgrid(g.wavenumbers_1d, g.wavenumbers_1d,
+                                         indexing="ij"))
+    assert [v.hex() for v in g.k_squared.ravel()] == [v.hex() for v in old.ravel()]
+
+
 def test_lattice_symmetric_except_nyquist():
     g = make_grid(1, 32, 5.0)
     ks = g.wavenumbers_1d
