@@ -107,24 +107,34 @@ def _simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     """Write each sample and its mass and energy as it lands.
 
     The sink copies the march's live arrays into one slot and submits
-    the sample to an executor with one worker thread, which measures it
-    and writes its snapshot and diagnostics row while the march steps
-    on. One sample is in flight: the sink waits for the worker to finish
-    the last one before it refills the slot, so samples are handled in
-    order and the first failure, in the worker or in the march, is the
-    one raised.
+    the sample to an executor with one worker thread, which writes its
+    snapshot and then measures it in the slot itself (the monitor
+    consumes its arguments) and writes its diagnostics row, while the
+    march steps on. One sample is in flight: the sink waits for the
+    worker to finish the last one before it refills the slot, so samples
+    are handled in order and the first failure, in the worker or in the
+    march, is the one raised.
+
+    Every grid-sized buffer has one owner: _simulate hands the initial
+    data to evolve and keeps no reference, so the march frees it after
+    its first step, and the run then holds the march's buffers and
+    kernels, the slot, and the monitor's half-spectrum buffers and
+    weights.
     """
     # imported here: it pulls in logging, and only simulate runs a worker
     from concurrent.futures import ThreadPoolExecutor
 
     sim = cfg.sim
     data = preset_initial_data(cfg.data_kind, cfg.data_params, sim.grid, sim.eps)
+    # start holds the initial data until the call to evolve takes it out,
+    # so that the march frees it after its first step
     if cfg.solver == "qz":
-        evolve, start, names = qz_evolve, data, ("E", "n", "nt")
+        evolve, start, names = qz_evolve, [data], ("E", "n", "nt")
         measure = qz_monitor(sim.grid, sim.eps, sim.lam)
     else:
-        evolve, start, names = qmnls_evolve, data.E0, ("E",)
+        evolve, start, names = qmnls_evolve, [data.E0], ("E",)
         measure = qmnls_monitor(sim.grid, sim.eps)
+    del data
     slot = tuple(np.empty(sim.grid.shape, complex if name == "E" else float)
                  for name in names)
     pending = None   # the future of the sample in the slot; its result is the mass
@@ -134,8 +144,8 @@ def _simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
         diag.write("t,mass,hamiltonian\n")
 
         def handle(t: float) -> float:
-            m, energy = measure(*slot)
             writer.write(t, slot)
+            m, energy = measure(*slot)
             diag.write(f"{t!r},{m!r},{energy!r}\n")
             return m
 
@@ -148,7 +158,7 @@ def _simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
             pending = worker.submit(handle, t)
 
         try:
-            evolve(sim, start, sink=sink)
+            evolve(sim, start.pop(), sink=sink)
         finally:
             # a failed sample came before whatever else stopped the march
             if pending is not None:
@@ -258,7 +268,10 @@ def run_cli(argv: list[str]) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if args.out:
-            write_error(Path(args.out), str(exc))
+            out = Path(args.out)
+            with contextlib.suppress(OSError):
+                (out / "manifest.json").unlink(missing_ok=True)
+            write_error(out, str(exc))
         return EXIT_CONFIG
 
     out = _out_dir(args, cfg)

@@ -2,6 +2,11 @@
 
 Every functional uses the same (L/N)^d measure as the norms, so values
 are comparable across resolutions and drifts are meaningful.
+
+The per-run monitors (qz_monitor, qmnls_monitor) measure in the arrays
+they are given: measure consumes its arguments, which hold scratch when
+it returns. Pass copies of anything that is still needed, as
+hamiltonian_qz and hamiltonian_qmnls do.
 """
 
 from __future__ import annotations
@@ -33,10 +38,10 @@ def mass(E: Field) -> float:
 # The energies are sums over the spectrum, evaluated by per-run monitors:
 # qz_monitor and qmnls_monitor build their weights and work buffers once
 # and return measure(arrays) -> (mass, energy), which allocates no
-# grid-sized array per call. The complex E takes a full transform; the
-# real fields n, nt and |E|^2 take a real one (rfftn), whose half
-# spectrum stands for the full one with each column weighted 2 when it
-# holds a conjugate pair and 1 for the zero and Nyquist columns. Every
+# grid-sized array per call. The complex E takes a full transform, in
+# place; the real fields n, nt and |E|^2 take a real one (rfftn), whose
+# half spectrum stands for the full one with each column weighted 2 when
+# it holds a conjugate pair and 1 for the zero and Nyquist columns. Every
 # weight includes the square of the transform normalization.
 
 def _half_shape(grid: Grid) -> tuple:
@@ -71,9 +76,12 @@ def qz_monitor(grid: Grid, eps: float, lam: float):
     + (1/2) ||n||^2 + (eps^2/2) ||grad n||^2 + int n |E|^2 dx
 
     The coupling integral is taken over the 2/3 band, by Plancherel.
-    Raises ZeroModeError unless nt has zero mean. Not thread-safe: the
-    monitor owns its buffers, so one thread at a time may call it (in
-    ``qzak simulate``, the one worker thread that handles the samples).
+    Raises ZeroModeError unless nt has zero mean. measure takes writable
+    contiguous arrays, complex E and real n and nt, and consumes E and
+    nt: it transforms E in place and puts |E|^2 into nt's array once it
+    has taken nt's energy. Not thread-safe: the monitor owns its buffers,
+    so one thread at a time may call it (in ``qzak simulate``, the one
+    worker thread that handles the samples).
     """
     fft, _, rfft = _transforms(grid)
     k2 = grid.k_squared
@@ -83,15 +91,14 @@ def qz_monitor(grid: Grid, eps: float, lam: float):
     w_n = _real_weights(grid, 0.5 / i_eps(grid, eps))
     w_nt = _real_weights(grid, (0.5 / lam**2) * inv_k2)
     w_coupling = _real_weights(grid, dealias_mask(grid).astype(float))
-    w_unit = _real_weights(grid, np.ones(grid.shape))
+    # the weights of a unit symbol, broadcast along the columns
+    w_unit = _column_weights(grid) * _forward_factor(grid) ** 2
     origin = (0,) * grid.d
-    S, E_hat = np.empty(grid.shape), np.empty(grid.shape, dtype=np.complex128)
-    S_hat, n_hat, nt_hat = (np.empty(_half_shape(grid), dtype=np.complex128)
-                            for _ in range(3))
+    S_hat, n_hat = (np.empty(_half_shape(grid), dtype=np.complex128) for _ in range(2))
     work = np.empty(_half_shape(grid))
 
     def measure(E: np.ndarray, n: np.ndarray, nt: np.ndarray) -> tuple:
-        rfft(nt, out=nt_hat)
+        nt_hat = rfft(nt, out=S_hat)
         zero = abs(nt_hat[origin]) * _forward_factor(grid)
         total = np.sqrt(_sum_sq(nt_hat, w_unit, work))
         if total > 0.0 and zero > ZERO_MODE_TOL * total:
@@ -99,18 +106,19 @@ def qz_monitor(grid: Grid, eps: float, lam: float):
                 "hamiltonian_qz (d_t n term) requires a zero-mean field "
                 f"(|zero mode| = {zero:.3e}, norm = {total:.3e})")
         energy = _sum_sq(nt_hat, w_nt, work)
+        S = nt  # nt is spent
         np.abs(E, out=S)
         np.square(S, out=S)
         m = float(_mass(grid, S))
         rfft(S, out=S_hat)
-        fft(E, out=E_hat)
+        E_hat = fft(E, out=E)
         energy += _sum_sq(E_hat, w_E, S)
         rfft(n, out=n_hat)
         energy += _sum_sq(n_hat, w_n, work)
-        # Re(conj(n_hat) S_hat), in the spent nt_hat
-        np.conjugate(n_hat, out=nt_hat)
-        np.multiply(nt_hat, S_hat, out=nt_hat)
-        np.multiply(nt_hat.real, w_coupling, out=work)
+        # Re(conj(n_hat) S_hat), in the spent n_hat
+        np.conjugate(n_hat, out=n_hat)
+        np.multiply(n_hat, S_hat, out=n_hat)
+        np.multiply(n_hat.real, w_coupling, out=work)
         return m, energy + float(np.sum(work))
     return measure
 
@@ -121,14 +129,15 @@ def qmnls_monitor(grid: Grid, eps: float):
     (1/2)||grad E||^2 + (eps^2/2)||Lap E||^2
     - (1/4) int |E|^2 (1 - eps^2 Lap)^-1 |E|^2 dx
 
-    Not thread-safe: the monitor owns its buffers, so one thread at a
-    time may call it (in ``qzak simulate``, the one worker thread that
-    handles the samples).
+    measure takes a writable contiguous complex E and consumes it: it
+    transforms E in place. Not thread-safe: the monitor owns its buffers,
+    so one thread at a time may call it (in ``qzak simulate``, the one
+    worker thread that handles the samples).
     """
     fft, _, rfft = _transforms(grid)
     w_E = -0.5 * delta_eps(grid, eps) * _forward_factor(grid) ** 2
     w_quartic = _real_weights(grid, 0.25 * potential_symbol(grid, eps))
-    S, E_hat = np.empty(grid.shape), np.empty(grid.shape, dtype=np.complex128)
+    S = np.empty(grid.shape)
     S_hat = np.empty(_half_shape(grid), dtype=np.complex128)
     work = np.empty(_half_shape(grid))
 
@@ -137,7 +146,7 @@ def qmnls_monitor(grid: Grid, eps: float):
         np.square(S, out=S)
         m = float(_mass(grid, S))
         rfft(S, out=S_hat)
-        fft(E, out=E_hat)
+        E_hat = fft(E, out=E)
         energy = _sum_sq(E_hat, w_E, S)
         return m, energy - _sum_sq(S_hat, w_quartic, work)
     return measure
@@ -145,12 +154,13 @@ def qmnls_monitor(grid: Grid, eps: float):
 
 def hamiltonian_qz(s: ZakharovState, eps: float, lam: float) -> float:
     """Energy of the coupled system; see ``qz_monitor``."""
-    return qz_monitor(s.grid, eps, lam)(s.E.values, s.n.values, s.nt.values)[1]
+    return qz_monitor(s.grid, eps, lam)(s.E.values.copy(), s.n.values.copy(),
+                                        s.nt.values.copy())[1]
 
 
 def hamiltonian_qmnls(E: Field, eps: float) -> float:
     """Energy of the limit equation; see ``qmnls_monitor``."""
-    return qmnls_monitor(E.grid, eps)(E.values)[1]
+    return qmnls_monitor(E.grid, eps)(E.values.copy())[1]
 
 
 def _outer_modes(grid: Grid, fraction: float) -> np.ndarray:
@@ -160,12 +170,15 @@ def _outer_modes(grid: Grid, fraction: float) -> np.ndarray:
     return (outer if grid.d == 1 else np.logical_or.outer(outer, outer)).reshape(-1)
 
 
-def _spectral_tail(grid: Grid, coeffs: np.ndarray, outer: np.ndarray):
+def _spectral_tail(grid: Grid, coeffs: np.ndarray, outer: np.ndarray,
+                   work: np.ndarray | None = None):
     """``spectral_tail`` of the field with spectral coefficients coeffs, or
     of each field of a stack of them, on the modes outer = _outer_modes(...).
     np.compress keeps each field's selected modes contiguous, so that each
-    field sums to the bits of a lone one."""
-    power = np.abs(coeffs) ** 2
+    field sums to the bits of a lone one. work, a real array of coeffs'
+    shape, is used as scratch when given."""
+    power = np.abs(coeffs, out=work)
+    np.square(power, out=power)
     power = power.reshape(power.shape[:power.ndim - grid.d] + (-1,))
     total = np.sum(power, axis=-1)
     tail = np.sum(np.compress(outer, power, axis=-1), axis=-1)

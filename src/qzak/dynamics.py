@@ -52,10 +52,13 @@ class Trajectory:
 # _march), so only the kernels of step sizes whose steps interleave are
 # alive at once. A kernel holds only the symbols that depend on the step
 # size; the potential symbol and omega_eps do not, and each advance
-# builds them once.
+# builds them once. A build allocates nothing but the kernel's own arrays
+# (and the boolean mask of wave_propagator): every argument is formed in
+# an output, and lam omega_eps in work space the advance lends.
 class _QZKernel:
     """Symbol arrays for one (grid, eps, lams, dt) step, om being
-    omega_eps on the grid.
+    omega_eps on the grid and work a real array of its shape, used as
+    scratch.
 
     The lam-dependent symbols are stacked, one row per entry of lams,
     with shape (len(lams),) + grid.shape; schrod_half has shape
@@ -66,12 +69,13 @@ class _QZKernel:
 
     __slots__ = ("schrod_half", "cos", "sinc", "minus_lam_om_sin")
 
-    def __init__(self, grid: Grid, eps: float, lams: tuple, dt: float, om: np.ndarray):
+    def __init__(self, grid: Grid, eps: float, lams: tuple, dt: float, om: np.ndarray,
+                 work: np.ndarray):
         self.schrod_half = schrodinger_group(grid, eps, 0.5 * dt)[np.newaxis]
         rows = np.empty((3, len(lams)) + grid.shape)
         self.cos, self.sinc, self.minus_lam_om_sin = rows
         for i, lam in enumerate(lams):
-            wave_propagator(om, lam, dt, *rows[:, i])
+            wave_propagator(om, lam, dt, *rows[:, i], work)
 
 
 def _kernel(kernels: dict, h: float, last: bool, build):
@@ -114,7 +118,6 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool):
     fft, ifft, _ = _transforms(grid)
     potential = potential_symbol(grid, eps, dealias)[np.newaxis]
     om = omega_eps(grid, eps)
-    kernels, build = {}, partial(_QZKernel, grid, eps, lams, om=om)
     shape = (len(lams),) + grid.shape
     # H stacks the rows (E, n, nt, |E|^2), the real fields with zero
     # imaginary parts (the transform of a real array and of its complex
@@ -126,6 +129,12 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool):
     # every buffer whose contents are spent.
     E_hat, phase = (np.empty(shape, dtype=np.complex128) for _ in range(2))
     H = np.zeros((4,) + shape, dtype=np.complex128)
+    # A kernel is built at the start of a step, where E_hat is spent. Its
+    # scratch is a contiguous real view of E_hat's first bytes: a strided
+    # .real would cost more.
+    kernels, build = {}, partial(_QZKernel, grid, eps, lams, om=om,
+                                 work=E_hat.reshape(-1).view(np.float64)[:grid.size]
+                                 .reshape(grid.shape))
     H_back, (E_out, Q_hat, Qt_hat, IS_hat) = H[:3], H
     n_out, nt_out = Q_hat.real, Qt_hat.real
     # numpy runs a strided real part through its general iterator when it
@@ -349,6 +358,12 @@ def qz_evolve(config: SimConfig, data: InitialData, sink=None, lams=None) -> Tra
     must give as well. A sink is required, and it receives the arrays
     stacked with shape (len(lams),) + grid.shape, one row per lam in
     order.
+
+    The march reads the initial data's arrays without copying them and
+    drops them after its first step, which copies n and nt into its own
+    buffers; qz_evolve keeps no reference to data. A caller that passes
+    the data without keeping it, as ``qzak simulate`` does, frees it
+    there.
     """
     if data.grid != config.grid:
         raise ParameterError("initial data grid does not match config grid")
@@ -363,9 +378,11 @@ def qz_evolve(config: SimConfig, data: InitialData, sink=None, lams=None) -> Tra
     else:
         lams = (config.lam,)
     advance = _qz_advance(config.grid, config.eps, lams, config.dealias)
-    arrays = _stacked(_arrays(data.E0, data.n0, data.n1), len(lams))
+    march = _march(config, _stacked(_arrays(data.E0, data.n0, data.n1), len(lams)),
+                   advance, lams if batch else None)
+    del data
     samples = []
-    for t, steps, arrays in _march(config, arrays, advance, lams if batch else None):
+    for t, steps, arrays in march:
         if not batch:  # a batch of one: the sink and the states see its row
             arrays = tuple(a[0] for a in arrays)
         if sink is not None:
@@ -374,23 +391,28 @@ def qz_evolve(config: SimConfig, data: InitialData, sink=None, lams=None) -> Tra
             # n and nt are real parts of complex buffers: a contiguous
             # copy keeps half the bytes a view would keep alive.
             samples.append((t, _qz_state(config.grid, t, tuple(a.copy() for a in arrays))))
+        del arrays  # at t = 0 the initial data's, which the first step drops
     return Trajectory(config=config, samples=tuple(samples), steps=steps)
 
 
 def qmnls_evolve(config: SimConfig, E0: Field, sink=None) -> Trajectory:
     """Evolve the limit equation from envelope E0.
 
-    A sink receives (t, (E,)) under the contract of ``qz_evolve``.
+    A sink receives (t, (E,)) under the contract of ``qz_evolve``, which
+    also holds for E0: the march drops it after its first step.
     """
     if E0.grid != config.grid:
         raise ParameterError("E0 grid does not match config grid")
     advance = _qmnls_advance(config.grid, config.eps, config.dealias)
+    march = _march(config, _arrays(E0), advance)
+    del E0
     samples = []
-    for t, steps, arrays in _march(config, _arrays(E0), advance):
+    for t, steps, arrays in march:
         if sink is not None:
             sink(t, arrays)
         else:
             samples.append((t, _qmnls_state(config.grid, t, (arrays[0].copy(),))))
+        del arrays  # at t = 0 the initial data's, which the first step drops
     return Trajectory(config=config, samples=tuple(samples), steps=steps)
 
 

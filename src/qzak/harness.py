@@ -60,14 +60,16 @@ def _run_group(config: SimConfig, data: InitialData, m: int, lams: tuple,
     of every row on the march's live arrays against the sample of a fresh
     limit march on the reference config, stepped in lockstep.
 
-    Each sample costs four transforms of the whole batch: E - E_ref
-    (differenced in physical space), E, n and |E|^2. Q and the layer
-    cos(lam t omega_eps) f0 are formed from coefficients, and only running
-    maxima and the masses are kept. The Sobolev weight, the tail modes
-    and omega_eps are built once per group, and each sample is reduced
-    over the rows of the batch at once; every row sums to the bits of a
-    lone field. Every record carries the batch's wall time: its march,
-    the group's reference march and the measurement of its samples.
+    Each sample costs one transform call on the stack of E - E_ref
+    (differenced in physical space), n, |E|^2 and E, each row of which
+    keeps the bits of a lone transform. Q and the layer
+    cos(lam t omega_eps) f0 are formed from coefficients, and only
+    running maxima and the masses are kept. The Sobolev weight, the tail
+    modes, omega_eps and every grid-sized work array are built once per
+    group, and each sample is reduced over the rows of the batch at
+    once; every row sums to the bits of a lone field. Every record
+    carries the batch's wall time: its march, the group's reference
+    march and the measurement of its samples.
     """
     start = time.perf_counter()
     grid, eps = config.grid, config.eps
@@ -82,20 +84,38 @@ def _run_group(config: SimConfig, data: InitialData, m: int, lams: tuple,
                              _qmnls_advance(grid, eps, reference.dealias))
     sup_err_E, sup_err_Q, sup_Q, max_tail = (np.zeros(len(lams)) for _ in range(4))
     masses = []
+    # The work arrays of every sample. The rows of X are transformed by
+    # one call; the real fields n and |E|^2 go in with zero imaginary
+    # parts, which gives the bits of their real transforms. S keeps |E|^2
+    # for the mass and power is the real scratch.
+    shape = (len(lams),) + grid.shape
+    X = np.empty((4,) + shape, dtype=np.complex128)
+    diff_hat, Q_hat, S_hat, E_hat = X
+    S, power = np.empty(shape), np.empty(shape)
+    lam_t = np.empty_like(lam_column)
 
     def measure(t: float, arrays: tuple) -> None:
         E, n, _ = arrays
         _, _, (E_ref,) = next(reference_march)
-        diff_hat = fft(E - E_ref) * factor
-        S = np.abs(E) ** 2
-        Q_hat = (fft(n) + potential * fft(S)) * factor
-        E_hat = fft(E) * factor
-        np.maximum(sup_err_E, _sobolev_norm(grid, diff_hat, weight), out=sup_err_E)
-        np.maximum(sup_Q, _sobolev_norm(grid, Q_hat, weight), out=sup_Q)
+        np.subtract(E, E_ref, out=diff_hat)
+        np.copyto(Q_hat, n)
+        np.square(np.abs(E, out=S), out=S)
+        np.copyto(S_hat, S)
+        np.copyto(E_hat, E)
+        fft(X, out=X)
+        np.multiply(diff_hat, factor, out=diff_hat)
+        np.multiply(E_hat, factor, out=E_hat)
+        # Q_hat = (fft(n) + potential fft(S)) factor
+        np.add(Q_hat, np.multiply(potential, S_hat, out=S_hat), out=Q_hat)
+        np.multiply(Q_hat, factor, out=Q_hat)
+        np.maximum(sup_err_E, _sobolev_norm(grid, diff_hat, weight, power), out=sup_err_E)
+        np.maximum(sup_Q, _sobolev_norm(grid, Q_hat, weight, power), out=sup_Q)
         # wave_cos of each row: cos(lam t omega_eps), with lam t formed first
-        Q_hat -= f0_hat * np.cos(lam_column * t * om)
-        np.maximum(sup_err_Q, _sobolev_norm(grid, Q_hat, weight), out=sup_err_Q)
-        np.maximum(max_tail, _spectral_tail(grid, E_hat, outer), out=max_tail)
+        layer = np.multiply(np.multiply(lam_column, t, out=lam_t), om, out=power)
+        np.cos(layer, out=layer)
+        np.subtract(Q_hat, np.multiply(f0_hat, layer, out=S_hat), out=Q_hat)
+        np.maximum(sup_err_Q, _sobolev_norm(grid, Q_hat, weight, power), out=sup_err_Q)
+        np.maximum(max_tail, _spectral_tail(grid, E_hat, outer, power), out=max_tail)
         masses.append(_mass(grid, S))
 
     steps = qz_evolve(config, data, sink=measure, lams=lams).steps

@@ -24,11 +24,15 @@ def _sobolev_weight(grid: Grid, m: int) -> np.ndarray:
     return (1.0 + grid.k_squared) ** m
 
 
-def _sobolev_norm(grid: Grid, coeffs: np.ndarray, weight: np.ndarray):
+def _sobolev_norm(grid: Grid, coeffs: np.ndarray, weight: np.ndarray,
+                  work: np.ndarray | None = None):
     """``sobolev_norm`` of the field with spectral coefficients coeffs, or
     of each field of a stack of them, with weight = _sobolev_weight(grid, m).
-    Each field sums to the bits of a lone one."""
-    return np.sqrt(np.sum(weight * np.abs(coeffs) ** 2, axis=grid.axes))
+    Each field sums to the bits of a lone one. work, a real array of
+    coeffs' shape, is used as scratch when given."""
+    power = np.abs(coeffs, out=work)
+    np.square(power, out=power)
+    return np.sqrt(np.sum(np.multiply(weight, power, out=power), axis=grid.axes))
 
 
 def sobolev_norm(f: Field, m: int) -> float:

@@ -75,8 +75,8 @@ def unit_phase(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.exp(-1j * t * y) and np.exp(-0.5j * h * n) with x = -t * y and
     x = -0.5 * h * n: the complex argument has a real part of zero, and
     numpy's complex exp returns (cos, sin) of its imaginary part (where
-    x is zero, the zero imaginary part may differ in sign). x must not
-    share memory with out.
+    x is zero, the zero imaginary part may differ in sign). x may be
+    out.imag itself, and must not otherwise share memory with out.
     """
     np.cos(x, out=out.real)
     np.sin(x, out=out.imag)
@@ -88,8 +88,12 @@ def schrodinger_group(grid: Grid, eps: float, t: float) -> np.ndarray:
     eps = _check_eps(eps)
     _check_t(t, "schrodinger_group")
     k2 = grid.k_squared
-    return unit_phase(-t * (k2 + eps * eps * k2 * k2),
-                      np.empty(k2.shape, dtype=np.complex128))
+    out = np.empty(k2.shape, dtype=np.complex128)
+    # -t (k2 + eps^2 k2^2), formed in out.imag with no temporary
+    x = np.multiply(eps * eps, k2, out=out.imag)
+    np.multiply(x, k2, out=x)
+    np.add(k2, x, out=x)
+    return unit_phase(np.multiply(-t, x, out=x), out)
 
 
 def wave_cos(grid: Grid, eps: float, lam: float, t: float) -> np.ndarray:
@@ -100,25 +104,28 @@ def wave_cos(grid: Grid, eps: float, lam: float, t: float) -> np.ndarray:
 
 
 def wave_propagator(om: np.ndarray, lam: float, t: float, cos: np.ndarray,
-                    sinc: np.ndarray, rate: np.ndarray) -> None:
+                    sinc: np.ndarray, rate: np.ndarray, lam_om: np.ndarray) -> None:
     """Write the exact wave step over time t for om = omega_eps: the
     cosine propagator cos(lam t om) into cos, sin(lam t om)/(lam om),
     with the removable limit t where om = 0, into sinc, and
-    -lam om sin(lam t om) into rate.
+    -lam om sin(lam t om) into rate. lam_om, a real array of om's shape,
+    is scratch.
 
     One sin serves both sin symbols. cos has the bits of wave_cos, and
-    each element the bits of a lone evaluation of its expression.
+    each element the bits of a lone evaluation of its expression. The
+    angle and the sin are formed in sinc, so the only temporary is the
+    boolean mask of om > 0.
     """
     lam = _check_lam(lam)
     _check_t(t, "wave_propagator")
-    angle = lam * t * om
+    angle = np.multiply(lam * t, om, out=sinc)
     np.cos(angle, out=cos)
     sin = np.sin(angle, out=angle)
-    lam_om = lam * om
+    np.multiply(lam, om, out=lam_om)
+    np.negative(np.multiply(lam_om, sin, out=rate), out=rate)
     nz = om > 0.0
     np.divide(sin, lam_om, out=sinc, where=nz)
-    sinc[~nz] = t
-    np.negative(np.multiply(lam_om, sin, out=rate), out=rate)
+    sinc[np.logical_not(nz, out=nz)] = t
 
 
 def _derivative_symbol(grid: Grid, axis: int) -> np.ndarray:

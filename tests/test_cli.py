@@ -523,6 +523,11 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, command):
     assert run_cli(argv + ["--override", "data.width=0.01"]) == 2
     assert (out / "error.txt").exists()
     assert not (out / "manifest.json").exists()
+    # a rerun whose config does not resolve stops before its runner
+    assert run_cli(argv) == 0
+    assert run_cli(argv + ["--override", "N=15"]) == 1
+    assert (out / "error.txt").exists()
+    assert not (out / "manifest.json").exists()
 
 
 def _fail_on_third_call(call, exc):
@@ -578,12 +583,62 @@ def test_simulate_reports_the_first_failing_sample(tmp_path, monkeypatch, stage)
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("solver", ["qz", "qmnls"])
+def test_simulate_frees_the_initial_data_after_the_first_step(tmp_path, monkeypatch,
+                                                              solver):
+    # the march copies the initial data into its own buffers at its first
+    # step, and nothing else in the run keeps it: every array of it is
+    # gone before the second step, well inside the first sample interval
+    import weakref
+    from qzak import cli, dynamics
+
+    refs, alive = [], []
+    real_preset = cli.preset_initial_data
+
+    def preset(*args):
+        data = real_preset(*args)
+        for field in (data.E0, data.n0, data.n1):
+            owner = field.values
+            while owner.base is not None:
+                owner = owner.base
+            refs.append(weakref.ref(owner))
+        return data
+
+    def counted(make_advance):
+        def make(*args):
+            advance = make_advance(*args)
+
+            def step(arrays, h, last):
+                alive.append(sum(ref() is not None for ref in refs))
+                return advance(arrays, h, last)
+            return step
+        return make
+
+    monkeypatch.setattr(cli, "preset_initial_data", preset)
+    for name in ("_qz_advance", "_qmnls_advance"):
+        monkeypatch.setattr(dynamics, name, counted(getattr(dynamics, name)))
+    path = write_config(tmp_path, _simulate_config(2, 32, solver))
+    assert run_cli(["simulate", "--config", path, "--out", str(tmp_path / "out"),
+                    "--quiet"]) == 0
+    assert len(refs) == 3 and len(alive) == 32
+    assert alive[0] == (3 if solver == "qz" else 1)
+    assert alive[1:] == [0] * 31
+
+
 def test_simulate_memory_is_bounded_by_the_grid(tmp_path):
     import tracemalloc
 
     raw = _simulate_config(2, 64, "qz", num_samples=64)
     path = write_config(tmp_path, raw)
     sample_bytes = 64 * 64 * (16 + 8 + 8)
+    # The run's buffers, in bytes a grid point: the march's six complex
+    # grids (96), at most two live step kernels (2 x 40), the slot (32),
+    # the monitor's two half spectra, work row and weights (41), and
+    # omega_eps, the potential symbol and |xi|^2 (24). The initial data
+    # is freed after the first step. The margin of two samples covers
+    # numpy's casting buffers, the output files' buffers and the run's
+    # Python objects.
+    held = 64 * 64 * (96 + 2 * 40 + 32 + 41 + 24)
     # a first run in the process makes one-off allocations that later runs
     # do not; the step kernels are built in every run, and each lives only
     # from the first to the last step of its size
@@ -596,4 +651,4 @@ def test_simulate_memory_is_bounded_by_the_grid(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * sample_bytes
+    assert peak < held + 2 * sample_bytes

@@ -92,6 +92,36 @@ def test_real_transform_hamiltonians_match_full_spectrum(rng, d, N):
     assert hamiltonian_qmnls(state.E, eps) == pytest.approx(want_qmnls, rel=1e-13)
 
 
+@pytest.mark.parametrize("solver", ["qz", "qmnls"])
+@pytest.mark.parametrize("d, N", [(1, 32), (2, 16)])
+def test_monitors_measure_in_the_arrays_they_are_given(rng, solver, d, N):
+    # measure consumes its arguments: E comes back as its transform, and
+    # the coupled monitor also uses nt's array as scratch but leaves n
+    # alone. The values are those of mass and of the Hamiltonians, which
+    # pass copies.
+    from qzak.diagnostics import qmnls_monitor, qz_monitor
+    from qzak.field import _transforms
+
+    grid = make_grid(d, N, 5.0)
+    eps, lam = 0.7, 3.0
+    E = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    n = rng.standard_normal(grid.shape)
+    nt = rng.standard_normal(grid.shape)
+    nt -= np.mean(nt)
+    state = ZakharovState(t=0.0, E=complex_field(grid, E), n=real_field(grid, n),
+                          nt=real_field(grid, nt))
+    slot = [E.copy(), n.copy(), nt.copy()]
+    if solver == "qz":
+        got = qz_monitor(grid, eps, lam)(*slot)
+        want = hamiltonian_qz(state, eps, lam)
+        assert np.array_equal(slot[1], n)
+    else:
+        got = qmnls_monitor(grid, eps)(slot[0])
+        want = hamiltonian_qmnls(state.E, eps)
+    assert np.array_equal(slot[0], _transforms(grid)[0](E))
+    assert got == (mass(state.E), want)
+
+
 def test_hamiltonian_qz_linear_wave_invariant(grid64):
     x = grid64.coordinates[0]
     zero = real_field(grid64, np.zeros(64))

@@ -183,8 +183,8 @@ def test_march_keeps_each_kernel_only_while_it_needs_it(monkeypatch):
     built, live, peak = [], weakref.WeakSet(), [0]
 
     class Counted(dynamics._QZKernel):  # no __slots__, so weakly referable
-        def __init__(self, grid, eps, lams, dt, om):
-            super().__init__(grid, eps, lams, dt, om)
+        def __init__(self, grid, eps, lams, dt, **buffers):
+            super().__init__(grid, eps, lams, dt, **buffers)
             built.append(dt)
             live.add(self)
             peak[0] = max(peak[0], len(live))
@@ -194,6 +194,28 @@ def test_march_keeps_each_kernel_only_while_it_needs_it(monkeypatch):
     assert sorted(built) == sorted(spans)
     assert peak[0] == overlap
     assert len(live) == 0
+
+
+def test_kernel_build_allocates_only_the_kernel():
+    # Every symbol is formed in the kernel's own arrays and lam omega_eps
+    # in the work space the advance lends. The margin is wave_propagator's
+    # boolean mask of om > 0 (one byte a point) and 4 KiB for Python
+    # objects and numpy's masked assignment.
+    import tracemalloc
+
+    grid = make_grid(2, 64, 16.0 * np.pi)
+    lams, om, work = (16.0, 32.0), omega_eps(grid, 1.0), np.empty(grid.shape)
+    build = lambda: dynamics._QZKernel(grid, 1.0, lams, 1e-3, om=om, work=work)
+    build()  # caches grid.k_squared
+    tracemalloc.start()
+    try:
+        kern = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = kern.schrod_half.nbytes + 3 * kern.cos.nbytes
+    assert own == grid.size * (16 + 3 * 8 * len(lams))
+    assert peak <= own + grid.size + 4096
 
 
 # d=1 N=64 and d=2 N=128 lie on either side of the 256 KiB size from

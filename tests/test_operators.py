@@ -14,7 +14,7 @@ from conftest import random_real_values
 def wave_symbols(grid, eps, lam, t):
     """(cos, sinc, rate) of wave_propagator as fresh arrays."""
     rows = np.empty((3,) + grid.shape)
-    wave_propagator(omega_eps(grid, eps), lam, t, *rows)
+    wave_propagator(omega_eps(grid, eps), lam, t, *rows, np.empty(grid.shape))
     return rows
 
 
