@@ -5,9 +5,9 @@ __version__ = "0.1.0"
 
 import os
 
-# qzak's only BLAS call is np.polyfit on at most 9 points, yet numpy's
-# bundled OpenBLAS starts nproc - 1 worker threads when it loads, and each
-# spins before it sleeps. On a 2-vCPU host a fresh `qzak sweep` of
+# qzak calls no BLAS or LAPACK routine, yet numpy's bundled OpenBLAS
+# starts nproc - 1 worker threads when it loads, and each spins before it
+# sleeps. On a 2-vCPU host a fresh `qzak sweep` of
 # configs/sweep_generic.json used 0.78 s of CPU with that pool and 0.66 s
 # without it (medians of 10 alternating runs), and `qzak self-converge`
 # 0.84 s against 0.74 s. OpenBLAS reads the variable once, when it loads,
@@ -21,7 +21,7 @@ from .field import Field, complex_field, real_field, to_spectral
 from .operators import apply_multiplier
 from .norms import l2_norm, sobolev_norm
 from .state import (InitialData, PresetParams, SchrodingerState, SimConfig,
-                    ZakharovState, compatibility_defect, preset_initial_data)
+                    ZakharovState, preset_initial_data)
 from .dynamics import (Trajectory, oracle_evolve, qmnls_evolve, qmnls_step,
                        qz_evolve, qz_step)
 from .layer import DecayProbeReport, decay_probe, q0_exact, q_field
@@ -37,7 +37,7 @@ __all__ = [
     "apply_multiplier",
     "l2_norm", "sobolev_norm",
     "SimConfig", "ZakharovState", "SchrodingerState", "InitialData",
-    "PresetParams", "preset_initial_data", "compatibility_defect",
+    "PresetParams", "preset_initial_data",
     "Trajectory", "qz_step", "qz_evolve", "qmnls_step", "qmnls_evolve",
     "oracle_evolve",
     "q_field", "q0_exact", "decay_probe", "DecayProbeReport",

@@ -30,7 +30,7 @@ from .layer import decay_probe
 from .norms import l2_norm
 from .outputs import (SnapshotWriter, _write_json, write_decay_report, write_error,
                       write_manifest, write_outputs, write_selfconv)
-from .state import _gaussian, check_resolution, preset_initial_data
+from .state import _gaussian, preset_initial_data
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -188,7 +188,6 @@ def _run_layer_decay(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]
     sim = cfg.sim
     grid = sim.grid
     p = cfg.data_params
-    check_resolution(grid, p.width, p.center, p)
     f0 = real_field(grid, _gaussian(grid, p.amplitude, p.width, p.center))
     reports = []
     for lam in cfg.lambdas:

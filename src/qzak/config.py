@@ -1,7 +1,8 @@
 """Experiment-file schema, validation, and defaults.
 
 Configs are JSON objects. Keys the experiment does not read (``_READS``),
-range violations and non-finite numbers are rejected with their path. The
+range violations, non-finite numbers and data Gaussians that the grid
+does not resolve are rejected with their path. The
 run defaults (dt0, c_lambda, m, dealias, 64 sample times) come from
 ``SimConfig`` and the initial-data defaults from ``PresetParams``; the
 experiment defaults are N=1024, L=40*pi, T=0.5 and epsilon=1.
@@ -15,9 +16,10 @@ from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ResolutionError
 from .grid import make_grid
-from .state import DEFAULT_NUM_SAMPLES, PRESET_KINDS, PresetParams, SimConfig
+from .state import (DEFAULT_NUM_SAMPLES, PRESET_KINDS, PresetParams, SimConfig,
+                    check_resolution)
 
 DEFAULT_L = 40.0 * math.pi
 # layer-decay's table multiplies f0's coefficients by |xi|^k: rounding at
@@ -247,13 +249,25 @@ def resolve_config(raw: dict) -> ExperimentConfig:
             _expect(abs(steps - round(steps)) <= 1e-9 * steps, f"dt_list[{i}]",
                     f"{dt} does not divide T = {T}")
 
+    grid = make_grid(dimension, N, L)
+    # each Gaussian the run builds, named by its width key: the envelope,
+    # and for generic data the n0 and n1 bumps
+    generic = kind == "generic" and experiment != "layer-decay"
+    bumps = ("", "n_", "n1_") if generic else ("",)
+    for bump in bumps:
+        try:
+            check_resolution(grid, getattr(params, f"{bump}width"),
+                             getattr(params, f"{bump}center"), params)
+        except ResolutionError as exc:
+            raise ConfigError(f"data.{bump}width", str(exc)) from exc
+
     out_dir = raw.get("out_dir")
     _expect(out_dir is None or (isinstance(out_dir, str) and out_dir != ""),
             "out_dir", f"expected a nonempty string, got {out_dir!r}")
     read.resolved["out_dir"] = out_dir
 
     sim = SimConfig(eps=epsilon, lam=lambdas[0], T=T,
-                    grid=make_grid(dimension, N, L), dt0=dt0, c_lam=c_lambda,
+                    grid=grid, dt0=dt0, c_lam=c_lambda,
                     m=m, dealias=dealias,
                     sample_times=tuple(np.linspace(0.0, T, num_samples)))
 

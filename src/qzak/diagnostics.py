@@ -201,3 +201,17 @@ def drift(series: list[float]) -> float:
     if scale == 0.0:
         return float(max(abs(v) for v in series))
     return float(max(abs(v - v0) for v in series) / scale)
+
+
+def _fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
+    """(slope, intercept) of the least-squares line through (xs, ys), from
+    centred sums: slope = sum(dx dy) / sum(dx^2), where dx and dy are the
+    deviations from the means, and intercept = mean(ys) - slope mean(xs).
+    It agrees with np.polyfit(xs, ys, 1) to rounding without calling
+    LAPACK, whose first call in a process keeps its solver resident until
+    exit. The caller guarantees two distinct xs, so the denominator is
+    not 0."""
+    x_mean, y_mean = np.mean(xs), np.mean(ys)
+    dx = xs - x_mean
+    slope = float(np.sum(dx * (ys - y_mean)) / np.sum(dx * dx))
+    return slope, float(y_mean - slope * x_mean)

@@ -16,7 +16,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .diagnostics import _mass, _outer_modes, _spectral_tail, drift
+from .diagnostics import _fit_line, _mass, _outer_modes, _spectral_tail, drift
 from .errors import DegenerateInputError, ParameterError
 from .field import Field, _forward_factor, _transforms, to_spectral
 from .norms import _sobolev_norm, _sobolev_weight, l2_norm
@@ -175,10 +175,10 @@ def fit_rate(records: list[SweepRecord], which: str = "E-error") -> RateFit:
         raise DegenerateInputError("rate fit needs strictly positive errors")
     xs = np.log(lams)
     ys = np.log(errors)
-    slope, intercept = np.polyfit(xs, ys, 1)
+    slope, intercept = _fit_line(xs, ys)
     residual = float(np.max(np.abs(ys - (slope * xs + intercept))))
-    return RateFit(slope=float(slope), intercept=float(intercept),
-                   residual=residual, lambdas=tuple(lams))
+    return RateFit(slope=slope, intercept=intercept, residual=residual,
+                   lambdas=tuple(lams))
 
 
 @dataclass(frozen=True)
@@ -224,9 +224,7 @@ def self_convergence(config: SimConfig, data: InitialData, dt_list,
         # exact substeps (e.g. purely linear data) leave nothing to fit
         return SelfConvergence(dts=tuple(dts[:-1]), errors=tuple(errors),
                                order=float("nan"))
-    xs = np.log(dts[:-1])
-    ys = np.log(errors)
-    order = float(np.polyfit(xs, ys, 1)[0])
+    order, _ = _fit_line(np.log(dts[:-1]), np.log(errors))
     return SelfConvergence(dts=tuple(dts[:-1]), errors=tuple(errors), order=order)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import _fit_line
 from .errors import NonFiniteFieldError, ParameterError, WrapAroundError
 from .field import Field, inverse_values, real_field, to_spectral
 from .operators import _derivative_symbol, apply_multiplier, wave_cos
@@ -151,9 +152,9 @@ def _fit_inner_exponent(rows: list[ProbeRow]) -> float:
     pairs = [(lt, v) for lt, v in pairs if v > 1e-13 * peak]
     if len(pairs) < 2:
         return float("nan")
-    xs = np.log([1.0 + lt for lt, _ in pairs])
-    ys = np.log([v for _, v in pairs])
-    return float(np.polyfit(xs, ys, 1)[0])
+    slope, _ = _fit_line(np.log([1.0 + lt for lt, _ in pairs]),
+                         np.log([v for _, v in pairs]))
+    return slope
 
 
 def _outer_envelope_factor(rows: list[ProbeRow]) -> float:

@@ -20,11 +20,10 @@ from .errors import ParameterError, ResolutionError
 from .field import (Field, complex_field, dealias_mask, real_field,
                     require_same_grid)
 from .grid import Grid
-from .norms import l2_norm, sobolev_norm
+from .norms import l2_norm
 from .operators import apply_multiplier, delta_eps, potential_symbol
 
 MEAN_TOL = 1e-12
-COMPAT_TOL = 1e-10
 PRESET_KINDS = ("generic", "compatible", "well-prepared")
 DEFAULT_NUM_SAMPLES = 64
 
@@ -234,13 +233,7 @@ def preset_initial_data(kind: str, params: PresetParams, grid: Grid, eps: float)
         n1 = real_field(grid, np.zeros(grid.shape))
     else:
         n1 = real_field(grid, _remove_tiny_mean(-layer_velocity_source(E0, eps).values))
-    data = InitialData(E0=E0, n0=n0, n1=n1)
-    defect = compatibility_defect(data, eps, 0)
-    scale = l2_norm(n0) + l2_norm(E0) ** 2
-    if scale > 0.0 and defect > COMPAT_TOL * scale:
-        raise ParameterError(f"{kind} preset failed its compatibility identity "
-                             f"(defect {defect:.3e})")
-    return data
+    return InitialData(E0=E0, n0=n0, n1=n1)
 
 
 def _remove_tiny_mean(values: np.ndarray) -> np.ndarray:
@@ -248,8 +241,3 @@ def _remove_tiny_mean(values: np.ndarray) -> np.ndarray:
     if abs(mean) > MEAN_TOL:
         return values - mean
     return values
-
-
-def compatibility_defect(data: InitialData, eps: float, m: int) -> float:
-    """H^m size of n0 + I_eps |E0|^2 (zero exactly for compatible data)."""
-    return sobolev_norm(q_field(data.initial_state(), eps), m)

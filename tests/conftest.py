@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qzak import PresetParams, make_grid, preset_initial_data
+from qzak import PresetParams, make_grid, preset_initial_data, q_field, sobolev_norm
 
 
 @pytest.fixture
@@ -47,3 +47,8 @@ def random_real_values(rng, grid):
 
 def random_complex_values(rng, grid):
     return rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+
+
+def compatibility_defect(data, eps, m):
+    """H^m size of Q = n0 + I_eps |E0|^2 at t=0 (zero for compatible data)."""
+    return sobolev_norm(q_field(data.initial_state(), eps), m)

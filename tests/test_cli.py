@@ -300,15 +300,34 @@ def test_layer_decay_overflowing_k_max_exits_one(tmp_path, capsys, k_max):
     assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
 
 
-def test_layer_decay_unresolved_width_exits_two(tmp_path, capsys):
+def test_layer_decay_unresolved_width_exits_one(tmp_path, capsys):
     # 0.3 is 2.4 points per width on the default grid, where every fitted
     # inner exponent would be nan
     out = tmp_path / "out"
     assert run_cli(["layer-decay", "--override", "data.width=0.3",
                     "--override", "lambda_times=[0.25,0.5,1.0]",
-                    "--out", str(out), "--quiet"]) == 2
-    assert "width 0.3 is under-resolved" in capsys.readouterr().err
-    assert "width 0.3 is under-resolved" in (out / "error.txt").read_text()
+                    "--out", str(out), "--quiet"]) == 1
+    assert "data.width: Gaussian width 0.3 is under-resolved" in capsys.readouterr().err
+    assert (out / "error.txt").read_text().startswith(
+        "data.width: Gaussian width 0.3 is under-resolved")
+    assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+
+
+@pytest.mark.parametrize("command,config,override,key", [
+    ("sweep", "sweep_generic.json", "N=16", "data.width"),
+    ("oracle-check", "oracle_check.json", "data.width=0.5", "data.width"),
+    ("self-converge", "self_converge.json", "data.n_width=0.01", "data.n_width"),
+    ("sweep", "sweep_generic.json", "data.n1_center=[1000.0]", "data.n1_width"),
+    ("simulate", "simulate.json", "data.center=[1000.0]", "data.width"),
+])
+def test_unresolved_gaussian_exits_one_and_names_its_width(tmp_path, command, config,
+                                                           override, key):
+    # decided by the config alone, so caught before the run builds anything
+    path = Path(__file__).resolve().parents[1] / "configs" / config
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(path), "--override", override,
+                    "--out", str(out), "--quiet"]) == 1
+    assert (out / "error.txt").read_text().startswith(f"{key}: ")
     assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
 
 
@@ -387,7 +406,8 @@ _THREADS = ("import os, qzak; status = open('/proc/self/status').read();"
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
 def test_import_starts_no_blas_threads():
-    # numpy's OpenBLAS would start nproc - 1 spinning workers for a polyfit
+    # numpy's OpenBLAS starts nproc - 1 spinning workers when it loads,
+    # although qzak makes no BLAS call
     done = _fresh_python(["-c", _THREADS])
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1", "1"]
@@ -504,30 +524,66 @@ _RERUN_CONFIGS = {
                       "T": 0.02, "lambda": 8.0, "dt_list": [4e-3, 2e-3, 1e-3, 5e-4],
                       "data": SWEEP_CONFIG["data"]},
     "layer-decay": {"experiment": "layer-decay", "lambdas": [8.0],
-                    "lambda_times": [0.5, 1.0], "probe_points": [0.0, 1.0],
+                    "lambda_times": [0.5, 2.0, 4.0], "probe_points": [0.0, 1.0],
                     "data": {"width": 4.5}},
     "oracle-check": {**ORACLE_CONFIG, "T": 0.02},
 }
 
 
 @pytest.mark.parametrize("command", sorted(_RERUN_CONFIGS))
-def test_failed_rerun_leaves_no_manifest(tmp_path, command):
+def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch, command):
     # the earlier run's manifest, and the config it records, must not
     # stand beside the failure of the rerun
+    from qzak import cli
+    from qzak.errors import NonFiniteFieldError
+
     path = write_config(tmp_path, _RERUN_CONFIGS[command])
     out = tmp_path / "out"
     argv = [command, "--config", path, "--out", str(out), "--quiet"]
     assert run_cli(argv) == 0
     files = json.loads((out / "manifest.json").read_text())["files"]
     assert files == sorted(p.name for p in out.iterdir())
-    assert run_cli(argv + ["--override", "data.width=0.01"]) == 2
+    # the rerun fails after its runner has written every file
+    runner = cli._RUNNERS[command]
+
+    def failing(cfg, out, quiet):
+        runner(cfg, out, quiet)
+        raise NonFiniteFieldError("field 'E' became non-finite")
+
+    with monkeypatch.context() as patch:
+        patch.setitem(cli._RUNNERS, command, failing)
+        assert run_cli(argv) == 2
     assert (out / "error.txt").exists()
     assert not (out / "manifest.json").exists()
     # a rerun whose config does not resolve stops before its runner
-    assert run_cli(argv) == 0
-    assert run_cli(argv + ["--override", "N=15"]) == 1
-    assert (out / "error.txt").exists()
-    assert not (out / "manifest.json").exists()
+    for override in ("N=15", "data.width=0.01"):
+        assert run_cli(argv) == 0
+        assert run_cli(argv + ["--override", override]) == 1
+        assert (out / "error.txt").exists()
+        assert not (out / "manifest.json").exists()
+
+
+# numpy.linalg's solvers, each of which calls LAPACK
+_LAPACK = ("cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
+           "matrix_rank", "pinv", "qr", "slogdet", "solve", "svd")
+
+
+@pytest.mark.parametrize("command", sorted(_RERUN_CONFIGS))
+def test_no_run_calls_lapack(tmp_path, monkeypatch, command):
+    # the rate, order and decay fits are closed form: LAPACK's first call in a
+    # process would keep its solver resident until exit
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    for name in _LAPACK:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", write_config(tmp_path, _RERUN_CONFIGS[command]),
+                    "--out", str(out), "--quiet"]) == 0
+    if command == "layer-decay":  # two inner times, so the exponent is fitted
+        fit = json.loads((out / "decayfit.json").read_text())["per_lambda"][0]
+        assert np.isfinite(fit["inner_exponent"])
 
 
 def _fail_on_third_call(call, exc):

@@ -125,7 +125,7 @@ def test_oracle_check_requires_small_grid():
     assert err.value.path == "N"
     cfg = parse_config('{"experiment": "oracle-check", "N": 32, "L": 25.0,'
                        ' "data": {"width": 5.0, "min_points_per_width": 3.0,'
-                       ' "edge_tol": 1e-7}}')
+                       ' "edge_tol": 1e-2}}')
     assert cfg.sim.grid.N == 32
 
 
@@ -171,7 +171,7 @@ def test_layer_decay_defaults():
 
 
 def test_layer_decay_probe_points_must_lie_in_box():
-    base = {"experiment": "layer-decay", "L": 40.0}
+    base = {"experiment": "layer-decay", "L": 40.0, "data": {"edge_tol": 1e-8}}
     for points, bad in (([0.0, 20.0], 1), ([-20.5, 0.0], 0)):
         with pytest.raises(ConfigError) as err:
             resolve_config({**base, "probe_points": points})
@@ -183,7 +183,8 @@ def test_layer_decay_k_max_bounded_by_rounding_growth():
     # eps_mach (pi N / L)^k_max <= 1e-6: k_max <= 6 at the default
     # xi_max = 25.6, and <= 4 at N=1024, L=10 pi (xi_max = 102.4), whose
     # box needs probe points nearer the center than the defaults
-    small = {"L": 10.0 * np.pi, "probe_points": [0.0, 1.0, 2.0]}
+    small = {"L": 10.0 * np.pi, "probe_points": [0.0, 1.0, 2.0],
+             "data": {"edge_tol": 1e-5}}
     assert resolve_config({"experiment": "layer-decay", "k_max": 6}).k_max == 6
     assert resolve_config({"experiment": "layer-decay", "k_max": 4, **small}).k_max == 4
     for raw in ({"k_max": 7}, {"k_max": 5, **small}):
@@ -242,33 +243,42 @@ DATA_READS = {
     "well-prepared": ENVELOPE,
     "layer-decay": {"amplitude", "width", "center", "min_points_per_width", "edge_tol"},
 }
-# A valid value of every key any experiment reads; N = 32 suits oracle-check,
-# and L = 100 keeps the default layer-decay probe points inside the box.
+# A valid value of every key any experiment reads besides data; N = 32 suits
+# oracle-check, and L = 100 keeps the default layer-decay probe points inside
+# the box.
 VALUES = {
     "epsilon": 0.5, "dimension": 1, "N": 32, "L": 100.0, "out_dir": "runs/x",
-    "data": {}, "lambda": 8.0, "lambdas": [4.0, 8.0, 16.0], "T": 1.0, "dt0": 2e-3,
+    "lambda": 8.0, "lambdas": [4.0, 8.0, 16.0], "T": 1.0, "dt0": 2e-3,
     "c_lambda": 0.1, "m": 1, "dealias": False, "num_samples": 5, "solver": "qmnls",
     "dt_list": [5e-3, 2.5e-3, 1.25e-3, 6.25e-4], "tolerance": 1e-4,
     "lambda_times": [0.5, 1.0], "probe_points": [0.0, 3.0], "k_max": 1,
 }
 DATA_VALUES = {
-    "amplitude": 0.5, "width": 3.0, "k0": 0.2, "chirp": 0.1, "center": [1.0],
-    "n_amplitude": 0.4, "n_width": 2.5, "n_k0": 0.5, "n_center": [0.5],
-    "n1_amplitude": 0.2, "n1_width": 2.5, "n1_center": [-1.0],
-    "min_points_per_width": 4.0, "edge_tol": 1e-6,
+    "amplitude": 0.5, "width": 4.0, "k0": 0.2, "chirp": 0.1, "center": [1.0],
+    "n_amplitude": 0.4, "n_width": 4.5, "n_k0": 0.5, "n_center": [0.5],
+    "n1_amplitude": 0.2, "n1_width": 4.5, "n1_center": [-1.0],
+    "min_points_per_width": 1.25, "edge_tol": 1e-6,
 }
+# Gaussians that the N = 32 grids above resolve (dx <= 40 pi / 32 = 3.93),
+# with each value of DATA_VALUES in place of theirs: resolve_config rejects
+# data that the run could not build.
+RESOLVED = {"width": 5.0, "min_points_per_width": 1.0}
+RESOLVED_DATA = {"generic": {**RESOLVED, "n_width": 5.0, "n1_width": 5.0},
+                 "compatible": RESOLVED, "well-prepared": RESOLVED,
+                 "layer-decay": RESOLVED}
 
 
 @pytest.mark.parametrize("experiment", sorted(READS))
 def test_experiment_accepts_only_the_keys_it_reads(experiment):
     # covers, e.g., solver for oracle-check and lambda for sweep
-    base = {"experiment": experiment, "N": 32}
+    owner = "layer-decay" if experiment == "layer-decay" else "generic"
+    base = {"experiment": experiment, "N": 32, "data": RESOLVED_DATA[owner]}
     reads = EVERY | READS[experiment]
     for key, value in VALUES.items():
         raw = {**base, key: value}
         if key in reads:
             cfg = resolve_config(raw)
-            assert cfg.resolved[key] == value or key == "data", key
+            assert cfg.resolved[key] == value, key
         else:
             with pytest.raises(ConfigError) as err:
                 resolve_config(raw)
@@ -276,7 +286,9 @@ def test_experiment_accepts_only_the_keys_it_reads(experiment):
             assert str(err.value) == f"{key}: not read by {experiment}"
     kinds = ["layer-decay"] if experiment == "layer-decay" else sorted(PRESET_KINDS)
     for kind in kinds:
-        data_base = {} if kind == "layer-decay" else {"kind": kind}
+        data_base = dict(RESOLVED_DATA[kind])
+        if kind != "layer-decay":
+            data_base["kind"] = kind
         for key, value in DATA_VALUES.items():
             raw = {**base, "data": {**data_base, key: value}}
             if key in DATA_READS[kind]:

@@ -7,7 +7,7 @@ from qzak import (PresetParams, SimConfig, SweepRecord, fit_rate,
                   lambda_sweep, make_grid, mass, preset_initial_data, q0_exact,
                   q_field, qmnls_evolve, qz_evolve, self_convergence,
                   sobolev_norm)
-from qzak.diagnostics import drift, spectral_tail
+from qzak.diagnostics import _fit_line, drift, spectral_tail
 from qzak.errors import DegenerateInputError, ParameterError
 from qzak.field import Field, real_field
 from qzak import dynamics, harness, operators
@@ -223,6 +223,43 @@ def test_fit_exact_power_laws():
     fit2 = fit_rate(synthetic_records([1.0 / 16.0, 1.0 / 64.0, 1.0 / 256.0], lams),
                     "Q-error")
     assert np.isclose(fit2.slope, -2.0, atol=1e-12)
+    assert np.isclose(fit2.intercept, 0.0, atol=1e-12)
+
+
+# The points (log x, log y) that the committed configs fit: the E- and
+# Q-error rates of both sweeps, the splitting order of self_converge.json
+# and the inner decay exponent of layer_decay.json (the same at every lam).
+LOG_LAMS = [1.3862943611198906, 2.0794415416798357, 2.772588722239781,
+            3.4657359027997265, 4.1588830833596715]
+COMMITTED_FITS = {
+    "sweep_generic E": (LOG_LAMS, [
+        -3.283423981594513, -3.8086002597900617, -4.542817592649353,
+        -5.460726560154002, -6.182895058699354]),
+    "sweep_generic Q": (LOG_LAMS, [
+        -2.321197300393342, -2.9757763767132683, -3.698014543889543,
+        -4.42238677701491, -5.088262742277396]),
+    "sweep_well_prepared E": (LOG_LAMS, [
+        -2.421006215800888, -3.5881044007528495, -4.846946967880927,
+        -6.2370183765330305, -7.619803911093315]),
+    "sweep_well_prepared Q": (LOG_LAMS, [
+        -0.31784003145098055, -1.0734814734870197, -1.818933868801034,
+        -2.546435273522406, -3.2577590123009093]),
+    "self_converge": ([-5.521460917862246, -6.214608098422191, -6.907755278982137],
+                      [-12.220671815910839, -13.623894081540355, -15.060200937505574]),
+    "layer_decay": ([1.0986122886681098, 1.3862943611198906, 1.6094379124341003,
+                     1.9459101490553132, 2.1972245773362196, 2.3978952727983707],
+                    [-0.24442956193728257, -0.5191435808608541, -0.7732171914772547,
+                     -1.4532477117124893, -2.2797668103985176, -3.1870725273539096]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMITTED_FITS))
+def test_closed_form_fit_matches_polyfit(name):
+    xs, ys = (np.array(v) for v in COMMITTED_FITS[name])
+    slope, intercept = _fit_line(xs, ys)
+    want_slope, want_intercept = np.polyfit(xs, ys, 1)
+    assert slope == pytest.approx(want_slope, rel=1e-12, abs=0.0)
+    assert intercept == pytest.approx(want_intercept, rel=1e-12, abs=0.0)
 
 
 def test_fit_lambda2_log_flattens():
@@ -255,6 +292,9 @@ def test_self_convergence_linear_regime_machine_zero():
                     sample_times=(0.2,))
     result = self_convergence(cfg, data, [4e-3, 2e-3, 1e-3, 5e-4])
     assert max(result.errors) < 1e-12
+    # E stays exactly zero, so there is no order to fit
+    assert result.errors == (0.0, 0.0, 0.0)
+    assert np.isnan(result.order)
 
 
 def test_self_convergence_nonlinear_second_order():

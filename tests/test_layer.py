@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import compatibility_defect
 from qzak import (PresetParams, SimConfig, ZakharovState, apply_multiplier,
                   complex_field, decay_probe, l2_norm, make_grid,
                   preset_initial_data, q0_exact, q_field, qz_evolve, real_field,
@@ -9,7 +10,6 @@ from qzak.errors import NonFiniteFieldError, ParameterError, WrapAroundError
 from qzak.field import dealias_mask, inverse_values, to_spectral
 from qzak.layer import layer_initial_fields
 from qzak.operators import _derivative_symbol, i_eps
-from qzak.state import compatibility_defect
 
 
 def test_q_field_compatible_vanishes(grid256):
@@ -141,6 +141,16 @@ def test_decay_probe_inner_exponent():
     assert rep.outer_envelope_factor <= 10.0
     regions = {r.region for r in rep.rows}
     assert regions == {"inner", "outer"}
+
+
+def test_decay_probe_inner_exponent_needs_two_inner_times():
+    # inner needs lam t > 1: one inner time (lam t = 2) leaves no line to fit
+    g = make_grid(1, 1024, 40.0 * np.pi)
+    f0 = real_field(g, np.exp(-((g.coordinates[0] / 4.5) ** 2)))
+    for lam_times in ([0.25, 0.5, 1.0], [0.5, 2.0]):
+        times = [lt / 16.0 for lt in lam_times]
+        rep = decay_probe(f0, 1.0, 16.0, times, 2, [0.0, 1.0])
+        assert np.isnan(rep.inner_exponent)
 
 
 def _field_chain_tables(f0, eps, lam, t, k_max):

@@ -1,19 +1,26 @@
 import numpy as np
 import pytest
 
+from conftest import compatibility_defect
 from qzak import (InitialData, PresetParams, SimConfig, apply_multiplier,
-                  compatibility_defect, complex_field, l2_norm, make_grid,
-                  preset_initial_data, real_field)
+                  complex_field, l2_norm, make_grid, preset_initial_data,
+                  real_field)
 from qzak.errors import ParameterError, ResolutionError
 from qzak.operators import delta_eps
 
 
-def test_compatible_defect_vanishes(grid256):
+def test_compatible_defect_vanishes(grid256, grid2d):
     data = preset_initial_data("compatible", PresetParams(), grid256, eps=1.0)
-    scale = l2_norm(data.n0) + l2_norm(data.E0) ** 2
-    assert compatibility_defect(data, 1.0, 0) <= 1e-10 * scale
-    assert compatibility_defect(data, 1.0, 2) <= 1e-10 * scale
     assert np.all(data.n1.values == 0.0)
+    # n0 is built as -I_eps |E0|^2 by the same formula that Q adds back, so
+    # the defect is exactly zero and the presets need no check of it
+    wide = PresetParams(width=1.2, chirp=0.2, min_points_per_width=4.0, edge_tol=1e-2)
+    cases = ((grid256, PresetParams()), (grid256, PresetParams(chirp=0.2)), (grid2d, wide))
+    for kind in ("compatible", "well-prepared"):
+        for grid, params in cases:
+            data = preset_initial_data(kind, params, grid, eps=1.0)
+            assert compatibility_defect(data, 1.0, 0) == 0.0
+            assert compatibility_defect(data, 1.0, 2) == 0.0
 
 
 def test_well_prepared_real_envelope_has_zero_n1(grid256):
