@@ -1,11 +1,12 @@
 """Experiment-file schema, validation, and defaults.
 
 Configs are JSON objects. Keys the experiment does not read (``_READS``),
-range violations, non-finite numbers and data Gaussians that the grid
-does not resolve are rejected with their path. The
-run defaults (dt0, c_lambda, m, dealias, 64 sample times) come from
-``SimConfig`` and the initial-data defaults from ``PresetParams``; the
-experiment defaults are N=1024, L=40*pi, T=0.5 and epsilon=1.
+range violations and non-finite numbers are rejected with their path, and
+so is a value that a library function of the run would refuse: ``_checked``
+runs that function's own precondition check. The run defaults (dt0,
+c_lambda, m, dealias, 64 sample times) come from ``SimConfig`` and the
+initial-data defaults from ``PresetParams``; the experiment defaults are
+N=1024, L=40*pi, T=0.5 and epsilon=1.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
-from .errors import ConfigError, ResolutionError
-from .grid import make_grid
+from . import dynamics, harness, layer
+from .errors import ConfigError, QzakError
+from .field import real_field, to_spectral
+from .grid import _check_dimension, _check_size, make_grid
 from .state import (DEFAULT_NUM_SAMPLES, PRESET_KINDS, PresetParams, SimConfig,
-                    check_resolution)
+                    _gaussian, check_resolution)
 
 DEFAULT_L = 40.0 * math.pi
 # layer-decay's table multiplies f0's coefficients by |xi|^k: rounding at
@@ -74,6 +77,14 @@ class ExperimentConfig:
 def _expect(cond: bool, path: str, message: str) -> None:
     if not cond:
         raise ConfigError(path, message)
+
+
+def _checked(path: str, check, *args) -> None:
+    """Run a library precondition check; its failure names the config key."""
+    try:
+        check(*args)
+    except QzakError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def _is_number(value) -> bool:
@@ -183,10 +194,9 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     c_lambda = read.number("c_lambda", SimConfig.c_lam, positive=True)
     m = read.number("m", SimConfig.m, low=0, integer=True)
     dimension = read.number("dimension", 1, integer=True)
-    _expect(dimension in (1, 2), "dimension", f"must be 1 or 2, got {dimension}")
+    _checked("dimension", _check_dimension, dimension)
     N = read.number("N", 1024, integer=True)
-    _expect(N >= 16 and (N & (N - 1)) == 0, "N",
-            f"must be a power of two >= 16, got {N}")
+    _checked("N", _check_size, N)
     _expect(16 * N**dimension <= np.iinfo(np.intp).max, "N",
             f"N^{dimension} = {N**dimension} complex points exceed numpy's size limit")
     L = read.number("L", DEFAULT_L, positive=True)
@@ -200,12 +210,13 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         lambdas = read.float_list("lambdas", [8.0, 16.0, 32.0])
     else:
         lambdas = (read.number("lambda", 4.0, low=1.0),)
-    _expect(list(lambdas) == sorted(lambdas) and lambdas[0] >= 1.0,
-            "lambdas" if "lambdas" in read.reads else "lambda",
-            "must be sorted with every entry >= 1")
-    if experiment == "sweep":  # the rate fit needs three distinct lam
-        _expect(len(lambdas) >= 3 and all(a < b for a, b in zip(lambdas, lambdas[1:])),
-                "lambdas", f"a sweep needs >= 3 strictly increasing entries, got {list(lambdas)}")
+    _checked("lambdas" if "lambdas" in read.reads else "lambda",
+             harness._check_ladder, lambdas)
+    if experiment == "sweep":
+        _checked("lambdas", harness._check_rate_lams, lambdas)
+        # a repeated lam would run twice and count twice in the rate fit
+        _expect(len(set(lambdas)) == len(lambdas), "lambdas",
+                f"a sweep needs strictly increasing entries, got {list(lambdas)}")
 
     raw_data = raw.get("data", {})
     _expect(isinstance(raw_data, dict), "data", "expected an object")
@@ -220,16 +231,17 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     lambda_times = read.float_list(
         "lambda_times", [0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0])
     for i, t in enumerate(lambda_times):
-        _expect(t > 0.0, f"lambda_times[{i}]", f"must be > 0.0, got {t}")
+        _checked(f"lambda_times[{i}]", layer._check_probe_time, t)
     probe_points = read.float_list("probe_points", [0.0, 1.0, 2.0, 20.0, 30.0, 40.0])
     k_max = read.number("k_max", 2, low=0, integer=True)
 
-    if experiment in ("oracle-check", "layer-decay"):
-        _expect(dimension == 1, "dimension", f"{experiment} requires dimension 1")
+    if experiment == "oracle-check":
+        _checked("dimension", dynamics._check_oracle_dimension, dimension)
+        _checked("N", dynamics._check_oracle_size, N)
     if experiment == "layer-decay":
+        _checked("dimension", layer._check_probe_dimension, dimension)
         for i, p in enumerate(probe_points):
-            _expect(-L / 2.0 <= p < L / 2.0, f"probe_points[{i}]",
-                    f"must lie in the box [{-L / 2.0:.6g}, {L / 2.0:.6g}), got {p}")
+            _checked(f"probe_points[{i}]", layer._check_probe_point, p, L)
         # compared in logarithms, since xi_max^k_max overflows for large k_max
         log_xi_max = math.log(math.pi * N / L)
         log_bound = math.log(_DECAY_NOISE_MAX / np.finfo(float).eps)
@@ -237,17 +249,10 @@ def resolve_config(raw: dict) -> ExperimentConfig:
                 f"must be <= {math.floor(log_bound / log_xi_max)} on this grid: above "
                 f"it eps_mach (pi N / L)^k_max exceeds {_DECAY_NOISE_MAX:g} and "
                 f"the table is rounding noise, got {k_max}")
-    if experiment == "oracle-check":
-        _expect(N <= 64, "N", f"oracle-check requires N <= 64, got {N}")
     if experiment == "self-converge":
-        _expect(len(dt_list) >= 4, "dt_list",
-                f"needs >= 4 entries (>= 3 plus the reference), got {list(dt_list)}")
-        _expect(all(b < a for a, b in zip(dt_list, dt_list[1:])), "dt_list",
-                "must be strictly decreasing")
+        _checked("dt_list", harness._check_dt_list, dt_list)
         for i, dt in enumerate(dt_list):
-            steps = T / dt
-            _expect(abs(steps - round(steps)) <= 1e-9 * steps, f"dt_list[{i}]",
-                    f"{dt} does not divide T = {T}")
+            _checked(f"dt_list[{i}]", harness._check_dt_divides, dt, T)
 
     grid = make_grid(dimension, N, L)
     # each Gaussian the run builds, named by its width key: the envelope,
@@ -255,11 +260,14 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     generic = kind == "generic" and experiment != "layer-decay"
     bumps = ("", "n_", "n1_") if generic else ("",)
     for bump in bumps:
-        try:
-            check_resolution(grid, getattr(params, f"{bump}width"),
-                             getattr(params, f"{bump}center"), params)
-        except ResolutionError as exc:
-            raise ConfigError(f"data.{bump}width", str(exc)) from exc
+        _checked(f"data.{bump}width", check_resolution, grid,
+                 getattr(params, f"{bump}width"), getattr(params, f"{bump}center"),
+                 params)
+    if experiment == "layer-decay":
+        # the run probes lam t = lambda_times at every lam
+        f0 = _gaussian(grid, params.amplitude, params.width, params.center)
+        _checked("lambda_times", layer._check_horizon, grid,
+                 to_spectral(real_field(grid, f0)), epsilon, max(lambda_times))
 
     out_dir = raw.get("out_dir")
     _expect(out_dir is None or (isinstance(out_dir, str) and out_dir != ""),
@@ -270,6 +278,9 @@ def resolve_config(raw: dict) -> ExperimentConfig:
                     grid=grid, dt0=dt0, c_lam=c_lambda,
                     m=m, dealias=dealias,
                     sample_times=tuple(np.linspace(0.0, T, num_samples)))
+    if experiment == "oracle-check":
+        # named by the key that sets the step
+        _checked("dt0" if sim.dt == dt0 else "c_lambda", dynamics._oracle_steps, sim)
 
     return ExperimentConfig(
         experiment=experiment, sim=sim, data_kind=kind, data_params=params,

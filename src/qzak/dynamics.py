@@ -28,6 +28,7 @@ from .state import InitialData, SchrodingerState, SimConfig, ZakharovState
 _LANDING_TOL = 1e-12
 _RK4_IMAG_AXIS_LIMIT = 2.8
 _ORACLE_REFINEMENT = 50  # RK4 steps per split step
+_ORACLE_MAX_POINTS = 64  # the oracle's largest grid
 
 
 @dataclass(frozen=True)
@@ -416,7 +417,31 @@ def qmnls_evolve(config: SimConfig, E0: Field, sink=None) -> Trajectory:
     return Trajectory(config=config, samples=tuple(samples), steps=steps)
 
 
-def oracle_evolve(config: SimConfig, data: InitialData, max_points: int = 64):
+def _check_oracle_dimension(d: int) -> None:
+    if d != 1:
+        raise ParameterError("oracle_evolve supports d=1 only")
+
+
+def _check_oracle_size(N: int) -> None:
+    if N > _ORACLE_MAX_POINTS:
+        raise ParameterError(
+            f"oracle_evolve limited to N <= {_ORACLE_MAX_POINTS} (got {N})")
+
+
+def _oracle_steps(config: SimConfig) -> tuple[int, float]:
+    """(steps, step size) of the RK4 march, inside its stability region."""
+    n_steps = max(1, round(config.T / (config.dt / _ORACLE_REFINEMENT)))
+    h = config.T / n_steps
+    rate = max(config.lam * float(np.max(omega_eps(config.grid, config.eps))),
+               float(np.max(-delta_eps(config.grid, config.eps))))
+    if rate * h > _RK4_IMAG_AXIS_LIMIT:
+        raise InstabilityError(
+            f"oracle step {h:.3e} violates the RK4 stability bound; "
+            f"requires dt <= {_RK4_IMAG_AXIS_LIMIT / rate:.3e}")
+    return n_steps, h
+
+
+def oracle_evolve(config: SimConfig, data: InitialData):
     """Unsplit RK4 reference integration of the coupled system.
 
     The state is one (3, N) array of the spectral coefficients of
@@ -425,28 +450,18 @@ def oracle_evolve(config: SimConfig, data: InitialData, max_points: int = 64):
     transform of the stacked products |E|^2 and n E. Each split step is
     resolved by _ORACLE_REFINEMENT RK4 steps. Intended for tiny grids
     only; refuses step sizes outside the RK4 imaginary-axis stability
-    region.
+    region. Its checks of the grid and the step also run in
+    ``config.resolve_config``.
     """
     grid = config.grid
-    if grid.d != 1:
-        raise ParameterError("oracle_evolve supports d=1 only")
-    if grid.N > max_points:
-        raise ParameterError(f"oracle_evolve limited to N <= {max_points} (got {grid.N})")
+    _check_oracle_dimension(grid.d)
+    _check_oracle_size(grid.N)
     if data.grid != grid:
         raise ParameterError("initial data grid does not match config grid")
 
-    n_steps = max(1, round(config.T / (config.dt / _ORACLE_REFINEMENT)))
-    h = config.T / n_steps
-
+    n_steps, h = _oracle_steps(config)
     k_sq = grid.k_squared
     delta = delta_eps(grid, config.eps)
-    rate = max(config.lam * float(np.max(omega_eps(grid, config.eps))),
-               float(np.max(-delta)))
-    if rate * h > _RK4_IMAG_AXIS_LIMIT:
-        raise InstabilityError(
-            f"oracle step {h:.3e} violates the RK4 stability bound; "
-            f"requires dt <= {_RK4_IMAG_AXIS_LIMIT / rate:.3e}")
-
     mask = dealias_mask(grid) if config.dealias else None
     lam2 = config.lam**2
 

@@ -10,8 +10,14 @@ import numpy as np
 from .errors import GridSpecError
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _check_dimension(d) -> None:
+    if d not in (1, 2):
+        raise GridSpecError(f"dimension must be 1 or 2, got {d}")
+
+
+def _check_size(N) -> None:
+    if not isinstance(N, int) or N < 16 or (N & (N - 1)) != 0:
+        raise GridSpecError(f"N must be a power of two >= 16, got {N}")
 
 
 @dataclass(frozen=True)
@@ -27,10 +33,8 @@ class Grid:
     L: float
 
     def __post_init__(self):
-        if self.d not in (1, 2):
-            raise GridSpecError(f"dimension must be 1 or 2, got {self.d}")
-        if not isinstance(self.N, int) or not _is_power_of_two(self.N) or self.N < 16:
-            raise GridSpecError(f"N must be a power of two >= 16, got {self.N}")
+        _check_dimension(self.d)
+        _check_size(self.N)
         if not (self.L > 0):
             raise GridSpecError(f"box length must be positive, got {self.L}")
 

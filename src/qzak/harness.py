@@ -128,6 +128,12 @@ def _run_group(config: SimConfig, data: InitialData, m: int, lams: tuple,
             for i, lam in enumerate(lams)]
 
 
+def _check_ladder(lambdas) -> None:
+    if not lambdas or list(lambdas) != sorted(lambdas) or any(l < 1.0 for l in lambdas):
+        raise ParameterError("lambda list must be nonempty and sorted with every "
+                             "entry >= 1")
+
+
 def lambda_sweep(config: SimConfig, data: InitialData, lambdas,
                  m: int) -> list[SweepRecord]:
     """Run the ladder of sound speeds against one common reference.
@@ -140,9 +146,7 @@ def lambda_sweep(config: SimConfig, data: InitialData, lambdas,
     reference, so the reference is marched once per step size.
     """
     lambdas = [float(l) for l in lambdas]
-    if not lambdas or lambdas != sorted(lambdas) or any(l < 1.0 for l in lambdas):
-        raise ParameterError("lambda list must be nonempty and sorted with every "
-                             "entry >= 1")
+    _check_ladder(lambdas)
     if data.grid != config.grid:
         raise ParameterError("data grid does not match config grid")
 
@@ -158,6 +162,11 @@ def lambda_sweep(config: SimConfig, data: InitialData, lambdas,
     return records
 
 
+def _check_rate_lams(lams) -> None:
+    if len(set(lams)) < 3:
+        raise DegenerateInputError("rate fit needs at least 3 distinct lam")
+
+
 def fit_rate(records: list[SweepRecord], which: str = "E-error") -> RateFit:
     """Fit log(error) against log(lam); residual is the max |deviation|."""
     if which == "E-error":
@@ -169,8 +178,7 @@ def fit_rate(records: list[SweepRecord], which: str = "E-error") -> RateFit:
     else:
         raise ParameterError(f"which must be 'E-error', 'Q-error' or 'Q-norm', got {which!r}")
     lams = [r.lam for r in records]
-    if len(set(lams)) < 3:
-        raise DegenerateInputError("rate fit needs at least 3 distinct lam")
+    _check_rate_lams(lams)
     if any(e <= 0.0 for e in errors):
         raise DegenerateInputError("rate fit needs strictly positive errors")
     xs = np.log(lams)
@@ -190,6 +198,19 @@ class SelfConvergence:
     order: float
 
 
+def _check_dt_list(dts) -> None:
+    if len(dts) < 4:
+        raise ParameterError("dt list needs >= 4 entries (>= 3 plus the reference)")
+    if any(b >= a for a, b in zip(dts, dts[1:])):
+        raise ParameterError("dt list must be strictly decreasing")
+
+
+def _check_dt_divides(dt: float, T: float) -> None:
+    steps = T / dt
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ParameterError(f"dt {dt} does not divide T = {T}")
+
+
 def self_convergence(config: SimConfig, data: InitialData, dt_list,
                      target: str = "qz") -> SelfConvergence:
     """Measure the splitting order from final states at T.
@@ -200,14 +221,9 @@ def self_convergence(config: SimConfig, data: InitialData, dt_list,
         raise ParameterError(
             f"self-convergence target must be 'qz' or 'qmnls', got {target!r}")
     dts = [float(dt) for dt in dt_list]
-    if len(dts) < 4:
-        raise ParameterError("dt list needs >= 4 entries (>= 3 plus the reference)")
-    if any(b >= a for a, b in zip(dts, dts[1:])):
-        raise ParameterError("dt list must be strictly decreasing")
+    _check_dt_list(dts)
     for dt in dts:
-        steps = config.T / dt
-        if abs(steps - round(steps)) > 1e-9 * steps:
-            raise ParameterError(f"dt {dt} does not divide T = {config.T}")
+        _check_dt_divides(dt, config.T)
 
     def final_E(dt: float) -> np.ndarray:
         run = replace(config, dt0=dt, c_lam=dt * config.lam,

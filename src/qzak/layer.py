@@ -17,6 +17,7 @@ import numpy as np
 from .diagnostics import _fit_line
 from .errors import NonFiniteFieldError, ParameterError, WrapAroundError
 from .field import Field, inverse_values, real_field, to_spectral
+from .grid import Grid
 from .operators import _derivative_symbol, apply_multiplier, wave_cos
 from .state import InitialData, layer_velocity_source, q_field
 
@@ -62,13 +63,46 @@ class DecayProbeReport:
     outer_envelope_factor: float
 
 
+def _check_probe_dimension(d: int) -> None:
+    if d != 1:
+        raise ParameterError("decay_probe supports d=1 only")
+
+
+def _check_probe_time(t: float) -> None:
+    if not t > 0.0:
+        raise ParameterError("probe times must be positive")
+
+
+def _check_probe_point(p, L: float) -> None:
+    if not (-L / 2.0 <= float(p) < L / 2.0):
+        raise ParameterError(f"probe point {p} lies outside the box "
+                             f"[{-L / 2.0:.6g}, {L / 2.0:.6g})")
+
+
+def _check_horizon(grid: Grid, f0_hat: np.ndarray, eps: float, lam_t: float) -> None:
+    """Raise WrapAroundError when the layer reaches the box edge by lam t."""
+    mags = np.abs(f0_hat)
+    alive = mags > 1e-12 * np.max(mags)  # the band where the data carry amplitude
+    xi_eff = float(np.max(np.sqrt(grid.k_squared)[alive])) if alive.any() else 0.0
+    # the group speed d omega_eps / d xi at the cutoff bounds the spreading
+    e2xi2 = eps * eps * xi_eff * xi_eff
+    horizon = lam_t * ((1.0 + 2.0 * e2xi2) / np.sqrt(1.0 + e2xi2))
+    if horizon > 0.9 * grid.L / 2.0:
+        raise WrapAroundError(
+            f"probe horizon {horizon:.3g} reaches the box edge "
+            f"(L/2 = {grid.L / 2.0:.3g}); shorten times or enlarge the box "
+            f"(resolved band cutoff {xi_eff:.3g})")
+
+
 def decay_probe(f0: Field, eps: float, lam: float, times, k_max: int,
                 probe_points) -> DecayProbeReport:
     """Evaluate derivatives of cos(lam t omega) f0 at fixed probe points.
 
     The k-th derivative is Lap^{k/2} Q0 for even k, d/dx Lap^{(k-1)/2} Q0 for
     odd k: one inverse transform per (time, k) of the transformed f0. Raises
-    NonFiniteFieldError when a large k_max overflows |xi|^k.
+    NonFiniteFieldError when a large k_max overflows |xi|^k. The checks of
+    the dimension, times, probe points and horizon also run in
+    ``config.resolve_config``.
 
     Region per (t, x0): inner when lam*t > 1 and |x0| <= lam*t/2, else
     outer (which also covers all early times). The inner exponent is the
@@ -77,33 +111,18 @@ def decay_probe(f0: Field, eps: float, lam: float, times, k_max: int,
     (1 + lam*t)^-2 (1 + |x0|)^2.
     """
     grid = f0.grid
-    if grid.d != 1:
-        raise ParameterError("decay_probe supports d=1 only")
+    _check_probe_dimension(grid.d)
     times = sorted(float(t) for t in times)
-    if not times or times[0] <= 0.0:
-        raise ParameterError("probe times must be positive")
+    _check_probe_time(min(times, default=0.0))  # an empty list has no time > 0
     if k_max < 0:
         raise ParameterError(f"k_max must be >= 0, got {k_max}")
     if len(probe_points) == 0:
         raise ParameterError("probe_points must name at least one point")
-
     for p in probe_points:
-        if not (-grid.L / 2.0 <= float(p) < grid.L / 2.0):
-            raise ParameterError(f"probe point {p} lies outside the box "
-                                 f"[{-grid.L / 2.0:.6g}, {grid.L / 2.0:.6g})")
+        _check_probe_point(p, grid.L)
 
     f0_hat = to_spectral(f0)
-    mags = np.abs(f0_hat)
-    alive = mags > 1e-12 * np.max(mags)  # the band where the data carry amplitude
-    xi_eff = float(np.max(np.sqrt(grid.k_squared)[alive])) if alive.any() else 0.0
-    # the group speed d omega_eps / d xi at the cutoff bounds the spreading
-    e2xi2 = eps * eps * xi_eff * xi_eff
-    horizon = lam * times[-1] * ((1.0 + 2.0 * e2xi2) / np.sqrt(1.0 + e2xi2))
-    if horizon > 0.9 * grid.L / 2.0:
-        raise WrapAroundError(
-            f"probe horizon {horizon:.3g} reaches the box edge "
-            f"(L/2 = {grid.L / 2.0:.3g}); shorten times or enlarge the box "
-            f"(resolved band cutoff {xi_eff:.3g})")
+    _check_horizon(grid, f0_hat, eps, lam * times[-1])
 
     x_axis = grid.coordinates[0]
     probe_idx = [int(np.argmin(np.abs(x_axis - float(p)))) for p in probe_points]

@@ -21,7 +21,8 @@ from .field import (Field, complex_field, dealias_mask, real_field,
                     require_same_grid)
 from .grid import Grid
 from .norms import l2_norm
-from .operators import apply_multiplier, delta_eps, potential_symbol
+from .operators import (_check_eps, _check_lam, apply_multiplier, delta_eps,
+                        potential_symbol)
 
 MEAN_TOL = 1e-12
 PRESET_KINDS = ("generic", "compatible", "well-prepared")
@@ -49,10 +50,8 @@ class SimConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
-        if not (0.0 < self.eps <= 1.0):
-            raise ParameterError(f"eps must lie in (0, 1], got {self.eps}")
-        if not (self.lam >= 1.0):
-            raise ParameterError(f"lam must satisfy lam >= 1, got {self.lam}")
+        _check_eps(self.eps)
+        _check_lam(self.lam)
         if not (self.T > 0.0):
             raise ParameterError(f"T must be positive, got {self.T}")
         if not (self.dt0 > 0.0 and self.c_lam > 0.0):
@@ -201,8 +200,7 @@ def preset_initial_data(kind: str, params: PresetParams, grid: Grid, eps: float)
     """Deterministic Gaussian initial data for the three regimes."""
     if kind not in PRESET_KINDS:
         raise ParameterError(f"unknown preset kind {kind!r}")
-    if not (0.0 < eps <= 1.0):
-        raise ParameterError(f"eps must lie in (0, 1], got {eps}")
+    _check_eps(eps)
 
     check_resolution(grid, params.width, params.center, params)
     envelope = _gaussian(grid, params.amplitude, params.width, params.center)

@@ -331,6 +331,26 @@ def test_unresolved_gaussian_exits_one_and_names_its_width(tmp_path, command, co
     assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
 
 
+@pytest.mark.parametrize("command,config,overrides,key", [
+    ("layer-decay", "layer_decay.json", ["lambda_times=[1000]"], "lambda_times"),
+    ("oracle-check", "oracle_check.json", ["dt0=10", "c_lambda=1e6", "lambda=64"], "dt0"),
+    ("oracle-check", "oracle_check.json", ["dt0=10", "c_lambda=320", "lambda=64"],
+     "c_lambda"),
+])
+def test_probe_horizon_and_oracle_step_exit_one(tmp_path, command, config, overrides,
+                                                 key):
+    # the probe's wrap-around horizon and the oracle's RK4 step bound follow
+    # from the config alone; the run, not the config, used to refuse them
+    path = Path(__file__).resolve().parents[1] / "configs" / config
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out", str(out), "--quiet"]
+    for override in overrides:
+        argv += ["--override", override]
+    assert run_cli(argv) == 1
+    assert (out / "error.txt").read_text().startswith(f"{key}: ")
+    assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+
+
 def test_unaddressable_grid_exits_one(tmp_path, capsys):
     # 2^70 points pass the power-of-two check but no numpy array holds them
     out = tmp_path / "out"
@@ -364,7 +384,7 @@ def test_short_self_converge_dt_list_exits_one(tmp_path, capsys):
     assert run_cli(["self-converge", "--override", "T=0.02",
                     "--override", "dt_list=[4e-3,2e-3,1e-3]",
                     "--out", str(out), "--quiet"]) == 1
-    assert "dt_list: needs >= 4 entries" in capsys.readouterr().err
+    assert "dt_list: dt list needs >= 4 entries" in capsys.readouterr().err
     assert (out / "error.txt").read_text().startswith("dt_list: ")
     assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
 

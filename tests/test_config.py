@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,12 +7,18 @@ import pytest
 
 from qzak import parse_config
 from qzak.config import apply_overrides, resolve_config
-from qzak.errors import ConfigError, ParameterError
+from qzak.dynamics import oracle_evolve
+from qzak.errors import ConfigError, ParameterError, QzakError
+from qzak.field import real_field
 from qzak.grid import make_grid
 from qzak.cli import run_cli
-from qzak.state import PRESET_KINDS, PresetParams, SimConfig
+from qzak.harness import SweepRecord, fit_rate, lambda_sweep, self_convergence
+from qzak.layer import decay_probe
+from qzak.state import (PRESET_KINDS, PresetParams, SimConfig, _gaussian,
+                        preset_initial_data)
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 
 def test_minimal_sweep_config_gets_defaults():
@@ -163,6 +170,94 @@ def test_self_converge_dt_list_names_the_key(dt_list, message):
     assert message in str(err.value)
 
 
+def _data(cfg):
+    return preset_initial_data(cfg.data_kind, cfg.data_params, cfg.sim.grid, cfg.sim.eps)
+
+
+def _probe(cfg, grid=None):
+    grid = grid or cfg.sim.grid
+    p = cfg.data_params
+    return real_field(grid, _gaussian(grid, p.amplitude, p.width, p.center))
+
+
+def _records(lams):
+    return [SweepRecord(lam=lam, dt=1e-3, sup_err_E_Hm=1.0, sup_err_Q_Hm=1.0,
+                        sup_Q_Hm=1.0, walltime_s=0.0, max_tail_E=0.0, mass_drift=0.0,
+                        steps=1) for lam in lams]
+
+
+SWEEP = {"experiment": "sweep"}
+SELFCONV = {"experiment": "self-converge", "T": 0.02}
+ORACLE = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
+DECAY = {"experiment": "layer-decay"}
+
+# Each precondition that resolve_config takes from the library function
+# that needs it: a valid config, the values that break the rule, the key
+# the config error names, and the library call on the same values.
+MOVED_RULES = {
+    "ladder": (SWEEP, {"lambdas": [8.0, 4.0, 16.0]}, "lambdas",
+               lambda cfg: lambda_sweep(cfg.sim, _data(cfg), [8.0, 4.0, 16.0], 2)),
+    "rate-fit": (SWEEP, {"lambdas": [4.0, 8.0]}, "lambdas",
+                 lambda cfg: fit_rate(_records([4.0, 8.0]))),
+    "dt-list-length": (SELFCONV, {"dt_list": [4e-3, 2e-3, 1e-3]}, "dt_list",
+                       lambda cfg: self_convergence(cfg.sim, _data(cfg), [4e-3, 2e-3, 1e-3])),
+    "dt-list-order": (SELFCONV, {"dt_list": [4e-3, 2e-3, 2e-3, 1e-3]}, "dt_list",
+                      lambda cfg: self_convergence(cfg.sim, _data(cfg),
+                                                   [4e-3, 2e-3, 2e-3, 1e-3])),
+    "dt-divides-T": (SELFCONV, {"dt_list": [4e-3, 3e-3, 1e-3, 5e-4]}, "dt_list[1]",
+                     lambda cfg: self_convergence(cfg.sim, _data(cfg),
+                                                  [4e-3, 3e-3, 1e-3, 5e-4])),
+    "grid-dimension": (SWEEP, {"dimension": 3}, "dimension",
+                       lambda cfg: make_grid(3, 1024, cfg.sim.grid.L)),
+    "grid-size": (SWEEP, {"N": 1000}, "N",
+                  lambda cfg: make_grid(1, 1000, cfg.sim.grid.L)),
+    "resolution": (SWEEP, {"data": {"width": 0.01}}, "data.width",
+                   lambda cfg: preset_initial_data(
+                       "generic", PresetParams(width=0.01), cfg.sim.grid, 1.0)),
+    "oracle-dimension": (ORACLE, {"dimension": 2}, "dimension",
+                         lambda cfg: oracle_evolve(
+                             replace(cfg.sim, grid=make_grid(2, 32, cfg.sim.grid.L)),
+                             _data(cfg))),
+    "oracle-size": (ORACLE, {"N": 128}, "N",
+                    lambda cfg: oracle_evolve(
+                        replace(cfg.sim, grid=make_grid(1, 128, cfg.sim.grid.L)),
+                        _data(cfg))),
+    "oracle-step-dt0": (ORACLE, {"dt0": 10.0, "c_lambda": 1e6, "lambda": 64.0}, "dt0",
+                        lambda cfg: oracle_evolve(
+                            replace(cfg.sim, dt0=10.0, c_lam=1e6, lam=64.0), _data(cfg))),
+    "oracle-step-c_lambda": (ORACLE, {"dt0": 10.0, "c_lambda": 320.0, "lambda": 64.0},
+                             "c_lambda",
+                             lambda cfg: oracle_evolve(
+                                 replace(cfg.sim, dt0=10.0, c_lam=320.0, lam=64.0),
+                                 _data(cfg))),
+    "probe-dimension": (DECAY, {"dimension": 2, "N": 32}, "dimension",
+                        lambda cfg: decay_probe(
+                            _probe(cfg, make_grid(2, 32, cfg.sim.grid.L)), 1.0, 8.0,
+                            [0.1], 2, [0.0])),
+    "probe-time": (DECAY, {"lambda_times": [1.0, 0.0]}, "lambda_times[1]",
+                   lambda cfg: decay_probe(_probe(cfg), 1.0, 8.0, [1.0 / 8.0, 0.0], 2,
+                                           cfg.probe_points)),
+    "probe-point": (DECAY, {"probe_points": [0.0, 1000.0]}, "probe_points[1]",
+                    lambda cfg: decay_probe(_probe(cfg), 1.0, 8.0, [0.1], 2,
+                                            [0.0, 1000.0])),
+    "probe-horizon": (DECAY, {"lambda_times": [1000.0]}, "lambda_times",
+                      lambda cfg: decay_probe(_probe(cfg), 1.0, 8.0, [1000.0 / 8.0], 2,
+                                              cfg.probe_points)),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(MOVED_RULES))
+def test_config_error_is_the_library_error(rule):
+    # one copy of each rule: the config reports what the library raises
+    base, bad, path, call = MOVED_RULES[rule]
+    with pytest.raises(ConfigError) as config_err:
+        resolve_config({**base, **bad})
+    with pytest.raises(QzakError) as library_err:
+        call(resolve_config(base))
+    assert config_err.value.path == path
+    assert str(config_err.value) == f"{path}: {library_err.value}"
+
+
 def test_layer_decay_defaults():
     cfg = parse_config('{"experiment": "layer-decay"}')
     assert cfg.lambdas == (8.0, 16.0, 32.0)
@@ -171,7 +266,10 @@ def test_layer_decay_defaults():
 
 
 def test_layer_decay_probe_points_must_lie_in_box():
-    base = {"experiment": "layer-decay", "L": 40.0, "data": {"edge_tol": 1e-8}}
+    # the probe's tail at the edge of this box spreads at the lattice's top
+    # group speed: lam t <= 0.2 keeps its horizon inside
+    base = {"experiment": "layer-decay", "L": 40.0, "lambda_times": [0.1, 0.2],
+            "data": {"edge_tol": 1e-8}}
     for points, bad in (([0.0, 20.0], 1), ([-20.5, 0.0], 0)):
         with pytest.raises(ConfigError) as err:
             resolve_config({**base, "probe_points": points})
@@ -182,9 +280,10 @@ def test_layer_decay_probe_points_must_lie_in_box():
 def test_layer_decay_k_max_bounded_by_rounding_growth():
     # eps_mach (pi N / L)^k_max <= 1e-6: k_max <= 6 at the default
     # xi_max = 25.6, and <= 4 at N=1024, L=10 pi (xi_max = 102.4), whose
-    # box needs probe points nearer the center than the defaults
+    # box needs probe points nearer the center and lam t nearer 0 than the
+    # defaults
     small = {"L": 10.0 * np.pi, "probe_points": [0.0, 1.0, 2.0],
-             "data": {"edge_tol": 1e-5}}
+             "lambda_times": [0.025, 0.05], "data": {"edge_tol": 1e-5}}
     assert resolve_config({"experiment": "layer-decay", "k_max": 6}).k_max == 6
     assert resolve_config({"experiment": "layer-decay", "k_max": 4, **small}).k_max == 4
     for raw in ({"k_max": 7}, {"k_max": 5, **small}):

@@ -41,9 +41,10 @@ def test_step_conserves_mass(grid256, generic_data):
     assert abs(mass(out.E) - m0) <= 1e-12 * m0
 
 
-def test_one_step_local_error_third_order(grid256):
+def test_one_step_local_error_third_order(grid256, monkeypatch):
     # Richardson ratio against the unsplit reference: halving dt cuts the
     # one-step defect by ~8.
+    monkeypatch.setattr(dynamics, "_ORACLE_MAX_POINTS", 256)
     params = PresetParams(amplitude=1.0, n_amplitude=0.5, n1_amplitude=0.3)
     data = preset_initial_data("generic", params, grid256, eps=0.5)
     errs = []
@@ -51,7 +52,7 @@ def test_one_step_local_error_third_order(grid256):
         cfg = SimConfig(eps=0.5, lam=4.0, T=dt, grid=grid256, dt0=dt,
                         c_lam=4.0 * dt, sample_times=(dt,))
         one = qz_step(data.initial_state(), dt, 0.5, 4.0)
-        ref = oracle_evolve(cfg, data, max_points=256)
+        ref = oracle_evolve(cfg, data)
         errs.append(np.hypot(
             l2_norm(real_field(grid256, np.abs(one.E.values - ref.E.values))),
             l2_norm(real_field(grid256, one.n.values - ref.n.values))))
