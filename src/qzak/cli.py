@@ -118,8 +118,9 @@ def _simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     Every grid-sized buffer has one owner: _simulate hands the initial
     data to evolve and keeps no reference, so the march frees it after
     its first step, and the run then holds the march's buffers and
-    kernels, the slot, and the monitor's half-spectrum buffers and
-    weights.
+    kernels, the slot, and the monitor's half-spectrum buffer and
+    weights. The monitor's other work space is the slot's memory, which
+    measure consumes.
     """
     # imported here: it pulls in logging, and only simulate runs a worker
     from concurrent.futures import ThreadPoolExecutor

@@ -4,12 +4,14 @@ Every functional uses the same (L/N)^d measure as the norms, so values
 are comparable across resolutions and drifts are meaningful.
 
 The per-run monitors (qz_monitor, qmnls_monitor) measure in the arrays
-they are given: measure consumes its arguments, which hold scratch when
-it returns. Pass copies of anything that is still needed, as
-hamiltonian_qz and hamiltonian_qmnls do.
+they are given: measure consumes E, and nt for the coupled system, which
+hold scratch when it returns; n is only read. Pass copies of anything
+that is still needed, as hamiltonian_qz and hamiltonian_qmnls do.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,16 +38,24 @@ def mass(E: Field) -> float:
 
 
 # The energies are sums over the spectrum, evaluated by per-run monitors:
-# qz_monitor and qmnls_monitor build their weights and work buffers once
-# and return measure(arrays) -> (mass, energy), which allocates no
-# grid-sized array per call. The complex E takes a full transform, in
-# place; the real fields n, nt and |E|^2 take a real one (rfftn), whose
-# half spectrum stands for the full one with each column weighted 2 when
-# it holds a conjugate pair and 1 for the zero and Nyquist columns. Every
-# weight includes the square of the transform normalization.
+# qz_monitor and qmnls_monitor build their weights and one half spectrum
+# once and return measure(arrays) -> (mass, energy), which allocates no
+# grid-sized array per call: its other work space is the memory of the
+# arguments it consumes, once their contents are spent. The complex E
+# takes a full transform, in place; the real fields n, nt and |E|^2 take
+# a real one (rfftn), whose half spectrum stands for the full one with
+# each column weighted 2 when it holds a conjugate pair and 1 for the
+# zero and Nyquist columns. Every weight includes the square of the
+# transform normalization.
 
 def _half_shape(grid: Grid) -> tuple:
     return grid.shape[:-1] + (grid.N // 2 + 1,)
+
+
+def _head(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """A C-contiguous view of shape over the first elements of the
+    contiguous array a, as work space in a's spent memory."""
+    return a.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
 def _column_weights(grid: Grid) -> np.ndarray:
@@ -77,11 +87,13 @@ def qz_monitor(grid: Grid, eps: float, lam: float):
 
     The coupling integral is taken over the 2/3 band, by Plancherel.
     Raises ZeroModeError unless nt has zero mean. measure takes writable
-    contiguous arrays, complex E and real n and nt, and consumes E and
-    nt: it transforms E in place and puts |E|^2 into nt's array once it
-    has taken nt's energy. Not thread-safe: the monitor owns its buffers,
-    so one thread at a time may call it (in ``qzak simulate``, the one
-    worker thread that handles the samples).
+    contiguous arrays, complex E and real n and nt, reads n and consumes
+    E and nt: once nt is transformed its array holds the real work space
+    and then |E|^2, and once E's energy is taken its array holds the
+    transform of n. The monitor keeps one half spectrum and the weights.
+    Not thread-safe: the monitor owns its buffer, so one thread at a time
+    may call it (in ``qzak simulate``, the one worker thread that handles
+    the samples).
     """
     fft, _, rfft = _transforms(grid)
     k2 = grid.k_squared
@@ -94,11 +106,12 @@ def qz_monitor(grid: Grid, eps: float, lam: float):
     # the weights of a unit symbol, broadcast along the columns
     w_unit = _column_weights(grid) * _forward_factor(grid) ** 2
     origin = (0,) * grid.d
-    S_hat, n_hat = (np.empty(_half_shape(grid), dtype=np.complex128) for _ in range(2))
-    work = np.empty(_half_shape(grid))
+    half = _half_shape(grid)
+    S_hat = np.empty(half, dtype=np.complex128)
 
     def measure(E: np.ndarray, n: np.ndarray, nt: np.ndarray) -> tuple:
         nt_hat = rfft(nt, out=S_hat)
+        work = _head(nt, half)  # nt is spent
         zero = abs(nt_hat[origin]) * _forward_factor(grid)
         total = np.sqrt(_sum_sq(nt_hat, w_unit, work))
         if total > 0.0 and zero > ZERO_MODE_TOL * total:
@@ -106,14 +119,14 @@ def qz_monitor(grid: Grid, eps: float, lam: float):
                 "hamiltonian_qz (d_t n term) requires a zero-mean field "
                 f"(|zero mode| = {zero:.3e}, norm = {total:.3e})")
         energy = _sum_sq(nt_hat, w_nt, work)
-        S = nt  # nt is spent
+        S = nt
         np.abs(E, out=S)
         np.square(S, out=S)
         m = float(_mass(grid, S))
         rfft(S, out=S_hat)
         E_hat = fft(E, out=E)
         energy += _sum_sq(E_hat, w_E, S)
-        rfft(n, out=n_hat)
+        n_hat = rfft(n, out=_head(E, half))  # E is spent
         energy += _sum_sq(n_hat, w_n, work)
         # Re(conj(n_hat) S_hat), in the spent n_hat
         np.conjugate(n_hat, out=n_hat)
@@ -139,7 +152,7 @@ def qmnls_monitor(grid: Grid, eps: float):
     w_quartic = _real_weights(grid, 0.25 * potential_symbol(grid, eps))
     S = np.empty(grid.shape)
     S_hat = np.empty(_half_shape(grid), dtype=np.complex128)
-    work = np.empty(_half_shape(grid))
+    work = _head(S, S_hat.shape)  # S is spent after E's energy
 
     def measure(E: np.ndarray) -> tuple:
         np.abs(E, out=S)

@@ -21,8 +21,8 @@ import numpy as np
 from .errors import InstabilityError, NonFiniteFieldError, ParameterError
 from .field import Field, _transforms, complex_field, dealias_mask, real_field
 from .grid import Grid
-from .operators import (delta_eps, omega_eps, potential_symbol, schrodinger_group,
-                        unit_phase, wave_propagator)
+from .operators import (_omega_eps, delta_eps, omega_eps, potential_symbol,
+                        schrodinger_group, unit_phase, wave_propagator)
 from .state import InitialData, SchrodingerState, SimConfig, ZakharovState
 
 _LANDING_TOL = 1e-12
@@ -48,35 +48,51 @@ class Trajectory:
         return self.samples[-1][1]
 
 
+# The wave rotation runs over blocks of this many elements of the flat
+# arrays, so that its one temporary is no larger than a block. It is the
+# size of numpy's casting buffer, and a d=1 batch of five rows at N=1024
+# is one block.
+_BLOCK = 8192
+
+
+def _blocks(*arrays: np.ndarray) -> list:
+    """One tuple per block of _BLOCK elements: the views of that block of
+    each array, flattened. The arrays are contiguous and of equal size."""
+    flat = [a.reshape(-1) for a in arrays]
+    return [tuple(f[i:i + _BLOCK] for f in flat) for i in range(0, flat[0].size, _BLOCK)]
+
+
 # An advance builds the kernel of a step size at its first step of that
 # size and drops it after the last one, which the march's plan names (see
 # _march), so only the kernels of step sizes whose steps interleave are
 # alive at once. A kernel holds only the symbols that depend on the step
-# size; the potential symbol and omega_eps do not, and each advance
-# builds them once. A build allocates nothing but the kernel's own arrays
-# (and the boolean mask of wave_propagator): every argument is formed in
-# an output, and lam omega_eps in work space the advance lends.
+# size; the potential symbol does not, and each advance builds it once.
+# A build allocates nothing but the kernel's own arrays (and the boolean
+# mask of wave_propagator): every symbol is formed in an output, and
+# omega_eps and lam omega_eps in work space the advance lends.
 class _QZKernel:
-    """Symbol arrays for one (grid, eps, lams, dt) step, om being
-    omega_eps on the grid and work a real array of its shape, used as
-    scratch.
+    """Symbol arrays for one (grid, eps, lams, dt) step, work being a real
+    array of shape (2,) + grid.shape, used as scratch.
 
     The lam-dependent symbols are stacked, one row per entry of lams,
     with shape (len(lams),) + grid.shape; schrod_half has shape
     (1,) + grid.shape and broadcasts against the rows. The leading 1
     keeps a batch of one on numpy's fast path for operands of equal
-    shape.
+    shape. rotation holds the (cos, sinc, minus_lam_om_sin) views of
+    each block of _blocks.
     """
 
-    __slots__ = ("schrod_half", "cos", "sinc", "minus_lam_om_sin")
+    __slots__ = ("schrod_half", "cos", "sinc", "minus_lam_om_sin", "rotation")
 
-    def __init__(self, grid: Grid, eps: float, lams: tuple, dt: float, om: np.ndarray,
-                 work: np.ndarray):
+    def __init__(self, grid: Grid, eps: float, lams: tuple, dt: float, work: np.ndarray):
         self.schrod_half = schrodinger_group(grid, eps, 0.5 * dt)[np.newaxis]
+        om, lam_om = work
+        _omega_eps(grid.k_squared, eps, om, lam_om)
         rows = np.empty((3, len(lams)) + grid.shape)
         self.cos, self.sinc, self.minus_lam_om_sin = rows
         for i, lam in enumerate(lams):
-            wave_propagator(om, lam, dt, *rows[:, i], work)
+            wave_propagator(om, lam, dt, *rows[:, i], lam_om)
+        self.rotation = _blocks(*rows)
 
 
 def _kernel(kernels: dict, h: float, last: bool, build):
@@ -118,24 +134,20 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool):
     """The coupled advance for the batch of sound speeds lams."""
     fft, ifft, _ = _transforms(grid)
     potential = potential_symbol(grid, eps, dealias)[np.newaxis]
-    om = omega_eps(grid, eps)
     shape = (len(lams),) + grid.shape
     # H stacks the rows (E, n, nt, |E|^2), the real fields with zero
     # imaginary parts (the transform of a real array and of its complex
-    # copy have the same bits). After the first half linear step, one
-    # forward call on H transforms the half-evolved E together with n, nt
-    # and |E|^2, and one inverse call on H[:3] brings back E after the
-    # second half linear step, and n and nt as the real parts of rows 1
-    # and 2. E_hat and phase are work space, and the steps below reuse
-    # every buffer whose contents are spent.
-    E_hat, phase = (np.empty(shape, dtype=np.complex128) for _ in range(2))
+    # copy have the same bits). The first half linear step runs in place
+    # in row 0. Then one forward call on H transforms the half-evolved E
+    # together with n, nt and |E|^2, and one inverse call on H[:3] brings
+    # back E after the second half linear step, and n and nt as the real
+    # parts of rows 1 and 2. phase is work space between the kicks: it
+    # holds the kick argument in its imaginary part, lends its bytes to a
+    # kernel build, and takes the new Q in the wave rotation, whose
+    # other products go to prod, one block in size.
+    phase = np.empty(shape, dtype=np.complex128)
     H = np.zeros((4,) + shape, dtype=np.complex128)
-    # A kernel is built at the start of a step, where E_hat is spent. Its
-    # scratch is a contiguous real view of E_hat's first bytes: a strided
-    # .real would cost more.
-    kernels, build = {}, partial(_QZKernel, grid, eps, lams, om=om,
-                                 work=E_hat.reshape(-1).view(np.float64)[:grid.size]
-                                 .reshape(grid.shape))
+    prod = np.empty(min(phase.size, _BLOCK), dtype=np.complex128)
     H_back, (E_out, Q_hat, Qt_hat, IS_hat) = H[:3], H
     n_out, nt_out = Q_hat.real, Qt_hat.real
     # numpy runs a strided real part through its general iterator when it
@@ -144,14 +156,23 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool):
     # work on flat views of the same memory.
     real_rows_imag, S_flat = H[1:].imag.reshape(-1), IS_hat.real.reshape(-1)
     E_flat, n_flat = E_out.reshape(-1), n_out.reshape(-1)
-    arg_flat, phase_flat = E_hat.real.reshape(-1), phase.reshape(-1)
+    phase_flat = phase.reshape(-1)
+    arg_flat = phase_flat.imag
+    rotation = [views + (prod[:views[0].size],)
+                for views in _blocks(Q_hat, Qt_hat, IS_hat, phase)]
     # The trailing kick of a step and the leading kick of the next one
     # apply the same phase when h repeats: phase_of is the h of the phase
     # computed from the n returned last.
     phase_of = None
+    # A kernel is built at the first step of its size, so the last step
+    # had another size (phase_of != h) and phase is spent. The build's
+    # scratch, omega_eps and lam omega_eps, is a contiguous real view of
+    # phase's first bytes: a strided .real would cost more.
+    scratch = phase_flat.view(np.float64)[:2 * grid.size].reshape((2,) + grid.shape)
+    kernels, build = {}, partial(_QZKernel, grid, eps, lams, work=scratch)
 
     def set_phase(h: float) -> None:
-        # exp(-i h/2 n), with the argument in the spent E_hat
+        # exp(-i h/2 n), with the argument in phase's imaginary part
         unit_phase(np.multiply(-0.5 * h, n_flat, out=arg_flat), phase_flat)
 
     def advance(arrays: tuple, h: float, last: bool) -> tuple:
@@ -169,9 +190,9 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool):
             set_phase(h)
         phase_of = None  # phase is scratch until the trailing kick
         np.multiply(E, phase, out=E_out)
-        fft(E_out, out=E_hat)
-        np.multiply(E_hat, kern.schrod_half, out=E_hat)
-        ifft(E_hat, out=E_out)
+        fft(E_out, out=E_out)
+        np.multiply(E_out, kern.schrod_half, out=E_out)
+        ifft(E_out, out=E_out)
         real_rows_imag.fill(0.0)
         np.abs(E_flat, out=S_flat)
         np.square(S_flat, out=S_flat)
@@ -179,13 +200,14 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool):
         np.multiply(IS_hat, potential, out=IS_hat)
         np.add(Q_hat, IS_hat, out=Q_hat)
         # Q_new = cos Q_hat + sinc Qt_hat, Qt_new = -lam om sin Q_hat +
-        # cos Qt_hat, with phase as the scratch for the second products.
-        Q_new = np.multiply(kern.cos, Q_hat, out=E_hat)
-        np.add(Q_new, np.multiply(kern.sinc, Qt_hat, out=phase), out=Q_new)
-        np.multiply(kern.cos, Qt_hat, out=phase)
-        Qt_new = np.multiply(kern.minus_lam_om_sin, Q_hat, out=Qt_hat)
-        np.add(Qt_new, phase, out=Qt_new)
-        np.subtract(Q_new, IS_hat, out=Q_hat)
+        # cos Qt_hat, block by block, with Q_new in phase.
+        for (cos, sinc, rate), (Q, Qt, IS, Q_new, p) in zip(kern.rotation, rotation):
+            np.multiply(cos, Q, out=Q_new)
+            np.add(Q_new, np.multiply(sinc, Qt, out=p), out=Q_new)
+            np.multiply(cos, Qt, out=p)
+            np.multiply(rate, Q, out=Qt)
+            np.add(Qt, p, out=Qt)
+            np.subtract(Q_new, IS, out=Q)
         # row 0 holds the coefficients of the half-evolved E
         np.multiply(E_out, kern.schrod_half, out=E_out)
         ifft(H_back, out=H_back)

@@ -707,14 +707,14 @@ def test_simulate_memory_is_bounded_by_the_grid(tmp_path):
     raw = _simulate_config(2, 64, "qz", num_samples=64)
     path = write_config(tmp_path, raw)
     sample_bytes = 64 * 64 * (16 + 8 + 8)
-    # The run's buffers, in bytes a grid point: the march's six complex
-    # grids (96), at most two live step kernels (2 x 40), the slot (32),
-    # the monitor's two half spectra, work row and weights (41), and
-    # omega_eps, the potential symbol and |xi|^2 (24). The initial data
-    # is freed after the first step. The margin of two samples covers
-    # numpy's casting buffers, the output files' buffers and the run's
-    # Python objects.
-    held = 64 * 64 * (96 + 2 * 40 + 32 + 41 + 24)
+    # The run's buffers, in bytes a grid point: the march's five complex
+    # grids (80), at most two live step kernels (2 x 40), the slot (32),
+    # the monitor's half spectrum and weights (29), and the potential
+    # symbol and |xi|^2 (16); and the wave rotation's block of at most
+    # 8192 complex elements. The initial data is freed after the first
+    # step. The margin of two samples covers numpy's casting buffers, the
+    # output files' buffers and the run's Python objects.
+    held = 64 * 64 * (80 + 2 * 40 + 32 + 29 + 16) + min(64 * 64, 8192) * 16
     # a first run in the process makes one-off allocations that later runs
     # do not; the step kernels are built in every run, and each lives only
     # from the first to the last step of its size

@@ -95,12 +95,10 @@ def test_real_transform_hamiltonians_match_full_spectrum(rng, d, N):
 @pytest.mark.parametrize("solver", ["qz", "qmnls"])
 @pytest.mark.parametrize("d, N", [(1, 32), (2, 16)])
 def test_monitors_measure_in_the_arrays_they_are_given(rng, solver, d, N):
-    # measure consumes its arguments: E comes back as its transform, and
-    # the coupled monitor also uses nt's array as scratch but leaves n
-    # alone. The values are those of mass and of the Hamiltonians, which
-    # pass copies.
+    # measure consumes E, and nt for the coupled system, as scratch, but
+    # leaves n alone. The values are those of mass and of the
+    # Hamiltonians, which pass copies.
     from qzak.diagnostics import qmnls_monitor, qz_monitor
-    from qzak.field import _transforms
 
     grid = make_grid(d, N, 5.0)
     eps, lam = 0.7, 3.0
@@ -118,8 +116,49 @@ def test_monitors_measure_in_the_arrays_they_are_given(rng, solver, d, N):
     else:
         got = qmnls_monitor(grid, eps)(slot[0])
         want = hamiltonian_qmnls(state.E, eps)
-    assert np.array_equal(slot[0], _transforms(grid)[0](E))
     assert got == (mass(state.E), want)
+
+
+@pytest.mark.parametrize("solver", ["qz", "qmnls"])
+def test_monitor_measure_allocates_no_grid_array(rng, solver):
+    # measure's work space is the memory of the arguments it consumes, so
+    # a call allocates no grid-sized array, and the monitor holds only its
+    # weights, one half spectrum and, for the limit equation, |E|^2. A
+    # call may allocate numpy's iteration buffer (np.getbufsize() float64
+    # elements, for the product with the broadcast column weights), which
+    # at N=256 is a quarter of a half-spectrum real array. The margin is
+    # 4 KiB for Python objects.
+    import tracemalloc
+
+    from qzak.diagnostics import qmnls_monitor, qz_monitor
+
+    grid = make_grid(2, 256, 5.0)
+    half = 256 * 129
+    if solver == "qz":
+        monitor = lambda: qz_monitor(grid, 0.7, 3.0)
+        # S_hat; w_E; w_n, w_nt and w_coupling; w_unit
+        held = 16 * half + 8 * grid.size + 3 * 8 * half + 8 * 129
+    else:
+        monitor = lambda: qmnls_monitor(grid, 0.7)
+        # S; S_hat; w_E; w_quartic
+        held = 8 * grid.size + 16 * half + 8 * grid.size + 8 * half
+    E = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    n, nt = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+    nt -= np.mean(nt)
+    args = lambda: (E.copy(), n.copy(), nt.copy())[:3 if solver == "qz" else 1]
+    monitor()(*args())  # caches the grid's symbols and the FFT plans
+    tracemalloc.start()
+    try:
+        measure = monitor()
+        assert tracemalloc.get_traced_memory()[0] <= held + 4096
+        slot = args()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        measure(*slot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 8 * np.getbufsize() + 4096
 
 
 def test_hamiltonian_qz_linear_wave_invariant(grid64):

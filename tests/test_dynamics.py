@@ -1,4 +1,5 @@
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -198,15 +199,15 @@ def test_march_keeps_each_kernel_only_while_it_needs_it(monkeypatch):
 
 
 def test_kernel_build_allocates_only_the_kernel():
-    # Every symbol is formed in the kernel's own arrays and lam omega_eps
-    # in the work space the advance lends. The margin is wave_propagator's
-    # boolean mask of om > 0 (one byte a point) and 4 KiB for Python
-    # objects and numpy's masked assignment.
+    # Every symbol is formed in the kernel's own arrays, and omega_eps and
+    # lam omega_eps in the work space the advance lends. The margin is
+    # wave_propagator's boolean mask of om > 0 (one byte a point) and
+    # 4 KiB for Python objects and numpy's masked assignment.
     import tracemalloc
 
     grid = make_grid(2, 64, 16.0 * np.pi)
-    lams, om, work = (16.0, 32.0), omega_eps(grid, 1.0), np.empty(grid.shape)
-    build = lambda: dynamics._QZKernel(grid, 1.0, lams, 1e-3, om=om, work=work)
+    lams, work = (16.0, 32.0), np.empty((2,) + grid.shape)
+    build = lambda: dynamics._QZKernel(grid, 1.0, lams, 1e-3, work=work)
     build()  # caches grid.k_squared
     tracemalloc.start()
     try:
@@ -297,6 +298,42 @@ def test_march_equals_plain_expressions_bitwise(d, N):
     (want,) = _stepped_chain(cfg, data.E0.values,
                              lambda E, h: _plain_qmnls_step(grid, E, h, cfg.eps))
     assert np.array_equal(got.E.values, want)
+
+
+# One stacked step as whole-array expressions that reuse no buffer, with
+# the symbols of the kernel the advance builds for h.
+def _plain_stacked_step(grid, kern, potential, E, n, nt, h):
+    fft, ifft = (partial(f, axes=grid.axes) for f in (np.fft.fftn, np.fft.ifftn))
+    E = ifft(fft(np.multiply(E, np.exp(-0.5j * h * n))) * kern.schrod_half)
+    IS_hat = fft(np.abs(E) ** 2) * potential
+    Q_hat, Qt_hat = fft(n) + IS_hat, fft(nt)
+    n = ifft(kern.cos * Q_hat + kern.sinc * Qt_hat - IS_hat).real
+    nt = ifft(kern.minus_lam_om_sin * Q_hat + kern.cos * Qt_hat).real
+    E = ifft(fft(E) * kern.schrod_half)
+    return np.multiply(E, np.exp(-0.5j * h * n)), n, nt
+
+
+# The advance keeps the kick argument, the first half linear step, the
+# kernel build's scratch and the blocked wave rotation in its own buffers.
+# d=2 N=128 rotates two blocks, d=2 N=64 with three rows ends on a partial
+# block, and d=1 is one block. The steps are a first one from the
+# read-only data, one of the same size (the reused phase), one that
+# builds a new kernel, and one back on the first size.
+@pytest.mark.parametrize("d,N,batch", [(2, 128, 1), (2, 64, 3), (1, 64, 5)])
+def test_advance_step_equals_plain_expressions_bitwise(d, N, batch):
+    grid = make_grid(d, N, 2.0 * np.pi)
+    data = _smooth_data(grid)
+    lams = (4.0, 8.0, 16.0, 32.0, 64.0)[:batch]
+    potential = potential_symbol(grid, 1.0)
+    advance = _qz_advance(grid, 1.0, lams, True)
+    got = _stacked(_arrays(data.E0, data.n0, data.n1), batch)
+    want = got
+    for h, last in ((1e-3, False), (1e-3, False), (4e-4, True), (1e-3, True)):
+        kern = dynamics._QZKernel(grid, 1.0, lams, h, work=np.empty((2,) + grid.shape))
+        want = _plain_stacked_step(grid, kern, potential, *want, h)
+        got = advance(got, h, last)
+        for name, a, b in zip(("E", "n", "nt"), got, want, strict=True):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (h, name)
 
 
 # The sweep marches its lam ladder as one stacked batch on the premise

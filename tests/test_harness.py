@@ -176,8 +176,8 @@ def test_sweep_memory_does_not_grow_with_samples():
 
 
 def test_sweep_builds_symbols_once_per_group(monkeypatch):
-    # omega_eps is built once per advance and once per dt group, never per
-    # sample or per kernel
+    # omega_eps is built once per dt group, never per sample (a kernel
+    # build forms it in the advance's work space, through its core)
     calls = [0]
     omega = operators.omega_eps
 
