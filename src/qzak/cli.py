@@ -190,14 +190,10 @@ def _run_layer_decay(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]
     grid = sim.grid
     p = cfg.data_params
     f0 = real_field(grid, _gaussian(grid, p.amplitude, p.width, p.center))
-    reports = []
-    for lam in cfg.lambdas:
-        times = [lt / lam for lt in cfg.lambda_times]
-        rep = decay_probe(f0, sim.eps, lam, times, cfg.k_max, cfg.probe_points)
-        reports.append(rep)
-        _say(quiet, f"lambda={lam:g} inner_exponent={rep.inner_exponent:.3f} "
-                    f"outer_envelope_factor={rep.outer_envelope_factor:.3f}")
-    return write_decay_report(out, reports)
+    rep = decay_probe(f0, sim.eps, cfg.lambda_times, cfg.k_max, cfg.probe_points)
+    _say(quiet, f"inner_exponent={rep.inner_exponent:.3f} "
+                f"outer_envelope_factor={rep.outer_envelope_factor:.3f}")
+    return write_decay_report(out, rep)
 
 
 def _run_oracle_check(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:

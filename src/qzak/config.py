@@ -37,7 +37,7 @@ _MARCH = {"T", "dt0", "c_lambda", "dealias"}
 _READS = {
     "simulate": _EVERY | _MARCH | {"lambda", "num_samples", "solver"},
     "sweep": _EVERY | _MARCH | {"lambdas", "m", "num_samples"},
-    "layer-decay": _EVERY | {"lambdas", "lambda_times", "probe_points", "k_max"},
+    "layer-decay": _EVERY | {"lambda_times", "probe_points", "k_max"},
     "oracle-check": _EVERY | _MARCH | {"lambda", "tolerance"},
     "self-converge": _EVERY | {"lambda", "T", "dealias", "solver", "dt_list", "m"},
 }
@@ -206,8 +206,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
 
     if experiment == "sweep":
         lambdas = read.float_list("lambdas", [4.0, 8.0, 16.0, 32.0, 64.0])
-    elif experiment == "layer-decay":
-        lambdas = read.float_list("lambdas", [8.0, 16.0, 32.0])
     else:
         lambdas = (read.number("lambda", 4.0, low=1.0),)
     _checked("lambdas" if "lambdas" in read.reads else "lambda",
@@ -264,10 +262,10 @@ def resolve_config(raw: dict) -> ExperimentConfig:
                  getattr(params, f"{bump}width"), getattr(params, f"{bump}center"),
                  params)
     if experiment == "layer-decay":
-        # the run probes lam t = lambda_times at every lam
-        f0 = _gaussian(grid, params.amplitude, params.width, params.center)
-        _checked("lambda_times", layer._check_horizon, grid,
-                 to_spectral(real_field(grid, f0)), epsilon, max(lambda_times))
+        f0 = real_field(grid, _gaussian(grid, params.amplitude, params.width,
+                                        params.center))
+        _checked("lambda_times", layer._check_horizon, f0, to_spectral(f0), epsilon,
+                 max(lambda_times))
 
     out_dir = raw.get("out_dir")
     _expect(out_dir is None or (isinstance(out_dir, str) and out_dir != ""),

@@ -17,7 +17,6 @@ import numpy as np
 from .diagnostics import _fit_line
 from .errors import NonFiniteFieldError, ParameterError, WrapAroundError
 from .field import Field, inverse_values, real_field, to_spectral
-from .grid import Grid
 from .operators import _derivative_symbol, apply_multiplier, wave_cos
 from .state import InitialData, layer_velocity_source, q_field
 
@@ -42,9 +41,8 @@ def layer_initial_fields(data: InitialData, eps: float) -> tuple[Field, Field]:
 
 @dataclass(frozen=True)
 class ProbeRow:
-    """One (time, probe point) evaluation of the propagated layer."""
+    """One (lam t, probe point) evaluation of the propagated layer."""
 
-    t: float
     lam_t: float
     x0: float
     region: str
@@ -56,8 +54,6 @@ class ProbeRow:
 class DecayProbeReport:
     """Pointwise decay measurements for the cosine-propagated layer."""
 
-    lam: float
-    eps: float
     rows: tuple[ProbeRow, ...]
     inner_exponent: float
     outer_envelope_factor: float
@@ -68,9 +64,9 @@ def _check_probe_dimension(d: int) -> None:
         raise ParameterError("decay_probe supports d=1 only")
 
 
-def _check_probe_time(t: float) -> None:
-    if not t > 0.0:
-        raise ParameterError("probe times must be positive")
+def _check_probe_time(lam_t: float) -> None:
+    if not lam_t > 0.0:
+        raise ParameterError("lam t values must be positive")
 
 
 def _check_probe_point(p, L: float) -> None:
@@ -79,10 +75,20 @@ def _check_probe_point(p, L: float) -> None:
                              f"[{-L / 2.0:.6g}, {L / 2.0:.6g})")
 
 
-def _check_horizon(grid: Grid, f0_hat: np.ndarray, eps: float, lam_t: float) -> None:
-    """Raise WrapAroundError when the layer reaches the box edge by lam t."""
+def _check_horizon(f0: Field, f0_hat: np.ndarray, eps: float, lam_t: float) -> None:
+    """Raise WrapAroundError when the layer reaches the box edge by lam t.
+
+    The band is where |f0_hat| stands above its peak times the larger of
+    1e-12 and f0's relative size at the box edge: the seam jump of data
+    cut off at that size spreads a tail of that relative height over
+    every mode, and that tail is not band.
+    """
+    grid = f0.grid
+    values = np.abs(f0.values)
+    peak = np.max(values)
+    floor = max(1e-12, max(values[0], values[-1]) / peak) if peak > 0.0 else 1e-12
     mags = np.abs(f0_hat)
-    alive = mags > 1e-12 * np.max(mags)  # the band where the data carry amplitude
+    alive = mags > floor * np.max(mags)
     xi_eff = float(np.max(np.sqrt(grid.k_squared)[alive])) if alive.any() else 0.0
     # the group speed d omega_eps / d xi at the cutoff bounds the spreading
     e2xi2 = eps * eps * xi_eff * xi_eff
@@ -90,30 +96,31 @@ def _check_horizon(grid: Grid, f0_hat: np.ndarray, eps: float, lam_t: float) -> 
     if horizon > 0.9 * grid.L / 2.0:
         raise WrapAroundError(
             f"probe horizon {horizon:.3g} reaches the box edge "
-            f"(L/2 = {grid.L / 2.0:.3g}); shorten times or enlarge the box "
+            f"(L/2 = {grid.L / 2.0:.3g}); shorten lam t or enlarge the box "
             f"(resolved band cutoff {xi_eff:.3g})")
 
 
-def decay_probe(f0: Field, eps: float, lam: float, times, k_max: int,
+def decay_probe(f0: Field, eps: float, lam_times, k_max: int,
                 probe_points) -> DecayProbeReport:
     """Evaluate derivatives of cos(lam t omega) f0 at fixed probe points.
 
-    The k-th derivative is Lap^{k/2} Q0 for even k, d/dx Lap^{(k-1)/2} Q0 for
-    odd k: one inverse transform per (time, k) of the transformed f0. Raises
-    NonFiniteFieldError when a large k_max overflows |xi|^k. The checks of
-    the dimension, times, probe points and horizon also run in
-    ``config.resolve_config``.
+    The layer depends on lam and t only through lam t, so the probe takes
+    the values of lam t. The k-th derivative is Lap^{k/2} Q0 for even k,
+    d/dx Lap^{(k-1)/2} Q0 for odd k: one inverse transform per (lam t, k)
+    of the transformed f0. Raises NonFiniteFieldError when a large k_max
+    overflows |xi|^k. The checks of the dimension, lam t values, probe
+    points and horizon also run in ``config.resolve_config``.
 
-    Region per (t, x0): inner when lam*t > 1 and |x0| <= lam*t/2, else
-    outer (which also covers all early times). The inner exponent is the
-    log-log slope against (1 + lam*t); the outer envelope factor compares
-    late outer values against the early-time constant of the bound
-    (1 + lam*t)^-2 (1 + |x0|)^2.
+    Region per (lam t, x0): inner when lam t > 1 and |x0| <= lam t / 2,
+    else outer (which also covers all early times). The inner exponent is
+    the log-log slope against (1 + lam t); the outer envelope factor
+    compares late outer values against the early-time constant of the
+    bound (1 + lam t)^-2 (1 + |x0|)^2.
     """
     grid = f0.grid
     _check_probe_dimension(grid.d)
-    times = sorted(float(t) for t in times)
-    _check_probe_time(min(times, default=0.0))  # an empty list has no time > 0
+    lam_times = sorted(float(lt) for lt in lam_times)
+    _check_probe_time(min(lam_times, default=0.0))  # an empty list has no lam t > 0
     if k_max < 0:
         raise ParameterError(f"k_max must be >= 0, got {k_max}")
     if len(probe_points) == 0:
@@ -122,7 +129,7 @@ def decay_probe(f0: Field, eps: float, lam: float, times, k_max: int,
         _check_probe_point(p, grid.L)
 
     f0_hat = to_spectral(f0)
-    _check_horizon(grid, f0_hat, eps, lam * times[-1])
+    _check_horizon(f0, f0_hat, eps, lam_times[-1])
 
     x_axis = grid.coordinates[0]
     probe_idx = [int(np.argmin(np.abs(x_axis - float(p)))) for p in probe_points]
@@ -134,30 +141,26 @@ def decay_probe(f0: Field, eps: float, lam: float, times, k_max: int,
     with np.errstate(over="ignore", invalid="ignore"):
         symbols = [(-grid.k_squared) ** (k // 2) * (d_x if k % 2 else 1.0)
                    for k in range(k_max + 1)]
-        for t in times:
-            q0_hat = f0_hat * wave_cos(grid, eps, lam, t)
+        for lam_t in lam_times:
+            q0_hat = f0_hat * wave_cos(grid, eps, 1.0, lam_t)
             at_probes = []
             for k, symbol in enumerate(symbols):
                 table = np.abs(inverse_values(grid, symbol * q0_hat).real)
                 if not np.all(np.isfinite(table)):
                     raise NonFiniteFieldError(
                         f"k_max = {k_max}: the order-{k} derivative of the layer is "
-                        f"not finite at t = {t:.6g}; lower k_max")
+                        f"not finite at lam t = {lam_t:.6g}; lower k_max")
                 at_probes.append(table[probe_idx])
-            lam_t = lam * t
             for j, x0 in enumerate(probe_x):
                 inner = lam_t > 1.0 and abs(x0) <= lam_t / 2.0
                 sup_by_k = tuple(float(values[j]) for values in at_probes)
                 weight = (1.0 + abs(x0)) ** 2
                 rows.append(ProbeRow(
-                    t=t, lam_t=lam_t, x0=x0, region="inner" if inner else "outer",
+                    lam_t=lam_t, x0=x0, region="inner" if inner else "outer",
                     sup_by_k=sup_by_k, weighted_sup_by_k=tuple(v / weight for v in sup_by_k)))
 
-    inner_exponent = _fit_inner_exponent(rows)
-    envelope_factor = _outer_envelope_factor(rows)
-    return DecayProbeReport(lam=lam, eps=eps, rows=tuple(rows),
-                            inner_exponent=inner_exponent,
-                            outer_envelope_factor=envelope_factor)
+    return DecayProbeReport(rows=tuple(rows), inner_exponent=_fit_inner_exponent(rows),
+                            outer_envelope_factor=_outer_envelope_factor(rows))
 
 
 def _fit_inner_exponent(rows: list[ProbeRow]) -> float:

@@ -189,23 +189,16 @@ plot 'sweep.csv' skip 1 using 1:3 with linespoints pt 7 title 'E error', \\
     return _write(out_dir, "plots.gp", script)
 
 
-def write_decay_report(out_dir, reports: list[DecayProbeReport]) -> list[str]:
-    lines = ["lambda,t,lambda_t,x0,region,k,sup_abs,weighted_sup"]
-    for rep in reports:
-        for row in rep.rows:
-            for k, (v, w) in enumerate(zip(row.sup_by_k, row.weighted_sup_by_k)):
-                lines.append(",".join([
-                    _fmt(rep.lam), _fmt(row.t), _fmt(row.lam_t), _fmt(row.x0),
-                    row.region, str(k), _fmt(v), _fmt(w)]))
+def write_decay_report(out_dir, rep: DecayProbeReport) -> list[str]:
+    lines = ["lambda_t,x0,region,k,sup_abs,weighted_sup"]
+    for row in rep.rows:
+        for k, (v, w) in enumerate(zip(row.sup_by_k, row.weighted_sup_by_k)):
+            lines.append(",".join([_fmt(row.lam_t), _fmt(row.x0), row.region, str(k),
+                                   _fmt(v), _fmt(w)]))
     _write(out_dir, "decay.csv", "\n".join(lines) + "\n")
     _write_json(out_dir, "decayfit.json", {
-        "per_lambda": [
-            {"lambda": rep.lam,
-             "inner_exponent": rep.inner_exponent,
-             "outer_envelope_factor": rep.outer_envelope_factor}
-            for rep in reports
-        ],
-    })
+        "inner_exponent": rep.inner_exponent,
+        "outer_envelope_factor": rep.outer_envelope_factor})
     return ["decay.csv", "decayfit.json"]
 
 

@@ -87,15 +87,12 @@ def test_criterion_4_free_wave_decay():
     f0 = real_field(grid, np.exp(-((x / 4.5) ** 2)))
     lam_times = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0)
     probes = (0.0, 1.0, 2.0, 20.0, 30.0, 40.0)
-    exps, envs = [], []
-    for lam in (8.0, 16.0, 32.0):
-        rep = decay_probe(f0, EPS, lam, [lt / lam for lt in lam_times], 2, probes)
-        exps.append(rep.inner_exponent)
-        envs.append(rep.outer_envelope_factor)
-    ok = all(e <= -1.8 for e in exps) and all(v <= 10.0 for v in envs)
-    assert report(4, ok, f"inner exponents {[f'{e:.2f}' for e in exps]} "
-                         f"(<= -1.8); envelope factors "
-                         f"{[f'{v:.2f}' for v in envs]} (<= 10)")
+    # the layer depends on lam t only, so one call covers every lam
+    rep = decay_probe(f0, EPS, lam_times, 2, probes)
+    exp, env = rep.inner_exponent, rep.outer_envelope_factor
+    ok = exp <= -1.8 and env <= 10.0
+    assert report(4, ok, f"inner exponent {exp:.2f} (<= -1.8); "
+                         f"envelope factor {env:.2f} (<= 10)")
 
 
 def test_criterion_5_conservation(generic_sweep, wp_sweep):

@@ -196,7 +196,6 @@ def test_layer_decay_cli(tmp_path):
     cfg = {
         "experiment": "layer-decay",
         "N": 1024,
-        "lambdas": [8.0, 16.0],
         "lambda_times": [0.5, 1.0, 2.0, 4.0, 8.0],
         "probe_points": [0.0, 1.0, 20.0, 40.0],
         "data": {"width": 4.5},
@@ -206,9 +205,23 @@ def test_layer_decay_cli(tmp_path):
     assert run_cli(["layer-decay", "--config", path, "--out", str(out),
                     "--quiet"]) == 0
     payload = json.loads((out / "decayfit.json").read_text())
-    assert len(payload["per_lambda"]) == 2
-    assert all(rec["inner_exponent"] < -1.0 for rec in payload["per_lambda"])
-    assert (out / "decay.csv").exists()
+    assert set(payload) == {"inner_exponent", "outer_envelope_factor"}
+    assert payload["inner_exponent"] < -1.0
+    lines = (out / "decay.csv").read_text().splitlines()
+    assert lines[0] == "lambda_t,x0,region,k,sup_abs,weighted_sup"
+    assert len(lines) == 1 + 5 * 4 * 3  # (lam t, probe point, order k <= 2)
+
+
+def test_committed_layer_decay_table(tmp_path):
+    # configs/layer_decay.json probes 9 lam t values at 6 points, orders 0-2
+    path = Path(__file__).resolve().parents[1] / "configs" / "layer_decay.json"
+    out = tmp_path / "out"
+    assert run_cli(["layer-decay", "--config", str(path), "--out", str(out),
+                    "--quiet"]) == 0
+    assert json.loads((out / "decayfit.json").read_text()) == {
+        "inner_exponent": -2.2101071754029995,
+        "outer_envelope_factor": 0.2891305978677668}
+    assert len((out / "decay.csv").read_text().splitlines()) == 1 + 162
 
 
 def test_memory_error_exits_two(tmp_path, capsys, monkeypatch):
@@ -274,7 +287,6 @@ def test_layer_decay_probe_outside_box_exits_one(tmp_path, capsys):
     cfg = {
         "experiment": "layer-decay",
         "N": 1024,
-        "lambdas": [8.0],
         "lambda_times": [0.5, 1.0],
         "probe_points": [0.0, 1000.0],
         "data": {"width": 4.5},
@@ -336,11 +348,13 @@ def test_unresolved_gaussian_exits_one_and_names_its_width(tmp_path, command, co
     ("oracle-check", "oracle_check.json", ["dt0=10", "c_lambda=1e6", "lambda=64"], "dt0"),
     ("oracle-check", "oracle_check.json", ["dt0=10", "c_lambda=320", "lambda=64"],
      "c_lambda"),
+    ("layer-decay", "layer_decay.json", ["lambdas=[8.0]"], "lambdas"),
 ])
 def test_probe_horizon_and_oracle_step_exit_one(tmp_path, command, config, overrides,
                                                  key):
     # the probe's wrap-around horizon and the oracle's RK4 step bound follow
-    # from the config alone; the run, not the config, used to refuse them
+    # from the config alone; the run, not the config, used to refuse them.
+    # The probe depends on lam t only, so a layer-decay lambdas is unread.
     path = Path(__file__).resolve().parents[1] / "configs" / config
     out = tmp_path / "out"
     argv = [command, "--config", str(path), "--out", str(out), "--quiet"]
@@ -543,7 +557,7 @@ _RERUN_CONFIGS = {
     "self-converge": {"experiment": "self-converge", "N": 256, "L": 20.0 * np.pi,
                       "T": 0.02, "lambda": 8.0, "dt_list": [4e-3, 2e-3, 1e-3, 5e-4],
                       "data": SWEEP_CONFIG["data"]},
-    "layer-decay": {"experiment": "layer-decay", "lambdas": [8.0],
+    "layer-decay": {"experiment": "layer-decay",
                     "lambda_times": [0.5, 2.0, 4.0], "probe_points": [0.0, 1.0],
                     "data": {"width": 4.5}},
     "oracle-check": {**ORACLE_CONFIG, "T": 0.02},
@@ -602,7 +616,7 @@ def test_no_run_calls_lapack(tmp_path, monkeypatch, command):
     assert run_cli([command, "--config", write_config(tmp_path, _RERUN_CONFIGS[command]),
                     "--out", str(out), "--quiet"]) == 0
     if command == "layer-decay":  # two inner times, so the exponent is fitted
-        fit = json.loads((out / "decayfit.json").read_text())["per_lambda"][0]
+        fit = json.loads((out / "decayfit.json").read_text())
         assert np.isfinite(fit["inner_exponent"])
 
 

@@ -121,9 +121,6 @@ def test_sweep_needs_three_increasing_lambdas(lambdas):
     with pytest.raises(ConfigError) as err:
         parse_config(f'{{"experiment": "sweep", "lambdas": {lambdas}}}')
     assert err.value.path == "lambdas"
-    # the rate-fit rule is the sweep's; layer-decay keeps any sorted list
-    raw = f'{{"experiment": "layer-decay", "lambdas": {lambdas}}}'
-    assert parse_config(raw).lambdas == tuple(json.loads(lambdas))
 
 
 def test_oracle_check_requires_small_grid():
@@ -232,16 +229,15 @@ MOVED_RULES = {
                                  _data(cfg))),
     "probe-dimension": (DECAY, {"dimension": 2, "N": 32}, "dimension",
                         lambda cfg: decay_probe(
-                            _probe(cfg, make_grid(2, 32, cfg.sim.grid.L)), 1.0, 8.0,
-                            [0.1], 2, [0.0])),
+                            _probe(cfg, make_grid(2, 32, cfg.sim.grid.L)), 1.0,
+                            [0.8], 2, [0.0])),
     "probe-time": (DECAY, {"lambda_times": [1.0, 0.0]}, "lambda_times[1]",
-                   lambda cfg: decay_probe(_probe(cfg), 1.0, 8.0, [1.0 / 8.0, 0.0], 2,
+                   lambda cfg: decay_probe(_probe(cfg), 1.0, [1.0, 0.0], 2,
                                            cfg.probe_points)),
     "probe-point": (DECAY, {"probe_points": [0.0, 1000.0]}, "probe_points[1]",
-                    lambda cfg: decay_probe(_probe(cfg), 1.0, 8.0, [0.1], 2,
-                                            [0.0, 1000.0])),
+                    lambda cfg: decay_probe(_probe(cfg), 1.0, [0.8], 2, [0.0, 1000.0])),
     "probe-horizon": (DECAY, {"lambda_times": [1000.0]}, "lambda_times",
-                      lambda cfg: decay_probe(_probe(cfg), 1.0, 8.0, [1000.0 / 8.0], 2,
+                      lambda cfg: decay_probe(_probe(cfg), 1.0, [1000.0], 2,
                                               cfg.probe_points)),
 }
 
@@ -260,14 +256,38 @@ def test_config_error_is_the_library_error(rule):
 
 def test_layer_decay_defaults():
     cfg = parse_config('{"experiment": "layer-decay"}')
-    assert cfg.lambdas == (8.0, 16.0, 32.0)
+    assert cfg.lambda_times == (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0)
+    assert "lambdas" not in cfg.resolved
     assert cfg.data_params.width == 4.5
     assert cfg.k_max == 2
 
 
+@pytest.mark.parametrize("box,largest", [
+    ({}, 12.2),
+    ({"L": 40.0, "probe_points": [0.0, 1.0, 2.0], "data": {"edge_tol": 1e-8}}, 4.7),
+    ({"L": 10.0 * np.pi, "probe_points": [0.0, 1.0, 2.0], "data": {"edge_tol": 1e-5}},
+     4.9),
+], ids=["default", "L40", "L10pi"])
+def test_layer_decay_horizon_cutoff_follows_the_data(tmp_path, box, largest):
+    # a Gaussian that edge_tol lets reach the box edge jumps at the seam, and
+    # the jump spreads a tail of its relative height over every mode: the
+    # band cutoff stands above that tail, so the largest lam t these boxes
+    # allow is a few units and not the top mode's 0.22 or 0.069
+    raw = {"experiment": "layer-decay", **box}
+    with pytest.raises(ConfigError) as err:
+        resolve_config({**raw, "lambda_times": [largest + 0.1]})
+    assert err.value.path == "lambda_times"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**raw, "lambda_times": [0.5, 2.0, largest]}))
+    out = tmp_path / "out"
+    assert run_cli(["layer-decay", "--config", str(path), "--out", str(out),
+                    "--quiet"]) == 0
+    fit = json.loads((out / "decayfit.json").read_text())
+    assert np.isfinite(fit["inner_exponent"])
+
+
 def test_layer_decay_probe_points_must_lie_in_box():
-    # the probe's tail at the edge of this box spreads at the lattice's top
-    # group speed: lam t <= 0.2 keeps its horizon inside
+    # lam t <= 0.2 keeps the probe's horizon inside this box
     base = {"experiment": "layer-decay", "L": 40.0, "lambda_times": [0.1, 0.2],
             "data": {"edge_tol": 1e-8}}
     for points, bad in (([0.0, 20.0], 1), ([-20.5, 0.0], 0)):
@@ -329,7 +349,7 @@ EVERY = {"experiment", "epsilon", "dimension", "N", "L", "out_dir", "data"}
 READS = {
     "simulate": {"lambda", "T", "dt0", "c_lambda", "dealias", "num_samples", "solver"},
     "sweep": {"lambdas", "T", "dt0", "c_lambda", "m", "dealias", "num_samples"},
-    "layer-decay": {"lambdas", "lambda_times", "probe_points", "k_max"},
+    "layer-decay": {"lambda_times", "probe_points", "k_max"},
     "oracle-check": {"lambda", "T", "dt0", "c_lambda", "dealias", "tolerance"},
     "self-converge": {"lambda", "T", "dealias", "solver", "dt_list", "m"},
 }

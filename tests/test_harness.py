@@ -228,7 +228,7 @@ def test_fit_exact_power_laws():
 
 # The points (log x, log y) that the committed configs fit: the E- and
 # Q-error rates of both sweeps, the splitting order of self_converge.json
-# and the inner decay exponent of layer_decay.json (the same at every lam).
+# and the inner decay exponent of layer_decay.json.
 LOG_LAMS = [1.3862943611198906, 2.0794415416798357, 2.772588722239781,
             3.4657359027997265, 4.1588830833596715]
 COMMITTED_FITS = {

@@ -135,8 +135,8 @@ def test_decay_probe_inner_exponent():
     g = make_grid(1, 1024, 40.0 * np.pi)
     x = g.coordinates[0]
     f0 = real_field(g, np.exp(-((x / 4.5) ** 2)))
-    times = [lt / 16.0 for lt in (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0)]
-    rep = decay_probe(f0, 1.0, 16.0, times, 2, [0.0, 1.0, 2.0, 20.0, 30.0, 40.0])
+    lam_times = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0)
+    rep = decay_probe(f0, 1.0, lam_times, 2, [0.0, 1.0, 2.0, 20.0, 30.0, 40.0])
     assert rep.inner_exponent <= -1.8
     assert rep.outer_envelope_factor <= 10.0
     regions = {r.region for r in rep.rows}
@@ -148,15 +148,15 @@ def test_decay_probe_inner_exponent_needs_two_inner_times():
     g = make_grid(1, 1024, 40.0 * np.pi)
     f0 = real_field(g, np.exp(-((g.coordinates[0] / 4.5) ** 2)))
     for lam_times in ([0.25, 0.5, 1.0], [0.5, 2.0]):
-        times = [lt / 16.0 for lt in lam_times]
-        rep = decay_probe(f0, 1.0, 16.0, times, 2, [0.0, 1.0])
+        rep = decay_probe(f0, 1.0, lam_times, 2, [0.0, 1.0])
         assert np.isnan(rep.inner_exponent)
 
 
 def _field_chain_tables(f0, eps, lam, t, k_max):
-    """|k-th derivative| of Q0 through a chain of Field passes: q0_exact,
-    then Lap^{k//2} by apply_multiplier and, for odd k, d/dx by another
-    transform pair. The probe's one-transform-per-order path must match it."""
+    """|k-th derivative| of Q0 through a chain of Field passes: q0_exact at
+    (lam, t), then Lap^{k//2} by apply_multiplier and, for odd k, d/dx by
+    another transform pair. The probe's one-transform-per-order path at
+    lam t must match it."""
     grid = f0.grid
     q0 = q0_exact(t, lam, eps, f0)
     tables = []
@@ -176,11 +176,12 @@ def test_decay_probe_matches_field_chain_to_rounding():
     x = g.coordinates[0]
     f0 = real_field(g, np.exp(-((x / 4.5) ** 2)))
     eps, lam, k_max = 1.0, 16.0, 2
-    times = [lt / lam for lt in (0.25, 1.0, 3.0, 6.0, 10.0)]
-    rep = decay_probe(f0, eps, lam, times, k_max, [0.0, 1.0, 2.0, 20.0, 30.0, 40.0])
-    tables = {t: _field_chain_tables(f0, eps, lam, t, k_max) for t in times}
+    lam_times = (0.25, 1.0, 3.0, 6.0, 10.0)
+    rep = decay_probe(f0, eps, lam_times, k_max, [0.0, 1.0, 2.0, 20.0, 30.0, 40.0])
+    tables = {lt: _field_chain_tables(f0, eps, lam, lt / lam, k_max) for lt in lam_times}
     for k in range(k_max + 1):
-        ref = np.array([tables[r.t][k][np.flatnonzero(x == r.x0)[0]] for r in rep.rows])
+        ref = np.array([tables[r.lam_t][k][np.flatnonzero(x == r.x0)[0]]
+                        for r in rep.rows])
         weights = np.array([(1.0 + abs(r.x0)) ** 2 for r in rep.rows])
         for got, want in (([r.sup_by_k[k] for r in rep.rows], ref),
                           ([r.weighted_sup_by_k[k] for r in rep.rows], ref / weights)):
@@ -188,18 +189,18 @@ def test_decay_probe_matches_field_chain_to_rounding():
 
 
 def test_decay_probe_transforms_f0_once(grid256, monkeypatch):
-    # one forward transform of f0, then one inverse per (time, order)
+    # one forward transform of f0, then one inverse per (lam t, order)
     f0 = real_field(grid256, np.exp(-(grid256.coordinates[0] ** 2)))
-    times, k_max = [0.01, 0.02, 0.05], 3
+    lam_times, k_max = [0.08, 0.16, 0.4], 3
     calls = []
     for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
         def counted(*args, _fn=getattr(np.fft, name), **kwargs):
             calls.append(1)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    decay_probe(f0, 1.0, 8.0, times, k_max, [0.0, 1.0])
+    decay_probe(f0, 1.0, lam_times, k_max, [0.0, 1.0])
     monkeypatch.undo()
-    assert len(calls) == 1 + len(times) * (k_max + 1)
+    assert len(calls) == 1 + len(lam_times) * (k_max + 1)
 
 
 def test_decay_probe_overflowing_order_raises():
@@ -207,14 +208,14 @@ def test_decay_probe_overflowing_order_raises():
     g = make_grid(1, 1024, 40.0 * np.pi)
     f0 = real_field(g, np.exp(-((g.coordinates[0] / 4.5) ** 2)))
     with pytest.raises(NonFiniteFieldError, match="k_max = 220: the order-220"):
-        decay_probe(f0, 1.0, 16.0, [0.25 / 16.0], 220, [0.0])
+        decay_probe(f0, 1.0, [0.25], 220, [0.0])
 
 
 def test_decay_probe_early_time_no_decay():
     g = make_grid(1, 512, 20.0 * np.pi)
     x = g.coordinates[0]
     f0 = real_field(g, np.exp(-((x / 3.0) ** 2)))
-    rep = decay_probe(f0, 1.0, 8.0, [1e-4], 0, [0.0])
+    rep = decay_probe(f0, 1.0, [8e-4], 0, [0.0])
     assert np.isclose(max(rep.rows[0].sup_by_k), 1.0, rtol=1e-4)
 
 
@@ -223,7 +224,7 @@ def test_decay_probe_wrap_guard():
     x = g.coordinates[0]
     f0 = real_field(g, np.exp(-((x / 2.0) ** 2)))
     with pytest.raises(WrapAroundError):
-        decay_probe(f0, 1.0, 32.0, [2.0], 1, [0.0])
+        decay_probe(f0, 1.0, [64.0], 1, [0.0])
 
 
 def test_decay_probe_rejects_points_outside_box(grid256):
@@ -231,19 +232,19 @@ def test_decay_probe_rejects_points_outside_box(grid256):
     half = grid256.L / 2.0
     for point in (1000.0, half, -half - 1e-9):
         with pytest.raises(ParameterError, match="probe point"):
-            decay_probe(f0, 1.0, 8.0, [0.1], 0, [0.0, point])
-    rep = decay_probe(f0, 1.0, 8.0, [0.1], 0, [-half, 0.0])
+            decay_probe(f0, 1.0, [0.8], 0, [0.0, point])
+    rep = decay_probe(f0, 1.0, [0.8], 0, [-half, 0.0])
     assert rep.rows[0].x0 == -half
 
 
 def test_decay_probe_rejects_bad_times(grid256):
     f0 = real_field(grid256, np.exp(-(grid256.coordinates[0] ** 2)))
     with pytest.raises(ParameterError):
-        decay_probe(f0, 1.0, 8.0, [0.0, 0.1], 1, [0.0])
+        decay_probe(f0, 1.0, [0.0, 0.8], 1, [0.0])
     with pytest.raises(ParameterError, match="k_max"):
-        decay_probe(f0, 1.0, 8.0, [0.1], -1, [0.0])
+        decay_probe(f0, 1.0, [0.8], -1, [0.0])
     with pytest.raises(ParameterError, match="probe_points"):
-        decay_probe(f0, 1.0, 8.0, [0.1], 1, [])
+        decay_probe(f0, 1.0, [0.8], 1, [])
 
 
 def test_layer_decomposition_real_envelope_has_no_q1(grid256):
