@@ -116,11 +116,11 @@ def _simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     march, is the one raised.
 
     Every grid-sized buffer has one owner: _simulate hands the initial
-    data to evolve and keeps no reference, so the march frees it after
-    its first step, and the run then holds the march's buffers and
-    kernels, the slot, and the monitor's half-spectrum buffer and
-    weights. The monitor's other work space is the slot's memory, which
-    measure consumes.
+    data to evolve and keeps no reference, so evolve frees it once its
+    advance has copied it, before the first step, and the run then holds
+    the march's buffers and kernel slots, the slot, and the monitor's
+    half-spectrum buffer and weights. The monitor's other work space is
+    the slot's memory, which measure consumes.
     """
     # imported here: it pulls in logging, and only simulate runs a worker
     from concurrent.futures import ThreadPoolExecutor
@@ -128,7 +128,7 @@ def _simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     sim = cfg.sim
     data = preset_initial_data(cfg.data_kind, cfg.data_params, sim.grid, sim.eps)
     # start holds the initial data until the call to evolve takes it out,
-    # so that the march frees it after its first step
+    # so that evolve frees it before the first step
     if cfg.solver == "qz":
         evolve, start, names = qz_evolve, [data], ("E", "n", "nt")
         measure = qz_monitor(sim.grid, sim.eps, sim.lam)

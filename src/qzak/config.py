@@ -264,6 +264,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     if experiment == "layer-decay":
         f0 = real_field(grid, _gaussian(grid, params.amplitude, params.width,
                                         params.center))
+        _checked("data.amplitude", layer._check_probe_data, f0)
         _checked("lambda_times", layer._check_horizon, f0, to_spectral(f0), epsilon,
                  max(lambda_times))
 

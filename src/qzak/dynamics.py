@@ -12,17 +12,15 @@ discrete mass is conserved to rounding regardless of dt or lam.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from collections import Counter
 from functools import partial
-from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import InstabilityError, NonFiniteFieldError, ParameterError
 from .field import Field, _transforms, complex_field, dealias_mask, real_field
 from .grid import Grid
-from .operators import (_omega_eps, delta_eps, omega_eps, potential_symbol,
-                        schrodinger_group, unit_phase, wave_propagator)
+from .operators import (_omega_eps, _schrodinger_group, delta_eps, omega_eps,
+                        potential_symbol, unit_phase, wave_propagator)
 from .state import InitialData, SchrodingerState, SimConfig, ZakharovState
 
 _LANDING_TOL = 1e-12
@@ -49,7 +47,7 @@ class Trajectory:
 
 
 # The wave rotation runs over blocks of this many elements of the flat
-# arrays, so that its one temporary is no larger than a block. It is the
+# arrays, so that its two temporaries are no larger than a block. It is the
 # size of numpy's casting buffer, and a d=1 batch of five rows at N=1024
 # is one block.
 _BLOCK = 8192
@@ -62,62 +60,83 @@ def _blocks(*arrays: np.ndarray) -> list:
     return [tuple(f[i:i + _BLOCK] for f in flat) for i in range(0, flat[0].size, _BLOCK)]
 
 
-# An advance builds the kernel of a step size at its first step of that
-# size and drops it after the last one, which the march's plan names (see
-# _march), so only the kernels of step sizes whose steps interleave are
-# alive at once. A kernel holds only the symbols that depend on the step
-# size; the potential symbol does not, and each advance builds it once.
-# A build allocates nothing but the kernel's own arrays (and the boolean
-# mask of wave_propagator): every symbol is formed in an output, and
-# omega_eps and lam omega_eps in work space the advance lends.
-class _QZKernel:
-    """Symbol arrays for one (grid, eps, lams, dt) step, work being a real
-    array of shape (2,) + grid.shape, used as scratch.
+# An advance holds two kernel slots (see _slot): one for the full step
+# dt, kept from the march's first full step to its end, and one for the
+# landing steps, refilled in place whenever the landing size changes (a
+# march whose every step lands on a sample holds one kernel). A kernel
+# holds only the symbols that depend on the step size; each advance
+# builds the potential symbol once. Every symbol is a function of |xi|^2
+# alone, which has the same bits at modes j and -j, so a refill evaluates
+# the symbols on the (N/2+1)^d corner of nonnegative modes (the first
+# N/2+1 indices of each axis in FFT order, -N/2 among them) and mirrors
+# them into the lattice with slice copies: it allocates only
+# corner-sized temporaries.
+class _Kernel:
+    """Symbol arrays for one (grid, eps, lams) at the step size h that
+    refill(h) last set: schrod, the Schrodinger group over scale * h, and
+    for each entry of lams the exact wave step over h (lams is empty for
+    the limit equation).
 
     The lam-dependent symbols are stacked, one row per entry of lams,
-    with shape (len(lams),) + grid.shape; schrod_half has shape
+    with shape (len(lams),) + grid.shape; schrod has shape
     (1,) + grid.shape and broadcasts against the rows. The leading 1
     keeps a batch of one on numpy's fast path for operands of equal
     shape. rotation holds the (cos, sinc, minus_lam_om_sin) views of
     each block of _blocks.
     """
 
-    __slots__ = ("schrod_half", "cos", "sinc", "minus_lam_om_sin", "rotation")
-
-    def __init__(self, grid: Grid, eps: float, lams: tuple, dt: float, work: np.ndarray):
-        self.schrod_half = schrodinger_group(grid, eps, 0.5 * dt)[np.newaxis]
-        om, lam_om = work
-        _omega_eps(grid.k_squared, eps, om, lam_om)
+    def __init__(self, grid: Grid, eps: float, lams: tuple, scale: float):
+        self.grid, self.eps, self.lams, self.scale, self.h = grid, eps, lams, scale, None
+        self.schrod = np.empty((1,) + grid.shape, dtype=np.complex128)
         rows = np.empty((3, len(lams)) + grid.shape)
         self.cos, self.sinc, self.minus_lam_om_sin = rows
-        for i, lam in enumerate(lams):
-            wave_propagator(om, lam, dt, *rows[:, i], lam_om)
         self.rotation = _blocks(*rows)
 
+    def refill(self, h: float) -> None:
+        grid, eps = self.grid, self.eps
+        k2 = np.ascontiguousarray(grid.k_squared[(slice(grid.N // 2 + 1),) * grid.d])
+        _mirror(_schrodinger_group(k2, eps, self.scale * h, np.empty(k2.shape, complex)),
+                self.schrod[0])
+        if self.lams:
+            om, lam_om, *rows = np.empty((5,) + k2.shape)
+            _omega_eps(k2, eps, om, lam_om)
+            for i, lam in enumerate(self.lams):
+                wave_propagator(om, lam, h, *rows, lam_om)
+                for src, dst in zip(rows, (self.cos, self.sinc, self.minus_lam_om_sin)):
+                    _mirror(src, dst[i])
+        self.h = h
 
-def _kernel(kernels: dict, h: float, last: bool, build):
-    """The kernel of step size h: build(h) at its first step, dropped
-    from kernels after its last."""
-    kern = kernels.get(h)
+
+def _mirror(corner: np.ndarray, out: np.ndarray) -> None:
+    """Fill the lattice out from its corner, the value at mode -j being
+    the value at mode j along every axis; d = corner.ndim is 1 or 2."""
+    h = corner.shape[0]
+    top = out[(slice(h),) * (corner.ndim - 1)]
+    top[..., :h], top[..., h:] = corner, corner[..., h - 2:0:-1]
+    if corner.ndim == 2:
+        out[h:] = out[h - 2:0:-1]
+
+
+def _slot(slots: list, full: bool, h: float, make) -> _Kernel:
+    """The kernel of a step of size h from slots[full], made by make() at
+    its first use and refilled when it holds another size."""
+    kern = slots[full]
     if kern is None:
-        kern = kernels[h] = build(h)
-    if last:
-        del kernels[h]
+        kern = slots[full] = make()
+    if kern.h != h:
+        kern.refill(h)
     return kern
 
 
-# Every march and single step shares one protocol: the fields travel as
-# a tuple of plain arrays, (E, n, nt) for the coupled system and (E,) for
-# the limit equation, and advance(arrays, h, last) returns them one step
-# of size h later. A true last says that no later step has size h, and
-# the advance then drops that size's kernel. The coupled arrays are
-# stacked, one row per sound speed of the batch, with shape
-# (B,) + grid.shape (B = 1 for a single lam).
-# An advance allocates its work buffers once and returns arrays that
-# live in them, so its next call overwrites what it returned before: a
-# caller copies what it keeps. It writes into no other array, so a
-# march starts from the read-only arrays of the initial data, or from
-# np.broadcast_to views of them, without copying them.
+# Every march and single step shares one protocol: an advance is built
+# with the initial data, which it copies into its own buffers, and comes
+# back as (arrays, advance). The fields travel as that tuple of plain
+# arrays, (E, n, nt) for the coupled system and (E,) for the limit
+# equation, which advance(h, full) steps in place by h, full telling a
+# step of dt from a landing one. The coupled arrays are stacked, one row
+# per sound speed of the batch, with shape (B,) + grid.shape. A caller
+# copies what it keeps, and can free the initial data once the advance
+# is built, before any kernel exists.
 #
 # The transforms (field._transforms) act on the grid axes only, so every
 # row of a batch is transformed on its own; numpy gives each row the bits
@@ -130,68 +149,59 @@ def _kernel(kernels: dict, h: float, last: bool, build):
 # exp temporary as the output and computes exp(...) * E. The phase comes
 # from operators.unit_phase, whose cos and sin carry the bits of that exp.
 
-def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool):
-    """The coupled advance for the batch of sound speeds lams."""
+def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool, data: tuple):
+    """The coupled advance for the batch of sound speeds lams, loaded with
+    data, the (E, n, nt) arrays of one grid or of the batch."""
     fft, ifft, _ = _transforms(grid)
     potential = potential_symbol(grid, eps, dealias)[np.newaxis]
-    shape = (len(lams),) + grid.shape
     # H stacks the rows (E, n, nt, |E|^2), the real fields with zero
     # imaginary parts (the transform of a real array and of its complex
     # copy have the same bits). The first half linear step runs in place
     # in row 0. Then one forward call on H transforms the half-evolved E
     # together with n, nt and |E|^2, and one inverse call on H[:3] brings
     # back E after the second half linear step, and n and nt as the real
-    # parts of rows 1 and 2. phase is work space between the kicks: it
-    # holds the kick argument in its imaginary part, lends its bytes to a
-    # kernel build, and takes the new Q in the wave rotation, whose
-    # other products go to prod, one block in size.
-    phase = np.empty(shape, dtype=np.complex128)
-    H = np.zeros((4,) + shape, dtype=np.complex128)
-    prod = np.empty(min(phase.size, _BLOCK), dtype=np.complex128)
+    # parts of rows 1 and 2. Between the trailing kick of a step and the
+    # leading kick of the next, the |E|^2 row holds the kick phase, with
+    # the kick argument in its imaginary part. The wave rotation puts the
+    # new Q and its other products in prod, two blocks in size.
+    H = np.zeros((4, len(lams)) + grid.shape, dtype=np.complex128)
     H_back, (E_out, Q_hat, Qt_hat, IS_hat) = H[:3], H
-    n_out, nt_out = Q_hat.real, Qt_hat.real
+    arrays = E_out, n_out, _ = E_out, Q_hat.real, Qt_hat.real
+    for dst, src in zip(arrays, data):
+        np.copyto(dst, src)
+    prod = np.empty((2, min(E_out.size, _BLOCK)), dtype=np.complex128)
     # numpy runs a strided real part through its general iterator when it
     # has more than one axis (about 1 us a call at N=1024) and through its
     # fast path when it is flat, so the elementwise steps on real parts
     # work on flat views of the same memory.
     real_rows_imag, S_flat = H[1:].imag.reshape(-1), IS_hat.real.reshape(-1)
     E_flat, n_flat = E_out.reshape(-1), n_out.reshape(-1)
-    phase_flat = phase.reshape(-1)
+    phase, phase_flat = IS_hat, IS_hat.reshape(-1)
     arg_flat = phase_flat.imag
-    rotation = [views + (prod[:views[0].size],)
-                for views in _blocks(Q_hat, Qt_hat, IS_hat, phase)]
+    rotation = [views + tuple(p[:views[0].size] for p in prod)
+                for views in _blocks(Q_hat, Qt_hat, IS_hat)]
     # The trailing kick of a step and the leading kick of the next one
     # apply the same phase when h repeats: phase_of is the h of the phase
     # computed from the n returned last.
     phase_of = None
-    # A kernel is built at the first step of its size, so the last step
-    # had another size (phase_of != h) and phase is spent. The build's
-    # scratch, omega_eps and lam omega_eps, is a contiguous real view of
-    # phase's first bytes: a strided .real would cost more.
-    scratch = phase_flat.view(np.float64)[:2 * grid.size].reshape((2,) + grid.shape)
-    kernels, build = {}, partial(_QZKernel, grid, eps, lams, work=scratch)
+    slots, make = [None, None], partial(_Kernel, grid, eps, lams, 0.5)
 
     def set_phase(h: float) -> None:
         # exp(-i h/2 n), with the argument in phase's imaginary part
         unit_phase(np.multiply(-0.5 * h, n_flat, out=arg_flat), phase_flat)
 
-    def advance(arrays: tuple, h: float, last: bool) -> tuple:
+    def advance(h: float, full: bool) -> None:
         nonlocal phase_of
-        E, n, nt = arrays
-        kern = _kernel(kernels, h, last, build)
-        if n is not n_out:  # the initial data, read-only
-            H[1], H[2] = n, nt
-            phase_of = None
+        kern = _slot(slots, full, h, make)
         # Palindromic sequence: kick / half linear / exact wave / half
         # linear / kick. The wave substep reads S at the half-evolved
         # (midpoint) envelope, which keeps the composition symmetric and
         # second order.
         if phase_of != h:
             set_phase(h)
-        phase_of = None  # phase is scratch until the trailing kick
-        np.multiply(E, phase, out=E_out)
+        np.multiply(E_out, phase, out=E_out)
         fft(E_out, out=E_out)
-        np.multiply(E_out, kern.schrod_half, out=E_out)
+        np.multiply(E_out, kern.schrod, out=E_out)
         ifft(E_out, out=E_out)
         real_rows_imag.fill(0.0)
         np.abs(E_flat, out=S_flat)
@@ -200,7 +210,7 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool):
         np.multiply(IS_hat, potential, out=IS_hat)
         np.add(Q_hat, IS_hat, out=Q_hat)
         # Q_new = cos Q_hat + sinc Qt_hat, Qt_new = -lam om sin Q_hat +
-        # cos Qt_hat, block by block, with Q_new in phase.
+        # cos Qt_hat, block by block.
         for (cos, sinc, rate), (Q, Qt, IS, Q_new, p) in zip(kern.rotation, rotation):
             np.multiply(cos, Q, out=Q_new)
             np.add(Q_new, np.multiply(sinc, Qt, out=p), out=Q_new)
@@ -209,54 +219,44 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool):
             np.add(Qt, p, out=Qt)
             np.subtract(Q_new, IS, out=Q)
         # row 0 holds the coefficients of the half-evolved E
-        np.multiply(E_out, kern.schrod_half, out=E_out)
+        np.multiply(E_out, kern.schrod, out=E_out)
         ifft(H_back, out=H_back)
         set_phase(h)
         phase_of = h
         np.multiply(E_out, phase, out=E_out)
-        return E_out, n_out, nt_out
-    return advance
+    return arrays, advance
 
 
-def _qmnls_advance(grid: Grid, eps: float, dealias: bool):
+def _qmnls_advance(grid: Grid, eps: float, dealias: bool, data: tuple):
+    """The limit-equation advance, loaded with data, the (E,) arrays."""
     fft, ifft, _ = _transforms(grid)
     potential = potential_symbol(grid, eps, dealias)
-    kernels, build = {}, partial(schrodinger_group, grid, eps)
     E_out, work, phase = (np.empty(grid.shape, dtype=np.complex128) for _ in range(3))
+    np.copyto(E_out, data[0])
+    slots, make = [None, None], partial(_Kernel, grid, eps, (), 1.0)
 
-    def kick(E, h):
-        # exp(-i h/2 V) with the potential V = -I_eps |E|^2
+    def kick(h):
+        # E times exp(-i h/2 V), with the potential V = -I_eps |E|^2
         S = phase.real
-        np.abs(E, out=S)
+        np.abs(E_out, out=S)
         np.square(S, out=S)
         fft(S, out=work)
         np.multiply(work, potential, out=work)
         ifft(work, out=work)
         unit_phase(np.multiply(0.5 * h, work.real, out=work.real), phase)
-        np.multiply(E, phase, out=E_out)
+        np.multiply(E_out, phase, out=E_out)
 
-    def advance(arrays: tuple, h: float, last: bool) -> tuple:
-        schrod = _kernel(kernels, h, last, build)
-        (E,) = arrays
-        kick(E, h)
+    def advance(h: float, full: bool) -> None:
+        schrod = _slot(slots, full, h, make).schrod[0]
+        kick(h)
         fft(E_out, out=work)
         np.multiply(work, schrod, out=work)
         ifft(work, out=E_out)
-        kick(E_out, h)
-        return (E_out,)
-    return advance
+        kick(h)
+    return (E_out,), advance
 
 
 _FIELD_NAMES = ("E", "n", "nt")
-
-
-def _arrays(E: Field, *real: Field) -> tuple:
-    return (np.asarray(E.values, dtype=np.complex128),) + tuple(f.values for f in real)
-
-
-def _stacked(arrays: tuple, batch: int) -> tuple:
-    """Views of arrays repeated batch times along a new first axis."""
-    return tuple(np.broadcast_to(a, (batch,) + a.shape) for a in arrays)
 
 
 def _check_finite(t: float, arrays: tuple, lams: tuple | None = None) -> None:
@@ -288,8 +288,9 @@ def qz_step(s: ZakharovState, dt: float, eps: float, lam: float,
     """One Strang step of the coupled system; dt may be negative."""
     if dt == 0.0:
         raise ParameterError("dt must be nonzero")
-    advance = _qz_advance(s.grid, float(eps), (float(lam),), bool(dealias))
-    arrays = advance(_stacked(_arrays(s.E, s.n, s.nt), 1), float(dt), True)
+    arrays, advance = _qz_advance(s.grid, float(eps), (float(lam),), bool(dealias),
+                                  (s.E.values, s.n.values, s.nt.values))
+    advance(float(dt), True)
     t = s.t + dt
     _check_finite(t, arrays)
     return _qz_state(s.grid, t, tuple(a[0] for a in arrays))
@@ -300,8 +301,8 @@ def qmnls_step(s: SchrodingerState, dt: float, eps: float,
     """One Strang step of the limit equation; dt may be negative."""
     if dt == 0.0:
         raise ParameterError("dt must be nonzero")
-    advance = _qmnls_advance(s.grid, float(eps), bool(dealias))
-    arrays = advance(_arrays(s.E), float(dt), True)
+    arrays, advance = _qmnls_advance(s.grid, float(eps), bool(dealias), (s.E.values,))
+    advance(float(dt), True)
     t = s.t + dt
     _check_finite(t, arrays)
     return _qmnls_state(s.grid, t, arrays)
@@ -334,11 +335,11 @@ def _march(config: SimConfig, arrays: tuple, advance, lams: tuple | None = None)
     yield (t, steps, arrays) at each sample, steps being the number of
     steps taken so far.
 
-    The arrays are advance's live buffers (the initial data's arrays at
-    t = 0): the next step overwrites them, so a caller copies what it
+    The arrays are advance's live buffers, which advance(h, full) steps
+    in place: the next step overwrites them, so a caller copies what it
     keeps. Nothing is stepped until the caller asks for the next sample.
-    The steps are planned before the first one, so the march tells
-    advance which step is the last of its size.
+    The steps are planned before the first one, and the march tells
+    advance which are full steps of dt and which land on a sample.
 
     Finiteness is checked once per sample, not once per step. A
     non-finite value reaches every mode within one FFT and stays, so no
@@ -352,16 +353,12 @@ def _march(config: SimConfig, arrays: tuple, advance, lams: tuple | None = None)
     if targets[0] <= _LANDING_TOL:
         yield 0.0, 0, arrays
         targets = targets[1:]
-    plan = _plan(dt, targets, _LANDING_TOL * max(1.0, config.T))
-    left = Counter()  # the steps of each size still to take
-    for _, full, landing in plan:
-        left[dt] += full
-        left.update(landing)
     steps = 0
-    for target, full, landing in plan:
-        for h in chain(repeat(dt, full), landing):
-            left[h] -= 1
-            arrays = advance(arrays, h, left[h] == 0)
+    for target, full, landing in _plan(dt, targets, _LANDING_TOL * max(1.0, config.T)):
+        for _ in range(full):
+            advance(dt, True)
+        for h in landing:
+            advance(h, False)
         steps += full + len(landing)
         _check_finite(target, arrays, lams)
         yield target, steps, arrays
@@ -382,11 +379,10 @@ def qz_evolve(config: SimConfig, data: InitialData, sink=None, lams=None) -> Tra
     stacked with shape (len(lams),) + grid.shape, one row per lam in
     order.
 
-    The march reads the initial data's arrays without copying them and
-    drops them after its first step, which copies n and nt into its own
-    buffers; qz_evolve keeps no reference to data. A caller that passes
-    the data without keeping it, as ``qzak simulate`` does, frees it
-    there.
+    The advance copies the initial data into its own buffers before the
+    first step, and qz_evolve then drops it. A caller that passes the
+    data without keeping it, as ``qzak simulate`` does, frees it there,
+    before any step kernel exists.
     """
     if data.grid != config.grid:
         raise ParameterError("initial data grid does not match config grid")
@@ -400,10 +396,10 @@ def qz_evolve(config: SimConfig, data: InitialData, sink=None, lams=None) -> Tra
                                  f"the config's step size dt = {config.dt!r}")
     else:
         lams = (config.lam,)
-    advance = _qz_advance(config.grid, config.eps, lams, config.dealias)
-    march = _march(config, _stacked(_arrays(data.E0, data.n0, data.n1), len(lams)),
-                   advance, lams if batch else None)
+    live, advance = _qz_advance(config.grid, config.eps, lams, config.dealias,
+                                (data.E0.values, data.n0.values, data.n1.values))
     del data
+    march = _march(config, live, advance, lams if batch else None)
     samples = []
     for t, steps, arrays in march:
         if not batch:  # a batch of one: the sink and the states see its row
@@ -414,7 +410,6 @@ def qz_evolve(config: SimConfig, data: InitialData, sink=None, lams=None) -> Tra
             # n and nt are real parts of complex buffers: a contiguous
             # copy keeps half the bytes a view would keep alive.
             samples.append((t, _qz_state(config.grid, t, tuple(a.copy() for a in arrays))))
-        del arrays  # at t = 0 the initial data's, which the first step drops
     return Trajectory(config=config, samples=tuple(samples), steps=steps)
 
 
@@ -422,12 +417,12 @@ def qmnls_evolve(config: SimConfig, E0: Field, sink=None) -> Trajectory:
     """Evolve the limit equation from envelope E0.
 
     A sink receives (t, (E,)) under the contract of ``qz_evolve``, which
-    also holds for E0: the march drops it after its first step.
+    also holds for E0: it is dropped once the advance has copied it.
     """
     if E0.grid != config.grid:
         raise ParameterError("E0 grid does not match config grid")
-    advance = _qmnls_advance(config.grid, config.eps, config.dealias)
-    march = _march(config, _arrays(E0), advance)
+    march = _march(config, *_qmnls_advance(config.grid, config.eps, config.dealias,
+                                           (E0.values,)))
     del E0
     samples = []
     for t, steps, arrays in march:
@@ -435,7 +430,6 @@ def qmnls_evolve(config: SimConfig, E0: Field, sink=None) -> Trajectory:
             sink(t, arrays)
         else:
             samples.append((t, _qmnls_state(config.grid, t, (arrays[0].copy(),))))
-        del arrays  # at t = 0 the initial data's, which the first step drops
     return Trajectory(config=config, samples=tuple(samples), steps=steps)
 
 

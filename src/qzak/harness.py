@@ -20,8 +20,7 @@ from .diagnostics import _fit_line, _mass, _outer_modes, _spectral_tail, drift
 from .errors import DegenerateInputError, ParameterError
 from .field import Field, _forward_factor, _transforms, to_spectral
 from .norms import _sobolev_norm, _sobolev_weight, l2_norm
-from .dynamics import (_arrays, _march, _qmnls_advance, oracle_evolve,
-                       qmnls_evolve, qz_evolve)
+from .dynamics import _march, _qmnls_advance, oracle_evolve, qmnls_evolve, qz_evolve
 from .operators import omega_eps, potential_symbol
 from .state import InitialData, SimConfig, q_field
 
@@ -80,8 +79,8 @@ def _run_group(config: SimConfig, data: InitialData, m: int, lams: tuple,
     outer = _outer_modes(grid, 2.0 / 3.0)
     om = omega_eps(grid, eps)
     lam_column = np.reshape(lams, (-1,) + (1,) * grid.d)
-    reference_march = _march(reference, _arrays(data.E0),
-                             _qmnls_advance(grid, eps, reference.dealias))
+    reference_march = _march(reference, *_qmnls_advance(grid, eps, reference.dealias,
+                                                        (data.E0.values,)))
     sup_err_E, sup_err_Q, sup_Q, max_tail = (np.zeros(len(lams)) for _ in range(4))
     masses = []
     # The work arrays of every sample. The rows of X are transformed by

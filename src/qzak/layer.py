@@ -75,8 +75,14 @@ def _check_probe_point(p, L: float) -> None:
                              f"[{-L / 2.0:.6g}, {L / 2.0:.6g})")
 
 
+def _check_probe_data(f0: Field) -> None:
+    if not np.any(f0.values):
+        raise ParameterError("the layer data is zero: its decay table measures nothing")
+
+
 def _check_horizon(f0: Field, f0_hat: np.ndarray, eps: float, lam_t: float) -> None:
-    """Raise WrapAroundError when the layer reaches the box edge by lam t.
+    """Raise WrapAroundError when the layer of the nonzero f0 reaches the
+    box edge by lam t.
 
     The band is where |f0_hat| stands above its peak times the larger of
     1e-12 and f0's relative size at the box edge: the seam jump of data
@@ -85,8 +91,7 @@ def _check_horizon(f0: Field, f0_hat: np.ndarray, eps: float, lam_t: float) -> N
     """
     grid = f0.grid
     values = np.abs(f0.values)
-    peak = np.max(values)
-    floor = max(1e-12, max(values[0], values[-1]) / peak) if peak > 0.0 else 1e-12
+    floor = max(1e-12, max(values[0], values[-1]) / np.max(values))
     mags = np.abs(f0_hat)
     alive = mags > floor * np.max(mags)
     xi_eff = float(np.max(np.sqrt(grid.k_squared)[alive])) if alive.any() else 0.0
@@ -108,8 +113,9 @@ def decay_probe(f0: Field, eps: float, lam_times, k_max: int,
     the values of lam t. The k-th derivative is Lap^{k/2} Q0 for even k,
     d/dx Lap^{(k-1)/2} Q0 for odd k: one inverse transform per (lam t, k)
     of the transformed f0. Raises NonFiniteFieldError when a large k_max
-    overflows |xi|^k. The checks of the dimension, lam t values, probe
-    points and horizon also run in ``config.resolve_config``.
+    overflows |xi|^k. The checks of the dimension, the data (a zero f0
+    measures nothing), lam t values, probe points and horizon also run in
+    ``config.resolve_config``.
 
     Region per (lam t, x0): inner when lam t > 1 and |x0| <= lam t / 2,
     else outer (which also covers all early times). The inner exponent is
@@ -119,6 +125,7 @@ def decay_probe(f0: Field, eps: float, lam_times, k_max: int,
     """
     grid = f0.grid
     _check_probe_dimension(grid.d)
+    _check_probe_data(f0)
     lam_times = sorted(float(lt) for lt in lam_times)
     _check_probe_time(min(lam_times, default=0.0))  # an empty list has no lam t > 0
     if k_max < 0:

@@ -6,7 +6,7 @@ wavenumber lattice with k2 = |xi|^2:
     delta_eps            -(k2 + eps^2 k2^2)
     i_eps                1 / (1 + eps^2 k2)
     omega_eps            sqrt(k2) sqrt(1 + eps^2 k2)
-    schrodinger_group    exp(-i t (k2 + eps^2 k2^2)), built by unit_phase
+    _schrodinger_group   exp(-i t (k2 + eps^2 k2^2)), built by unit_phase
     wave_cos             cos(lam t omega_eps)
     wave_propagator      the exact wave step: cos(lam t omega_eps),
                          sin(lam t omega_eps) / (lam omega_eps) (value t
@@ -70,7 +70,7 @@ def omega_eps(grid: Grid, eps: float) -> np.ndarray:
 def _omega_eps(k2: np.ndarray, eps: float, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Write sqrt(k2) sqrt(1 + eps^2 k2) into out and return it, with work,
     a real array of k2's shape, as scratch: the core of omega_eps, for a
-    caller that lends the memory (a kernel build)."""
+    caller that lends the memory (a kernel refill)."""
     np.multiply(eps * eps, k2, out=out)
     np.sqrt(np.add(1.0, out, out=out), out=out)
     return np.multiply(np.sqrt(k2, out=work), out, out=out)
@@ -92,12 +92,9 @@ def unit_phase(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def schrodinger_group(grid: Grid, eps: float, t: float) -> np.ndarray:
-    """Free propagator exp(i t Delta_eps) of the envelope."""
-    eps = _check_eps(eps)
-    _check_t(t, "schrodinger_group")
-    k2 = grid.k_squared
-    out = np.empty(k2.shape, dtype=np.complex128)
+def _schrodinger_group(k2: np.ndarray, eps: float, t: float, out: np.ndarray) -> np.ndarray:
+    """Write the free propagator exp(i t Delta_eps) of the envelope on
+    k2 = |xi|^2 into the complex array out of k2's shape and return it."""
     # -t (k2 + eps^2 k2^2), formed in out.imag with no temporary
     x = np.multiply(eps * eps, k2, out=out.imag)
     np.multiply(x, k2, out=x)

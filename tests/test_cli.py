@@ -365,6 +365,17 @@ def test_probe_horizon_and_oracle_step_exit_one(tmp_path, command, config, overr
     assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
 
 
+def test_zero_layer_decay_data_exits_one(tmp_path):
+    # an all-zero Gaussian gives an all-zero table, whose fits would be
+    # NaN and Infinity, which are not JSON: the config refuses it
+    out = tmp_path / "out"
+    assert run_cli(["layer-decay", "--override", "data.amplitude=0", "--out", str(out),
+                    "--quiet"]) == 1
+    assert (out / "error.txt").read_text().startswith("data.amplitude: ")
+    assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+    assert not (out / "decayfit.json").exists()
+
+
 def test_unaddressable_grid_exits_one(tmp_path, capsys):
     # 2^70 points pass the power-of-two check but no numpy array holds them
     out = tmp_path / "out"
@@ -431,6 +442,16 @@ def test_python_dash_m_runs_the_cli():
         done = _fresh_python(["-m", module, "version"])
         assert done.returncode == 0, module
         assert done.stdout.strip() == f"qzak {qzak.__version__}", module
+
+
+def test_cli_import_loads_no_worker_or_logging_modules():
+    # _simulate imports concurrent.futures, which pulls in logging, only
+    # when it runs; the 1-D workloads' start-up time and memory would pay
+    # for them if an import at module level brought them back
+    done = _fresh_python(["-c", "import sys, qzak.cli; print(sorted(m for m in "
+                          "('concurrent.futures', 'logging') if m in sys.modules))"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 _THREADS = ("import os, qzak; status = open('/proc/self/status').read();"
@@ -676,9 +697,9 @@ def test_simulate_reports_the_first_failing_sample(tmp_path, monkeypatch, stage)
 @pytest.mark.parametrize("solver", ["qz", "qmnls"])
 def test_simulate_frees_the_initial_data_after_the_first_step(tmp_path, monkeypatch,
                                                               solver):
-    # the march copies the initial data into its own buffers at its first
-    # step, and nothing else in the run keeps it: every array of it is
-    # gone before the second step, well inside the first sample interval
+    # the advance copies the initial data into its own buffers when it is
+    # built, and nothing else in the run keeps it: every array of it is
+    # gone before the first step, so before any step kernel exists
     import weakref
     from qzak import cli, dynamics
 
@@ -696,12 +717,12 @@ def test_simulate_frees_the_initial_data_after_the_first_step(tmp_path, monkeypa
 
     def counted(make_advance):
         def make(*args):
-            advance = make_advance(*args)
+            arrays, advance = make_advance(*args)
 
-            def step(arrays, h, last):
+            def step(h, full):
                 alive.append(sum(ref() is not None for ref in refs))
-                return advance(arrays, h, last)
-            return step
+                advance(h, full)
+            return arrays, step
         return make
 
     monkeypatch.setattr(cli, "preset_initial_data", preset)
@@ -710,9 +731,7 @@ def test_simulate_frees_the_initial_data_after_the_first_step(tmp_path, monkeypa
     path = write_config(tmp_path, _simulate_config(2, 32, solver))
     assert run_cli(["simulate", "--config", path, "--out", str(tmp_path / "out"),
                     "--quiet"]) == 0
-    assert len(refs) == 3 and len(alive) == 32
-    assert alive[0] == (3 if solver == "qz" else 1)
-    assert alive[1:] == [0] * 31
+    assert len(refs) == 3 and alive == [0] * 32
 
 
 def test_simulate_memory_is_bounded_by_the_grid(tmp_path):
@@ -721,17 +740,17 @@ def test_simulate_memory_is_bounded_by_the_grid(tmp_path):
     raw = _simulate_config(2, 64, "qz", num_samples=64)
     path = write_config(tmp_path, raw)
     sample_bytes = 64 * 64 * (16 + 8 + 8)
-    # The run's buffers, in bytes a grid point: the march's five complex
-    # grids (80), at most two live step kernels (2 x 40), the slot (32),
-    # the monitor's half spectrum and weights (29), and the potential
-    # symbol and |xi|^2 (16); and the wave rotation's block of at most
-    # 8192 complex elements. The initial data is freed after the first
-    # step. The margin of two samples covers numpy's casting buffers, the
-    # output files' buffers and the run's Python objects.
-    held = 64 * 64 * (80 + 2 * 40 + 32 + 29 + 16) + min(64 * 64, 8192) * 16
+    # The run's buffers, in bytes a grid point: the march's four complex
+    # grids (64), its one step kernel, every step landing on a sample (40),
+    # the slot (32), the monitor's half spectrum and weights (29), and the
+    # potential symbol and |xi|^2 (16); and the wave rotation's two blocks
+    # of at most 8192 complex elements. The initial data is freed before
+    # the first step. The margin of two samples covers numpy's casting
+    # buffers, a kernel refill's corner-sized temporaries, the output
+    # files' buffers and the run's Python objects.
+    held = 64 * 64 * (64 + 40 + 32 + 29 + 16) + 2 * min(64 * 64, 8192) * 16
     # a first run in the process makes one-off allocations that later runs
-    # do not; the step kernels are built in every run, and each lives only
-    # from the first to the last step of its size
+    # do not; the step kernel is built in every run
     assert run_cli(["simulate", "--config", path, "--out", str(tmp_path / "warm"),
                     "--quiet"]) == 0
     tracemalloc.start()

@@ -236,6 +236,9 @@ MOVED_RULES = {
                                            cfg.probe_points)),
     "probe-point": (DECAY, {"probe_points": [0.0, 1000.0]}, "probe_points[1]",
                     lambda cfg: decay_probe(_probe(cfg), 1.0, [0.8], 2, [0.0, 1000.0])),
+    "probe-data": (DECAY, {"data": {"amplitude": 0.0}}, "data.amplitude",
+                   lambda cfg: decay_probe(real_field(cfg.sim.grid, np.zeros(cfg.sim.grid.N)),
+                                           1.0, [0.8], 2, cfg.probe_points)),
     "probe-horizon": (DECAY, {"lambda_times": [1000.0]}, "lambda_times",
                       lambda cfg: decay_probe(_probe(cfg), 1.0, [1000.0], 2,
                                               cfg.probe_points)),

@@ -11,9 +11,18 @@ from qzak import (InitialData, PresetParams, SchrodingerState, SimConfig,
                   oracle_evolve, preset_initial_data, qmnls_evolve, qmnls_step,
                   qz_evolve, qz_step, real_field)
 from qzak import dynamics
-from qzak.dynamics import _arrays, _check_finite, _march, _qz_advance, _stacked
+from qzak.dynamics import _check_finite, _march, _mirror, _qz_advance
 from qzak.errors import InstabilityError, NonFiniteFieldError, ParameterError
-from qzak.operators import omega_eps, potential_symbol, schrodinger_group, wave_cos
+from qzak.operators import (_schrodinger_group, omega_eps, potential_symbol, wave_cos,
+                            wave_propagator)
+
+
+def _values(data):
+    return data.E0.values, data.n0.values, data.n1.values
+
+
+def schrodinger_group(grid, eps, t):
+    return _schrodinger_group(grid.k_squared, eps, t, np.empty(grid.shape, complex))
 
 
 def zero_E_state(grid, n_vals, nt_vals=None):
@@ -158,66 +167,112 @@ def test_march_steps_and_times_equal_the_accumulating_loop(grid64, schedule):
     cfg = SimConfig(eps=1.0, lam=4.0, grid=grid64, dt0=1e-3, c_lam=1.0,
                     **MARCH_SCHEDULES[schedule])
     taken = []
-
-    def advance(arrays, h, last):
-        taken.append((h, last))
-        return arrays
-
-    times = [t for t, _, _ in _march(cfg, (), advance)]
+    times = [t for t, _, _ in _march(cfg, (), lambda h, full: taken.append((h, full)))]
     steps, want_times = _accumulated_steps(cfg)
     assert [h.hex() for h, _ in taken] == [h.hex() for h in steps]
     assert [t.hex() for t in times] == [t.hex() for t in want_times]
-    # last marks the final step of each size and no other
-    assert [last for _, last in taken] == [h not in steps[i + 1:]
-                                           for i, h in enumerate(steps)]
+    # full marks the steps of dt and no other
+    assert [full for _, full in taken] == [h == cfg.dt for h in steps]
+
+
+def _runs(steps):
+    """The first step size of each run of equal sizes."""
+    return [h for i, h in enumerate(steps) if i == 0 or h != steps[i - 1]]
 
 
 def test_march_keeps_each_kernel_only_while_it_needs_it(monkeypatch):
-    # simulate-2d's schedule: 63 landing steps of 7 sizes, at most 2 of
-    # which are needed at once
+    # simulate-2d's schedule: 63 landing steps of 7 sizes in 40 runs of one
+    # size. The landing slot is filled again at the start of each run, and
+    # it is the one kernel alive. sweep-1d's schedule (its sample times at
+    # dt = 1e-3) adds the kernel of dt, filled once and kept beside it.
     grid = make_grid(2, 32, 2.0 * np.pi)
-    cfg = SimConfig(eps=1.0, lam=4.0, grid=grid, dt0=1e-3, c_lam=1.0,
-                    **MARCH_SCHEDULES["landing"])
-    steps, _ = _accumulated_steps(cfg)
-    spans = {h: (steps.index(h), len(steps) - 1 - steps[::-1].index(h)) for h in steps}
-    overlap = max(sum(a <= i <= b for a, b in spans.values()) for i in range(len(steps)))
-    assert (len(spans), overlap) == (7, 2)
-    built, live, peak = [], weakref.WeakSet(), [0]
+    refills, live, peak = [], weakref.WeakSet(), [0]
+    real_init, real_refill = dynamics._Kernel.__init__, dynamics._Kernel.refill
 
-    class Counted(dynamics._QZKernel):  # no __slots__, so weakly referable
-        def __init__(self, grid, eps, lams, dt, **buffers):
-            super().__init__(grid, eps, lams, dt, **buffers)
-            built.append(dt)
-            live.add(self)
-            peak[0] = max(peak[0], len(live))
+    def init(self, *args):
+        real_init(self, *args)
+        live.add(self)
+        peak[0] = max(peak[0], len(live))
 
-    monkeypatch.setattr(dynamics, "_QZKernel", Counted)
-    qz_evolve(cfg, _smooth_data(grid), sink=lambda t, arrays: None)
-    assert sorted(built) == sorted(spans)
-    assert peak[0] == overlap
-    assert len(live) == 0
+    def refill(self, h):
+        refills.append(h)
+        real_refill(self, h)
+
+    monkeypatch.setattr(dynamics._Kernel, "__init__", init)
+    monkeypatch.setattr(dynamics._Kernel, "refill", refill)
+    for schedule, kernels in (("landing", 1), ("full-and-landing", 2)):
+        cfg = SimConfig(eps=1.0, lam=4.0, grid=grid, dt0=1e-3, c_lam=1.0,
+                        **MARCH_SCHEDULES[schedule])
+        steps, _ = _accumulated_steps(cfg)
+        landing = [h for h in steps if h != cfg.dt]
+        if kernels == 1:
+            assert (len(steps), len(set(steps)), len(_runs(steps))) == (63, 7, 40)
+        refills.clear()
+        peak[0] = 0
+        qz_evolve(cfg, _smooth_data(grid), sink=lambda t, arrays: None)
+        assert refills == [cfg.dt] * (kernels - 1) + _runs(landing)
+        assert peak[0] == kernels
+        assert len(live) == 0
 
 
 def test_kernel_build_allocates_only_the_kernel():
-    # Every symbol is formed in the kernel's own arrays, and omega_eps and
-    # lam omega_eps in the work space the advance lends. The margin is
-    # wave_propagator's boolean mask of om > 0 (one byte a point) and
-    # 4 KiB for Python objects and numpy's masked assignment.
+    # A refill evaluates the symbols on the (N/2+1)^d corner and mirrors
+    # them into the kernel's own arrays with slice copies. Its temporaries,
+    # in bytes a corner point: |xi|^2 (8) and the Schrodinger symbol (16),
+    # which is freed before omega_eps, lam omega_eps and the three wave
+    # symbols of a row are allocated (40), and wave_propagator's boolean
+    # mask (1); plus 4 KiB for Python objects.
     import tracemalloc
 
     grid = make_grid(2, 64, 16.0 * np.pi)
-    lams, work = (16.0, 32.0), np.empty((2,) + grid.shape)
-    build = lambda: dynamics._QZKernel(grid, 1.0, lams, 1e-3, work=work)
-    build()  # caches grid.k_squared
+    lams = (16.0, 32.0)
+    kern = dynamics._Kernel(grid, 1.0, lams, 0.5)
+    kern.refill(1e-3)  # caches grid.k_squared
     tracemalloc.start()
     try:
-        kern = build()
+        kern.refill(4e-4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    own = kern.schrod_half.nbytes + 3 * kern.cos.nbytes
+    own = kern.schrod.nbytes + 3 * kern.cos.nbytes
     assert own == grid.size * (16 + 3 * 8 * len(lams))
-    assert peak <= own + grid.size + 4096
+    assert peak <= (grid.N // 2 + 1) ** 2 * (8 + 40 + 1) + 4096
+
+
+def _full_lattice_kernel(grid, eps, lams, h):
+    """(schrod, cos, sinc, minus_lam_om_sin) of a step of size h, each
+    symbol evaluated on every mode of the lattice."""
+    om, lam_om = omega_eps(grid, eps), np.empty(grid.shape)
+    rows = np.empty((3, len(lams)) + grid.shape)
+    for i, lam in enumerate(lams):
+        wave_propagator(om, lam, h, *rows[:, i], lam_om)
+    return (schrodinger_group(grid, eps, 0.5 * h)[np.newaxis],) + tuple(rows)
+
+
+# A refill evaluates the symbols on the corner of nonnegative modes and
+# mirrors them, on the premise that |xi|^2 has the same bits at modes j
+# and -j and that numpy evaluates each element to the same bits whatever
+# the array's size; a numpy upgrade that breaks it must fail here. The
+# step sizes are a full step and one of simulate-2d's landing steps.
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("d,N", [(1, 16), (1, 64), (1, 256), (2, 16), (2, 64), (2, 256)])
+def test_mirrored_kernel_equals_the_full_lattice_bitwise(d, N, batch):
+    grid = make_grid(d, N, 16.0 * np.pi)
+    k2 = grid.k_squared
+    minus = k2[(slice(None, None, -1),) * d]  # index i holds mode -i - 1
+    minus = np.roll(minus, (1,) * d, axis=tuple(range(d)))  # index i holds mode -i
+    assert np.array_equal(minus.view(np.uint64), k2.view(np.uint64))
+    mirrored = np.empty_like(k2)
+    _mirror(np.ascontiguousarray(k2[(slice(N // 2 + 1),) * d]), mirrored)
+    assert np.array_equal(mirrored.view(np.uint64), k2.view(np.uint64))
+    lams = (4.0, 16.0, 64.0)[:batch]
+    kern = dynamics._Kernel(grid, 0.5, lams, 0.5)
+    for h in (1e-3, 0.05 / 63):
+        kern.refill(h)
+        got = (kern.schrod, kern.cos, kern.sinc, kern.minus_lam_om_sin)
+        names = ("schrod_half", "cos", "sinc", "minus_lam_om_sin")
+        for name, a, b in zip(names, got, _full_lattice_kernel(grid, 0.5, lams, h)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (h, name)
 
 
 # d=1 N=64 and d=2 N=128 lie on either side of the 256 KiB size from
@@ -301,37 +356,38 @@ def test_march_equals_plain_expressions_bitwise(d, N):
 
 
 # One stacked step as whole-array expressions that reuse no buffer, with
-# the symbols of the kernel the advance builds for h.
+# the symbols of a step of size h evaluated on the full lattice.
 def _plain_stacked_step(grid, kern, potential, E, n, nt, h):
     fft, ifft = (partial(f, axes=grid.axes) for f in (np.fft.fftn, np.fft.ifftn))
-    E = ifft(fft(np.multiply(E, np.exp(-0.5j * h * n))) * kern.schrod_half)
+    schrod_half, cos, sinc, minus_lam_om_sin = kern
+    E = ifft(fft(np.multiply(E, np.exp(-0.5j * h * n))) * schrod_half)
     IS_hat = fft(np.abs(E) ** 2) * potential
     Q_hat, Qt_hat = fft(n) + IS_hat, fft(nt)
-    n = ifft(kern.cos * Q_hat + kern.sinc * Qt_hat - IS_hat).real
-    nt = ifft(kern.minus_lam_om_sin * Q_hat + kern.cos * Qt_hat).real
-    E = ifft(fft(E) * kern.schrod_half)
+    n = ifft(cos * Q_hat + sinc * Qt_hat - IS_hat).real
+    nt = ifft(minus_lam_om_sin * Q_hat + cos * Qt_hat).real
+    E = ifft(fft(E) * schrod_half)
     return np.multiply(E, np.exp(-0.5j * h * n)), n, nt
 
 
-# The advance keeps the kick argument, the first half linear step, the
-# kernel build's scratch and the blocked wave rotation in its own buffers.
-# d=2 N=128 rotates two blocks, d=2 N=64 with three rows ends on a partial
-# block, and d=1 is one block. The steps are a first one from the
-# read-only data, one of the same size (the reused phase), one that
-# builds a new kernel, and one back on the first size.
+# The advance keeps the kick phase in the |E|^2 row, the first half linear
+# step and the blocked wave rotation in its own buffers, and its kernels
+# in two slots. d=2 N=128 rotates two blocks, d=2 N=64 with three rows
+# ends on a partial block, and d=1 is one block. The steps are a first
+# full one from the loaded data, one of the same size (the reused phase),
+# a landing one that fills the landing slot, one back on the full slot,
+# and a landing one that refills the landing slot with another size.
 @pytest.mark.parametrize("d,N,batch", [(2, 128, 1), (2, 64, 3), (1, 64, 5)])
 def test_advance_step_equals_plain_expressions_bitwise(d, N, batch):
     grid = make_grid(d, N, 2.0 * np.pi)
     data = _smooth_data(grid)
     lams = (4.0, 8.0, 16.0, 32.0, 64.0)[:batch]
     potential = potential_symbol(grid, 1.0)
-    advance = _qz_advance(grid, 1.0, lams, True)
-    got = _stacked(_arrays(data.E0, data.n0, data.n1), batch)
-    want = got
-    for h, last in ((1e-3, False), (1e-3, False), (4e-4, True), (1e-3, True)):
-        kern = dynamics._QZKernel(grid, 1.0, lams, h, work=np.empty((2,) + grid.shape))
+    got, advance = _qz_advance(grid, 1.0, lams, True, _values(data))
+    want = tuple(np.broadcast_to(a, (batch,) + a.shape) for a in _values(data))
+    for h, full in ((1e-3, True), (1e-3, True), (4e-4, False), (1e-3, True), (2e-4, False)):
+        kern = _full_lattice_kernel(grid, 1.0, lams, h)
         want = _plain_stacked_step(grid, kern, potential, *want, h)
-        got = advance(got, h, last)
+        advance(h, full)
         for name, a, b in zip(("E", "n", "nt"), got, want, strict=True):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (h, name)
 
@@ -347,10 +403,9 @@ def test_stacked_advance_rows_equal_lone_marches_bitwise(d, N):
     lams = (4.0, 8.0, 16.0)
 
     def march(batch):
-        advance = _qz_advance(grid, 1.0, batch, True)
-        arrays = _stacked(_arrays(data.E0, data.n0, data.n1), len(batch))
-        for h, last in ((1e-3, False), (1e-3, False), (1e-3, True), (4e-4, True)):
-            arrays = advance(arrays, h, last)
+        arrays, advance = _qz_advance(grid, 1.0, batch, True, _values(data))
+        for h, full in ((1e-3, True), (1e-3, True), (1e-3, True), (4e-4, False)):
+            advance(h, full)
         return [a.copy() for a in arrays]
 
     stacked = march(lams)
@@ -374,11 +429,10 @@ def test_coupled_step_makes_four_transform_calls(monkeypatch, d, N, batch):
         monkeypatch.setattr(np.fft, name, counted)
     grid = make_grid(d, N, 2.0 * np.pi)
     data = _smooth_data(grid)
-    advance = _qz_advance(grid, 1.0, (4.0, 8.0, 16.0)[:batch], True)
-    arrays = _stacked(_arrays(data.E0, data.n0, data.n1), batch)
+    _, advance = _qz_advance(grid, 1.0, (4.0, 8.0, 16.0)[:batch], True, _values(data))
     for _ in range(2):
         calls.clear()
-        arrays = advance(arrays, 1e-3, False)
+        advance(1e-3, True)
         assert len(calls) == 4, calls
 
 
@@ -502,7 +556,7 @@ def test_qmnls_step_potential_follows_dealias(rng, grid64):
     # one Strang step by hand: kick by -I_eps |E|^2, dealiased or not
     from qzak import SchrodingerState
     from qzak.field import dealias_mask
-    from qzak.operators import i_eps, schrodinger_group
+    from qzak.operators import i_eps
     E0 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     s = SchrodingerState(t=0.0, E=complex_field(grid64, E0))
     h = 1e-3

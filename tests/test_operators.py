@@ -5,8 +5,8 @@ from qzak import apply_multiplier, complex_field, real_field
 from qzak.errors import ParameterError
 from qzak.field import dealias_mask, inverse_values, to_spectral
 from qzak.grid import make_grid
-from qzak.operators import (delta_eps, i_eps, omega_eps, potential_symbol,
-                            schrodinger_group, unit_phase, wave_cos, wave_propagator)
+from qzak.operators import (_schrodinger_group, delta_eps, i_eps, omega_eps,
+                            potential_symbol, unit_phase, wave_cos, wave_propagator)
 
 from conftest import random_real_values
 
@@ -16,6 +16,10 @@ def wave_symbols(grid, eps, lam, t):
     rows = np.empty((3,) + grid.shape)
     wave_propagator(omega_eps(grid, eps), lam, t, *rows, np.empty(grid.shape))
     return rows
+
+
+def schrodinger_group(grid, eps, t):
+    return _schrodinger_group(grid.k_squared, eps, t, np.empty(grid.shape, complex))
 
 
 def single_mode(grid, j):
@@ -116,8 +120,6 @@ def test_invalid_eps(grid16, kw):
         with pytest.raises(ParameterError):
             symbol(grid16, **kw)
     with pytest.raises(ParameterError):
-        schrodinger_group(grid16, t=0.1, **kw)
-    with pytest.raises(ParameterError):
         wave_cos(grid16, lam=2.0, t=0.1, **kw)
 
 
@@ -129,8 +131,6 @@ def test_invalid_lam_and_sigma(grid16):
     for lam, t in ((0.5, 0.1), (2.0, None)):
         with pytest.raises(ParameterError):
             wave_symbols(grid16, 1.0, lam, t)
-    with pytest.raises(ParameterError):
-        schrodinger_group(grid16, 1.0, None)
 
 
 # The solvers build their phases from cos and sin on the premise that
