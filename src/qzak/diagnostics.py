@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ParameterError, ZeroModeError
 from .field import Field, _forward_factor, _transforms, dealias_mask, to_spectral
 from .grid import Grid
-from .operators import delta_eps, i_eps, potential_symbol
+from .operators import _halves, _multiply, _stored, delta_eps, i_eps, potential_symbol
 from .state import ZakharovState
 
 ZERO_MODE_TOL = 1e-10
@@ -46,7 +46,9 @@ def mass(E: Field) -> float:
 # a real one (rfftn), whose half spectrum stands for the full one with
 # each column weighted 2 when it holds a conjugate pair and 1 for the
 # zero and Nyquist columns. Every weight includes the square of the
-# transform normalization.
+# transform normalization and is stored on half the rows at d=2 (see
+# operators._halves); every product and sum keeps the bits of a weight
+# held on every row.
 
 def _half_shape(grid: Grid) -> tuple:
     return grid.shape[:-1] + (grid.N // 2 + 1,)
@@ -64,18 +66,22 @@ def _column_weights(grid: Grid) -> np.ndarray:
     return col
 
 
-def _real_weights(grid: Grid, symbol: np.ndarray) -> np.ndarray:
-    """Weights w with sum(w |rfftn(f)|^2) = sum(symbol |fhat|^2) over the
-    full lattice, for real f and a symbol even in xi."""
-    half = grid.N // 2 + 1
-    return symbol[..., :half] * _column_weights(grid) * _forward_factor(grid) ** 2
+def _weights(grid: Grid, symbol: np.ndarray, real: bool = False) -> list:
+    """The _halves views of the weights w with sum(w |x|^2) = sum(symbol
+    |fhat|^2) for x = fhat (a stored symbol) or, when real, x = rfftn(f)
+    for a real f (a symbol even in xi, on the half spectrum's stored rows)."""
+    if real:
+        symbol = symbol * _column_weights(grid)
+    return _halves(grid, symbol * _forward_factor(grid) ** 2, True)
 
 
-def _sum_sq(x: np.ndarray, w: np.ndarray, work: np.ndarray) -> float:
-    """sum(w |x|^2), with the real array work of x's shape as scratch."""
+def _sum_sq(grid: Grid, x: np.ndarray, w: list, work: np.ndarray) -> float:
+    """sum(w |x|^2), for the _halves views w of a stored weight, with the
+    real array work of x's shape as scratch."""
     np.abs(x, out=work)
     np.square(work, out=work)
-    np.multiply(work, w, out=work)
+    views = _halves(grid, work)
+    _multiply(views, w, views)
     return float(np.sum(work))
 
 
@@ -96,42 +102,43 @@ def qz_monitor(grid: Grid, eps: float, lam: float):
     the samples).
     """
     fft, _, rfft = _transforms(grid)
-    k2 = grid.k_squared
+    half = _half_shape(grid)
+    stored = _stored(grid, half)
+    k2 = grid.k_squared_block(stored)
     inv_k2 = np.zeros_like(k2)
     np.divide(1.0, k2, out=inv_k2, where=k2 > 0.0)
-    w_E = -delta_eps(grid, eps) * _forward_factor(grid) ** 2
-    w_n = _real_weights(grid, 0.5 / i_eps(grid, eps))
-    w_nt = _real_weights(grid, (0.5 / lam**2) * inv_k2)
-    w_coupling = _real_weights(grid, dealias_mask(grid).astype(float))
-    # the weights of a unit symbol, broadcast along the columns
-    w_unit = _column_weights(grid) * _forward_factor(grid) ** 2
+    w_E = _weights(grid, -delta_eps(grid, eps, _stored(grid, grid.shape)))
+    w_n = _weights(grid, 0.5 / i_eps(grid, eps, stored), True)
+    w_nt = _weights(grid, (0.5 / lam**2) * inv_k2, True)
+    w_coupling = _weights(grid, dealias_mask(grid, stored).astype(float), True)
+    # the weights of a unit symbol, broadcast along the columns of each half
+    w_unit = [_column_weights(grid) * _forward_factor(grid) ** 2] * 2
     origin = (0,) * grid.d
-    half = _half_shape(grid)
     S_hat = np.empty(half, dtype=np.complex128)
 
     def measure(E: np.ndarray, n: np.ndarray, nt: np.ndarray) -> tuple:
         nt_hat = rfft(nt, out=S_hat)
         work = _head(nt, half)  # nt is spent
         zero = abs(nt_hat[origin]) * _forward_factor(grid)
-        total = np.sqrt(_sum_sq(nt_hat, w_unit, work))
+        total = np.sqrt(_sum_sq(grid, nt_hat, w_unit, work))
         if total > 0.0 and zero > ZERO_MODE_TOL * total:
             raise ZeroModeError(
                 "hamiltonian_qz (d_t n term) requires a zero-mean field "
                 f"(|zero mode| = {zero:.3e}, norm = {total:.3e})")
-        energy = _sum_sq(nt_hat, w_nt, work)
+        energy = _sum_sq(grid, nt_hat, w_nt, work)
         S = nt
         np.abs(E, out=S)
         np.square(S, out=S)
         m = float(_mass(grid, S))
         rfft(S, out=S_hat)
         E_hat = fft(E, out=E)
-        energy += _sum_sq(E_hat, w_E, S)
+        energy += _sum_sq(grid, E_hat, w_E, S)
         n_hat = rfft(n, out=_head(E, half))  # E is spent
-        energy += _sum_sq(n_hat, w_n, work)
+        energy += _sum_sq(grid, n_hat, w_n, work)
         # Re(conj(n_hat) S_hat), in the spent n_hat
         np.conjugate(n_hat, out=n_hat)
         np.multiply(n_hat, S_hat, out=n_hat)
-        np.multiply(n_hat.real, w_coupling, out=work)
+        _multiply(_halves(grid, n_hat.real), w_coupling, _halves(grid, work))
         return m, energy + float(np.sum(work))
     return measure
 
@@ -148,8 +155,9 @@ def qmnls_monitor(grid: Grid, eps: float):
     worker thread that handles the samples).
     """
     fft, _, rfft = _transforms(grid)
-    w_E = -0.5 * delta_eps(grid, eps) * _forward_factor(grid) ** 2
-    w_quartic = _real_weights(grid, 0.25 * potential_symbol(grid, eps))
+    w_E = _weights(grid, -0.5 * delta_eps(grid, eps, _stored(grid, grid.shape)))
+    w_quartic = _weights(grid, 0.25 * potential_symbol(
+        grid, eps, shape=_stored(grid, _half_shape(grid))), True)
     S = np.empty(grid.shape)
     S_hat = np.empty(_half_shape(grid), dtype=np.complex128)
     work = _head(S, S_hat.shape)  # S is spent after E's energy
@@ -160,8 +168,8 @@ def qmnls_monitor(grid: Grid, eps: float):
         m = float(_mass(grid, S))
         rfft(S, out=S_hat)
         E_hat = fft(E, out=E)
-        energy = _sum_sq(E_hat, w_E, S)
-        return m, energy - _sum_sq(S_hat, w_quartic, work)
+        energy = _sum_sq(grid, E_hat, w_E, S)
+        return m, energy - _sum_sq(grid, S_hat, w_quartic, work)
     return measure
 
 

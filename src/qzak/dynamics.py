@@ -11,6 +11,7 @@ discrete mass is conserved to rounding regardless of dt or lam.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -19,8 +20,9 @@ import numpy as np
 from .errors import InstabilityError, NonFiniteFieldError, ParameterError
 from .field import Field, _transforms, complex_field, dealias_mask, real_field
 from .grid import Grid
-from .operators import (_omega_eps, _schrodinger_group, delta_eps, omega_eps,
-                        potential_symbol, unit_phase, wave_propagator)
+from .operators import (_halves, _multiply, _omega_eps, _schrodinger_group, _stored,
+                        delta_eps, omega_eps, potential_symbol, unit_phase,
+                        wave_propagator)
 from .state import InitialData, SchrodingerState, SimConfig, ZakharovState
 
 _LANDING_TOL = 1e-12
@@ -46,86 +48,79 @@ class Trajectory:
         return self.samples[-1][1]
 
 
-# The wave rotation runs over blocks of this many elements of the flat
-# arrays, so that its two temporaries are no larger than a block. It is the
-# size of numpy's casting buffer, and a d=1 batch of five rows at N=1024
-# is one block.
+# The wave rotation runs over blocks of at most this many elements (at
+# d=2, of whole rows), so that its two temporaries are no larger than a
+# block. It is the size of numpy's casting buffer, and a d=1 batch of five
+# rows at N=1024 is one block.
 _BLOCK = 8192
 
 
-def _blocks(*arrays: np.ndarray) -> list:
-    """One tuple per block of _BLOCK elements: the views of that block of
-    each array, flattened. The arrays are contiguous and of equal size."""
-    flat = [a.reshape(-1) for a in arrays]
-    return [tuple(f[i:i + _BLOCK] for f in flat) for i in range(0, flat[0].size, _BLOCK)]
+def _blocks(grid: Grid, *arrays: np.ndarray, stored: bool = False) -> list:
+    """One tuple per block: the views of that block of each (B,) + grid
+    array, or stored symbol when stored. At d=1, _BLOCK elements of the
+    flattened arrays; at d=2, whole rows of one of the _halves of one row
+    of the batch, so that the blocks of fields and symbols pair up."""
+    if grid.d == 1:
+        flat = [a.reshape(-1) for a in arrays]
+        return [tuple(f[i:i + _BLOCK] for f in flat) for i in range(0, flat[0].size, _BLOCK)]
+    rows = max(1, _BLOCK // grid.N)
+    return [tuple(half[i:i + rows] for half in halves)
+            for batch_row in zip(*arrays)
+            for halves in zip(*(_halves(grid, a, stored) for a in batch_row))
+            for i in range(0, len(halves[0]), rows)]
 
 
-# An advance holds two kernel slots (see _slot): one for the full step
-# dt, kept from the march's first full step to its end, and one for the
-# landing steps, refilled in place whenever the landing size changes (a
-# march whose every step lands on a sample holds one kernel). A kernel
-# holds only the symbols that depend on the step size; each advance
-# builds the potential symbol once. Every symbol is a function of |xi|^2
-# alone, which has the same bits at modes j and -j, so a refill evaluates
-# the symbols on the (N/2+1)^d corner of nonnegative modes (the first
-# N/2+1 indices of each axis in FFT order, -N/2 among them) and mirrors
-# them into the lattice with slice copies: it allocates only
-# corner-sized temporaries.
+# An advance holds two kernel slots: one for the full step dt, kept from
+# the march's first full step to its end, and one for the landing steps,
+# refilled in place whenever the landing size changes (a march whose
+# every step lands on a sample holds one kernel). A kernel holds only the
+# symbols that depend on the step size, on their stored rows (see
+# operators._halves); each advance builds the potential symbol once.
+# |xi|^2 has the bits of mode j at mode -j, so a refill evaluates each
+# symbol in its (N/2+1)^d corner block of nonnegative modes (-N/2 among
+# them) and mirrors the columns in place. Its |xi|^2, omega_eps and
+# lam omega_eps, and its copy of the mirrored columns, go in the
+# advance's spent kick phase, so it allocates only wave_propagator's
+# mask (and, at d=2, numpy's iteration buffers for the strided corner).
 class _Kernel:
     """Symbol arrays for one (grid, eps, lams) at the step size h that
-    refill(h) last set: schrod, the Schrodinger group over scale * h, and
-    for each entry of lams the exact wave step over h (lams is empty for
-    the limit equation).
-
-    The lam-dependent symbols are stacked, one row per entry of lams,
-    with shape (len(lams),) + grid.shape; schrod has shape
-    (1,) + grid.shape and broadcasts against the rows. The leading 1
-    keeps a batch of one on numpy's fast path for operands of equal
-    shape. rotation holds the (cos, sinc, minus_lam_om_sin) views of
-    each block of _blocks.
+    refill(h, scratch) last set, on their stored rows (operators._stored):
+    schrod, the Schrodinger group over scale * h, of shape (1,) + stored,
+    and rows, the exact wave step over h, (cos, sinc, minus_lam_om_sin)
+    with one row per entry of lams (empty for the limit equation). The
+    leading 1 keeps a batch of one on numpy's fast path for operands of
+    equal shape. schrod_views holds the _halves of schrod (of schrod[0]
+    for the limit equation, whose field is not stacked), and rotation the
+    views of rows in each block of _blocks.
     """
 
     def __init__(self, grid: Grid, eps: float, lams: tuple, scale: float):
         self.grid, self.eps, self.lams, self.scale, self.h = grid, eps, lams, scale, None
-        self.schrod = np.empty((1,) + grid.shape, dtype=np.complex128)
-        rows = np.empty((3, len(lams)) + grid.shape)
-        self.cos, self.sinc, self.minus_lam_om_sin = rows
-        self.rotation = _blocks(*rows)
+        stored = _stored(grid, grid.shape)
+        self.schrod = np.empty((1,) + stored, dtype=np.complex128)
+        self.schrod_views = _halves(grid, self.schrod if lams else self.schrod[0], True)
+        self.rows = np.empty((3, len(lams)) + stored)
+        self.rotation = _blocks(grid, *self.rows, stored=True)
 
-    def refill(self, h: float) -> None:
-        grid, eps = self.grid, self.eps
-        k2 = np.ascontiguousarray(grid.k_squared[(slice(grid.N // 2 + 1),) * grid.d])
-        _mirror(_schrodinger_group(k2, eps, self.scale * h, np.empty(k2.shape, complex)),
-                self.schrod[0])
+    def refill(self, h: float, scratch: np.ndarray) -> None:
+        """Set the symbols to the step size h, with the flat real scratch
+        of 2 max(1, len(lams)) N^d elements or more as work space."""
+        grid, eps, top = self.grid, self.eps, self.grid.N // 2
+        corner = (top + 1,) * grid.d
+        k2, om, lam_om = scratch[:3 * math.prod(corner)].reshape((3,) + corner)
+        grid.k_squared_block(corner, out=k2)
+        _schrodinger_group(k2, eps, self.scale * h, self.schrod[0, ..., :top + 1])
         if self.lams:
-            om, lam_om, *rows = np.empty((5,) + k2.shape)
             _omega_eps(k2, eps, om, lam_om)
             for i, lam in enumerate(self.lams):
-                wave_propagator(om, lam, h, *rows, lam_om)
-                for src, dst in zip(rows, (self.cos, self.sinc, self.minus_lam_om_sin)):
-                    _mirror(src, dst[i])
+                wave_propagator(om, lam, h, *self.rows[:, i, ..., :top + 1], lam_om)
+        # through scratch: numpy would copy the overlapping source itself
+        for a in (self.schrod, self.rows):
+            src = a[..., top - 1:0:-1]
+            staged = scratch[:src.nbytes // 8].view(a.dtype).reshape(src.shape)
+            np.copyto(staged, src)
+            a[..., top + 1:] = staged
         self.h = h
-
-
-def _mirror(corner: np.ndarray, out: np.ndarray) -> None:
-    """Fill the lattice out from its corner, the value at mode -j being
-    the value at mode j along every axis; d = corner.ndim is 1 or 2."""
-    h = corner.shape[0]
-    top = out[(slice(h),) * (corner.ndim - 1)]
-    top[..., :h], top[..., h:] = corner, corner[..., h - 2:0:-1]
-    if corner.ndim == 2:
-        out[h:] = out[h - 2:0:-1]
-
-
-def _slot(slots: list, full: bool, h: float, make) -> _Kernel:
-    """The kernel of a step of size h from slots[full], made by make() at
-    its first use and refilled when it holds another size."""
-    kern = slots[full]
-    if kern is None:
-        kern = slots[full] = make()
-    if kern.h != h:
-        kern.refill(h)
-    return kern
 
 
 # Every march and single step shares one protocol: an advance is built
@@ -153,7 +148,6 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool, data: tuple)
     """The coupled advance for the batch of sound speeds lams, loaded with
     data, the (E, n, nt) arrays of one grid or of the batch."""
     fft, ifft, _ = _transforms(grid)
-    potential = potential_symbol(grid, eps, dealias)[np.newaxis]
     # H stacks the rows (E, n, nt, |E|^2), the real fields with zero
     # imaginary parts (the transform of a real array and of its complex
     # copy have the same bits). The first half linear step runs in place
@@ -162,14 +156,20 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool, data: tuple)
     # back E after the second half linear step, and n and nt as the real
     # parts of rows 1 and 2. Between the trailing kick of a step and the
     # leading kick of the next, the |E|^2 row holds the kick phase, with
-    # the kick argument in its imaginary part. The wave rotation puts the
-    # new Q and its other products in prod, two blocks in size.
+    # the kick argument in its imaginary part; a kernel refill takes that
+    # row as its scratch, so the phase is computed again after a refill.
+    # The wave rotation puts the new Q and its other products in prod, two
+    # blocks in size.
     H = np.zeros((4, len(lams)) + grid.shape, dtype=np.complex128)
     H_back, (E_out, Q_hat, Qt_hat, IS_hat) = H[:3], H
     arrays = E_out, n_out, _ = E_out, Q_hat.real, Qt_hat.real
     for dst, src in zip(arrays, data):
         np.copyto(dst, src)
-    prod = np.empty((2, min(E_out.size, _BLOCK)), dtype=np.complex128)
+    E_views, IS_views = _halves(grid, E_out), _halves(grid, IS_hat)
+    potential = _halves(grid, potential_symbol(grid, eps, dealias, _stored(grid, grid.shape))
+                        [np.newaxis], True)
+    blocks = _blocks(grid, Q_hat, Qt_hat, IS_hat)
+    prod = np.empty((2, max(b[0].size for b in blocks)), dtype=np.complex128)
     # numpy runs a strided real part through its general iterator when it
     # has more than one axis (about 1 us a call at N=1024) and through its
     # fast path when it is flat, so the elementwise steps on real parts
@@ -177,9 +177,8 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool, data: tuple)
     real_rows_imag, S_flat = H[1:].imag.reshape(-1), IS_hat.real.reshape(-1)
     E_flat, n_flat = E_out.reshape(-1), n_out.reshape(-1)
     phase, phase_flat = IS_hat, IS_hat.reshape(-1)
-    arg_flat = phase_flat.imag
-    rotation = [views + tuple(p[:views[0].size] for p in prod)
-                for views in _blocks(Q_hat, Qt_hat, IS_hat)]
+    arg_flat, scratch = phase_flat.imag, phase_flat.view(np.float64)
+    rotation = [b + tuple(p[:b[0].size].reshape(b[0].shape) for p in prod) for b in blocks]
     # The trailing kick of a step and the leading kick of the next one
     # apply the same phase when h repeats: phase_of is the h of the phase
     # computed from the n returned last.
@@ -192,7 +191,10 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool, data: tuple)
 
     def advance(h: float, full: bool) -> None:
         nonlocal phase_of
-        kern = _slot(slots, full, h, make)
+        kern = slots[full] = slots[full] or make()
+        if kern.h != h:
+            kern.refill(h, scratch)
+            phase_of = None
         # Palindromic sequence: kick / half linear / exact wave / half
         # linear / kick. The wave substep reads S at the half-evolved
         # (midpoint) envelope, which keeps the composition symmetric and
@@ -201,13 +203,13 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool, data: tuple)
             set_phase(h)
         np.multiply(E_out, phase, out=E_out)
         fft(E_out, out=E_out)
-        np.multiply(E_out, kern.schrod, out=E_out)
+        _multiply(E_views, kern.schrod_views, E_views)
         ifft(E_out, out=E_out)
         real_rows_imag.fill(0.0)
         np.abs(E_flat, out=S_flat)
         np.square(S_flat, out=S_flat)
         fft(H, out=H)
-        np.multiply(IS_hat, potential, out=IS_hat)
+        _multiply(IS_views, potential, IS_views)
         np.add(Q_hat, IS_hat, out=Q_hat)
         # Q_new = cos Q_hat + sinc Qt_hat, Qt_new = -lam om sin Q_hat +
         # cos Qt_hat, block by block.
@@ -219,7 +221,7 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool, data: tuple)
             np.add(Qt, p, out=Qt)
             np.subtract(Q_new, IS, out=Q)
         # row 0 holds the coefficients of the half-evolved E
-        np.multiply(E_out, kern.schrod, out=E_out)
+        _multiply(E_views, kern.schrod_views, E_views)
         ifft(H_back, out=H_back)
         set_phase(h)
         phase_of = h
@@ -230,9 +232,13 @@ def _qz_advance(grid: Grid, eps: float, lams: tuple, dealias: bool, data: tuple)
 def _qmnls_advance(grid: Grid, eps: float, dealias: bool, data: tuple):
     """The limit-equation advance, loaded with data, the (E,) arrays."""
     fft, ifft, _ = _transforms(grid)
-    potential = potential_symbol(grid, eps, dealias)
     E_out, work, phase = (np.empty(grid.shape, dtype=np.complex128) for _ in range(3))
     np.copyto(E_out, data[0])
+    work_views = _halves(grid, work)
+    potential = _halves(grid, potential_symbol(grid, eps, dealias, _stored(grid, grid.shape)),
+                        True)
+    # a kick computes its phase afresh, so a refill takes its memory as scratch
+    scratch = phase.reshape(-1).view(np.float64)
     slots, make = [None, None], partial(_Kernel, grid, eps, (), 1.0)
 
     def kick(h):
@@ -241,16 +247,18 @@ def _qmnls_advance(grid: Grid, eps: float, dealias: bool, data: tuple):
         np.abs(E_out, out=S)
         np.square(S, out=S)
         fft(S, out=work)
-        np.multiply(work, potential, out=work)
+        _multiply(work_views, potential, work_views)
         ifft(work, out=work)
         unit_phase(np.multiply(0.5 * h, work.real, out=work.real), phase)
         np.multiply(E_out, phase, out=E_out)
 
     def advance(h: float, full: bool) -> None:
-        schrod = _slot(slots, full, h, make).schrod[0]
+        kern = slots[full] = slots[full] or make()
+        if kern.h != h:
+            kern.refill(h, scratch)
         kick(h)
         fft(E_out, out=work)
-        np.multiply(work, schrod, out=work)
+        _multiply(work_views, kern.schrod_views, work_views)
         ifft(work, out=E_out)
         kick(h)
     return (E_out,), advance

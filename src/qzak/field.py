@@ -87,13 +87,16 @@ def to_spectral(f: Field) -> np.ndarray:
     return np.fft.fftn(f.values) * _forward_factor(f.grid)
 
 
-def dealias_mask(grid: Grid) -> np.ndarray:
-    """2/3-rule retention mask: keep per-axis mode indices |j| <= N/3."""
+def dealias_mask(grid: Grid, shape: tuple | None = None) -> np.ndarray:
+    """2/3-rule retention mask: keep per-axis mode indices |j| <= N/3. With
+    a shape, on the leading block of the lattice of that shape (see
+    ``Grid.k_squared_block``)."""
     j = np.abs(grid.mode_indices_1d)
     keep = j <= grid.N / 3.0
+    rows, *cols = shape or grid.shape
     if grid.d == 1:
-        return keep
-    return np.logical_and.outer(keep, keep)
+        return keep[:rows]
+    return np.logical_and.outer(keep[:rows], keep[:cols[0]])
 
 
 def require_same_grid(*fields: Field) -> Grid:

@@ -83,12 +83,22 @@ class Grid:
         """Per-axis wavenumber arrays broadcast to the full grid shape."""
         return self._mesh(self.wavenumbers_1d)
 
-    @cached_property
+    @property
     def k_squared(self) -> np.ndarray:
-        """|xi|^2 on the full lattice."""
-        k2 = self.wavenumbers_1d**2
-        # the leading 0 + keeps the bits of summing the per-axis squares
-        return k2 if self.d == 1 else 0 + k2[:, None] + k2
+        """|xi|^2 on the full lattice, computed on each access: a cache
+        would hold a grid-sized array for the grid's life, while a run
+        keeps only the symbols made from it, at d=2 on half the rows."""
+        return self.k_squared_block(self.shape)
+
+    def k_squared_block(self, shape: tuple, out: np.ndarray | None = None) -> np.ndarray:
+        """|xi|^2, into out if given, on the leading block of the lattice
+        of that shape (the first shape[i] modes of axis i in FFT order),
+        to the bits of the full lattice's."""
+        k = self.wavenumbers_1d
+        if self.d == 1:
+            return np.square(k[:shape[0]], out=out)
+        k2 = np.square(k[:max(shape)])
+        return np.add(k2[:shape[0], None], k2[:shape[1]], out=out)
 
     @cached_property
     def coordinates(self) -> tuple[np.ndarray, ...]:

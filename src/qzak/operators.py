@@ -12,6 +12,9 @@ wavenumber lattice with k2 = |xi|^2:
                          sin(lam t omega_eps) / (lam omega_eps) (value t
                          at xi=0) and -lam omega_eps sin(lam t omega_eps)
     potential_symbol     i_eps on the 2/3 band (all of i_eps without dealiasing)
+
+delta_eps, i_eps and potential_symbol take the shape of a leading block of
+the lattice to evaluate them on (Grid.k_squared_block), the whole by default.
 """
 
 from __future__ import annotations
@@ -40,24 +43,55 @@ def _check_t(t, name: str) -> None:
         raise ParameterError(f"{name} requires t")
 
 
-def delta_eps(grid: Grid, eps: float) -> np.ndarray:
+def delta_eps(grid: Grid, eps: float, shape: tuple | None = None) -> np.ndarray:
     """Fourth-order Laplacian Lap - eps^2 Lap^2."""
     eps = _check_eps(eps)
-    k2 = grid.k_squared
+    k2 = grid.k_squared_block(shape or grid.shape)
     return -(k2 + eps * eps * k2 * k2)
 
 
-def i_eps(grid: Grid, eps: float) -> np.ndarray:
+def i_eps(grid: Grid, eps: float, shape: tuple | None = None) -> np.ndarray:
     """Smoothing inverse (1 - eps^2 Lap)^-1."""
     eps = _check_eps(eps)
-    return 1.0 / (1.0 + eps * eps * grid.k_squared)
+    return 1.0 / (1.0 + eps * eps * grid.k_squared_block(shape or grid.shape))
 
 
-def potential_symbol(grid: Grid, eps: float, dealias: bool = True) -> np.ndarray:
+def potential_symbol(grid: Grid, eps: float, dealias: bool = True,
+                     shape: tuple | None = None) -> np.ndarray:
     """Takes fftn(|E|^2) to the coefficients of I_eps |E|^2, with the
     quadratic product dealiased by the 2/3 rule when ``dealias`` holds."""
-    symbol = i_eps(grid, eps)
-    return symbol * dealias_mask(grid) if dealias else symbol
+    symbol = i_eps(grid, eps, shape)
+    return symbol * dealias_mask(grid, shape) if dealias else symbol
+
+
+# A symbol that a march or a monitor keeps for the run is stored at d=2
+# on rows 0..N/2 of the first axis only: every symbol is a function of
+# |xi|^2, which has the bits of mode j at mode -j, so rows N/2+1..N-1 are
+# rows N/2-1..1 reversed. An array is multiplied by it in two products,
+# over the views _halves pairs up (_multiply). At d=1 the reversed view
+# would run backwards along the contiguous axis, which costs more time
+# than the memory is worth, so d=1 symbols are whole.
+
+def _stored(grid: Grid, shape: tuple) -> tuple:
+    """The stored shape of a symbol for arrays of shape, grid.shape or the
+    half spectrum's."""
+    return (grid.N // 2 + 1,) + shape[1:] if grid.d == 2 else shape
+
+
+def _halves(grid: Grid, a: np.ndarray, stored: bool = False) -> list:
+    """The views of a grid array a that pair up with a stored symbol's: a
+    at d=1; at d=2 rows 0..N/2 and N/2+1..N-1 of the first grid axis, or
+    for a stored symbol a, its rows 0..N/2 and N/2-1..1 reversed."""
+    if grid.d == 1:
+        return [a]
+    h = grid.N // 2
+    return [a[..., :h + 1, :], a[..., h - 1:0:-1, :] if stored else a[..., h + 1:, :]]
+
+
+def _multiply(views: list, symbol: list, out: list) -> None:
+    """out = views * symbol, view by view, over _halves views."""
+    for a, s, o in zip(views, symbol, out):
+        np.multiply(a, s, out=o)
 
 
 def omega_eps(grid: Grid, eps: float) -> np.ndarray:

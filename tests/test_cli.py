@@ -734,21 +734,34 @@ def test_simulate_frees_the_initial_data_after_the_first_step(tmp_path, monkeypa
     assert len(refs) == 3 and alive == [0] * 32
 
 
-def test_simulate_memory_is_bounded_by_the_grid(tmp_path):
+def test_simulate_memory_is_bounded_by_the_grid(tmp_path, monkeypatch):
     import tracemalloc
+
+    from qzak import cli
 
     raw = _simulate_config(2, 64, "qz", num_samples=64)
     path = write_config(tmp_path, raw)
-    sample_bytes = 64 * 64 * (16 + 8 + 8)
-    # The run's buffers, in bytes a grid point: the march's four complex
-    # grids (64), its one step kernel, every step landing on a sample (40),
-    # the slot (32), the monitor's half spectrum and weights (29), and the
-    # potential symbol and |xi|^2 (16); and the wave rotation's two blocks
-    # of at most 8192 complex elements. The initial data is freed before
-    # the first step. The margin of two samples covers numpy's casting
-    # buffers, a kernel refill's corner-sized temporaries, the output
-    # files' buffers and the run's Python objects.
-    held = 64 * 64 * (64 + 40 + 32 + 29 + 16) + 2 * min(64 * 64, 8192) * 16
+    N, rows = 64, 64 // 2 + 1
+    sample_bytes = N * N * (16 + 8 + 8)
+    # The run's buffers, in bytes: the march's four complex grids and the
+    # slot (64 + 32 a grid point); on rows 0..N/2 of the lattice, its one
+    # step kernel, every step landing on a sample (40 a point), the
+    # potential symbol (8) and the monitor's w_E (8); the monitor's half
+    # spectrum (16 a point of an N x (N/2+1) array) and its w_n, w_nt and
+    # w_coupling on rows 0..N/2 of it (8 each); and the wave rotation's
+    # two blocks of at most 8192 complex elements. At N=64 that is 139.5 B
+    # a grid point. The initial data is freed before the first step. The
+    # margin of two samples covers numpy's casting and iteration buffers,
+    # the output files' buffers and the run's Python objects.
+    held = (N * N * (64 + 32) + rows * N * (40 + 8 + 8) + N * rows * 16
+            + 3 * rows * rows * 8 + 2 * min(N * N, 8192) * 16)
+    grids = []
+
+    def preset(*args):
+        grids.append(args[2])
+        return preset_initial_data(*args)
+
+    monkeypatch.setattr(cli, "preset_initial_data", preset)
     # a first run in the process makes one-off allocations that later runs
     # do not; the step kernel is built in every run
     assert run_cli(["simulate", "--config", path, "--out", str(tmp_path / "warm"),
@@ -761,3 +774,5 @@ def test_simulate_memory_is_bounded_by_the_grid(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < held + 2 * sample_bytes
+    # the grid caches no |xi|^2, which the margin could hide
+    assert [vars(grid).get("k_squared") for grid in grids] == [None, None]

@@ -133,15 +133,17 @@ def test_monitor_measure_allocates_no_grid_array(rng, solver):
     from qzak.diagnostics import qmnls_monitor, qz_monitor
 
     grid = make_grid(2, 256, 5.0)
-    half = 256 * 129
+    # the half spectrum, and the weights on rows 0..N/2 of the lattice and
+    # of the half spectrum
+    half, rows, corner = 256 * 129, 129 * 256, 129 * 129
     if solver == "qz":
         monitor = lambda: qz_monitor(grid, 0.7, 3.0)
         # S_hat; w_E; w_n, w_nt and w_coupling; w_unit
-        held = 16 * half + 8 * grid.size + 3 * 8 * half + 8 * 129
+        held = 16 * half + 8 * rows + 3 * 8 * corner + 8 * 129
     else:
         monitor = lambda: qmnls_monitor(grid, 0.7)
         # S; S_hat; w_E; w_quartic
-        held = 8 * grid.size + 16 * half + 8 * grid.size + 8 * half
+        held = 8 * grid.size + 16 * half + 8 * rows + 8 * corner
     E = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     n, nt = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
     nt -= np.mean(nt)
@@ -159,6 +161,84 @@ def test_monitor_measure_allocates_no_grid_array(rng, solver):
     finally:
         tracemalloc.stop()
     assert peak - base < 8 * np.getbufsize() + 4096
+
+
+def _full_weight_monitors(grid, eps, lam):
+    """The measures of qz_monitor and qmnls_monitor as they were with every
+    weight held on the whole lattice or half spectrum, one product each."""
+    from qzak.diagnostics import _column_weights, _half_shape, _head, _mass
+    from qzak.field import _forward_factor, _transforms
+    from qzak.operators import delta_eps, i_eps, potential_symbol
+
+    fft, _, rfft = _transforms(grid)
+    f2 = _forward_factor(grid) ** 2
+    half = _half_shape(grid)
+
+    def real_weights(symbol):
+        return symbol[..., :grid.N // 2 + 1] * _column_weights(grid) * f2
+
+    def sum_sq(x, w, work):
+        np.abs(x, out=work)
+        np.square(work, out=work)
+        np.multiply(work, w, out=work)
+        return float(np.sum(work))
+
+    k2 = grid.k_squared
+    inv_k2 = np.zeros_like(k2)
+    np.divide(1.0, k2, out=inv_k2, where=k2 > 0.0)
+    w_E, w_n = -delta_eps(grid, eps) * f2, real_weights(0.5 / i_eps(grid, eps))
+    w_nt = real_weights((0.5 / lam**2) * inv_k2)
+    w_coupling = real_weights(dealias_mask(grid).astype(float))
+    S_hat = np.empty(half, dtype=np.complex128)
+
+    def qz(E, n, nt):
+        nt_hat = rfft(nt, out=S_hat)
+        work = _head(nt, half)
+        energy = sum_sq(nt_hat, w_nt, work)
+        S = nt
+        np.square(np.abs(E, out=S), out=S)
+        m = float(_mass(grid, S))
+        rfft(S, out=S_hat)
+        energy += sum_sq(fft(E, out=E), w_E, S)
+        n_hat = rfft(n, out=_head(E, half))
+        energy += sum_sq(n_hat, w_n, work)
+        np.multiply(np.conjugate(n_hat, out=n_hat), S_hat, out=n_hat)
+        np.multiply(n_hat.real, w_coupling, out=work)
+        return m, energy + float(np.sum(work))
+
+    w_E_limit = -0.5 * delta_eps(grid, eps) * f2
+    w_quartic = real_weights(0.25 * potential_symbol(grid, eps))
+    S = np.empty(grid.shape)
+    S_hat_limit = np.empty(half, dtype=np.complex128)
+
+    def qmnls(E):
+        np.square(np.abs(E, out=S), out=S)
+        m = float(_mass(grid, S))
+        rfft(S, out=S_hat_limit)
+        energy = sum_sq(fft(E, out=E), w_E_limit, S)
+        return m, energy - sum_sq(S_hat_limit, w_quartic, _head(S, half))
+    return qz, qmnls
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_half_row_monitors_equal_full_weight_monitors_bitwise(rng, N):
+    # At d=2 the monitors hold each weight on rows 0..N/2 and multiply the
+    # other rows through a row-reversed view; each product and each sum
+    # keeps the bits of weights held on every row.
+    from qzak.diagnostics import qmnls_monitor, qz_monitor
+
+    grid = make_grid(2, N, 5.0)
+    eps, lam = 0.7, 3.0
+    want_qz, want_qmnls = _full_weight_monitors(grid, eps, lam)
+    for _ in range(3):
+        E = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        n, nt = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+        nt -= np.mean(nt)
+        got = qz_monitor(grid, eps, lam)(E.copy(), n.copy(), nt.copy())
+        want = want_qz(E.copy(), n.copy(), nt.copy())
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        got, want = qmnls_monitor(grid, eps)(E.copy()), want_qmnls(E.copy())
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_hamiltonian_qz_linear_wave_invariant(grid64):

@@ -11,10 +11,11 @@ from qzak import (InitialData, PresetParams, SchrodingerState, SimConfig,
                   oracle_evolve, preset_initial_data, qmnls_evolve, qmnls_step,
                   qz_evolve, qz_step, real_field)
 from qzak import dynamics
-from qzak.dynamics import _check_finite, _march, _mirror, _qz_advance
+from qzak.dynamics import _check_finite, _march, _qz_advance
 from qzak.errors import InstabilityError, NonFiniteFieldError, ParameterError
-from qzak.operators import (_schrodinger_group, omega_eps, potential_symbol, wave_cos,
-                            wave_propagator)
+from qzak.field import dealias_mask
+from qzak.operators import (_halves, _schrodinger_group, _stored, delta_eps, i_eps,
+                            omega_eps, potential_symbol, wave_cos, wave_propagator)
 
 
 def _values(data):
@@ -194,9 +195,9 @@ def test_march_keeps_each_kernel_only_while_it_needs_it(monkeypatch):
         live.add(self)
         peak[0] = max(peak[0], len(live))
 
-    def refill(self, h):
+    def refill(self, h, scratch):
         refills.append(h)
-        real_refill(self, h)
+        real_refill(self, h, scratch)
 
     monkeypatch.setattr(dynamics._Kernel, "__init__", init)
     monkeypatch.setattr(dynamics._Kernel, "refill", refill)
@@ -216,27 +217,32 @@ def test_march_keeps_each_kernel_only_while_it_needs_it(monkeypatch):
 
 
 def test_kernel_build_allocates_only_the_kernel():
-    # A refill evaluates the symbols on the (N/2+1)^d corner and mirrors
-    # them into the kernel's own arrays with slice copies. Its temporaries,
-    # in bytes a corner point: |xi|^2 (8) and the Schrodinger symbol (16),
-    # which is freed before omega_eps, lam omega_eps and the three wave
-    # symbols of a row are allocated (40), and wave_propagator's boolean
-    # mask (1); plus 4 KiB for Python objects.
+    # A refill evaluates each symbol in the (N/2+1)^d corner block of the
+    # kernel's own arrays and mirrors the columns in place; |xi|^2,
+    # omega_eps and lam omega_eps go in the scratch it is lent, the size of
+    # the advance's phase row (a complex grid a lam), and so does the copy
+    # of the mirrored columns. It allocates only wave_propagator's boolean
+    # mask (1 B a corner point), numpy's iteration buffers for operations
+    # on the strided corner block (at most three of 8 B an element, up to
+    # 8192 elements), and 1 KiB for the squared wavenumbers of one axis
+    # and Python objects. The kernel holds rows 0..N/2 of the first axis.
     import tracemalloc
 
     grid = make_grid(2, 64, 16.0 * np.pi)
     lams = (16.0, 32.0)
     kern = dynamics._Kernel(grid, 1.0, lams, 0.5)
-    kern.refill(1e-3)  # caches grid.k_squared
+    scratch = np.empty(2 * len(lams) * grid.size)
+    kern.refill(1e-3, scratch)  # caches grid.wavenumbers_1d
     tracemalloc.start()
     try:
-        kern.refill(4e-4)
+        kern.refill(4e-4, scratch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    own = kern.schrod.nbytes + 3 * kern.cos.nbytes
-    assert own == grid.size * (16 + 3 * 8 * len(lams))
-    assert peak <= (grid.N // 2 + 1) ** 2 * (8 + 40 + 1) + 4096
+    own = kern.schrod.nbytes + kern.rows.nbytes
+    assert own == (grid.N // 2 + 1) * grid.N * (16 + 3 * 8 * len(lams))
+    corner = (grid.N // 2 + 1) ** 2
+    assert peak <= corner + 3 * 8 * min(corner, 8192) + 1024
 
 
 def _full_lattice_kernel(grid, eps, lams, h):
@@ -249,11 +255,29 @@ def _full_lattice_kernel(grid, eps, lams, h):
     return (schrodinger_group(grid, eps, 0.5 * h)[np.newaxis],) + tuple(rows)
 
 
-# A refill evaluates the symbols on the corner of nonnegative modes and
-# mirrors them, on the premise that |xi|^2 has the same bits at modes j
-# and -j and that numpy evaluates each element to the same bits whatever
-# the array's size; a numpy upgrade that breaks it must fail here. The
-# step sizes are a full step and one of simulate-2d's landing steps.
+def _unfold(grid, stored):
+    """A symbol stored on half the rows, read through its two views onto
+    every row of the first grid axis."""
+    full = np.empty(stored.shape[:-2] + (grid.N,) + stored.shape[-1:] if grid.d == 2
+                    else stored.shape, stored.dtype)
+    for dst, src in zip(_halves(grid, full), _halves(grid, stored, True)):
+        dst[...] = src
+    return full
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# At d=2 a march and a monitor store each symbol on rows 0..N/2 and read
+# rows N/2+1..N-1 reversed, and a refill evaluates each symbol in its
+# corner block of nonnegative modes and mirrors the columns: on the
+# premise that |xi|^2 has the same bits at modes j and -j and that numpy
+# evaluates each element to the same bits whatever the array's size and
+# strides; a numpy upgrade that breaks it must fail here. The step sizes
+# are a full step and one of simulate-2d's landing steps. The monitors'
+# weights are the symbols on the stored rows of the whole lattice (E's)
+# and of the half spectrum (the real fields').
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("d,N", [(1, 16), (1, 64), (1, 256), (2, 16), (2, 64), (2, 256)])
 def test_mirrored_kernel_equals_the_full_lattice_bitwise(d, N, batch):
@@ -261,18 +285,29 @@ def test_mirrored_kernel_equals_the_full_lattice_bitwise(d, N, batch):
     k2 = grid.k_squared
     minus = k2[(slice(None, None, -1),) * d]  # index i holds mode -i - 1
     minus = np.roll(minus, (1,) * d, axis=tuple(range(d)))  # index i holds mode -i
-    assert np.array_equal(minus.view(np.uint64), k2.view(np.uint64))
-    mirrored = np.empty_like(k2)
-    _mirror(np.ascontiguousarray(k2[(slice(N // 2 + 1),) * d]), mirrored)
-    assert np.array_equal(mirrored.view(np.uint64), k2.view(np.uint64))
+    assert _same_bits(minus, k2)
+    stored, half = _stored(grid, grid.shape), _stored(grid, grid.shape[:-1] + (N // 2 + 1,))
+    assert stored == ((N // 2 + 1, N) if d == 2 else (N,))
+    assert _same_bits(_unfold(grid, grid.k_squared_block(stored)), k2)
+    assert _same_bits(grid.k_squared_block((N // 2 + 1,) * d), k2[(slice(N // 2 + 1),) * d])
+    rfft_part = (Ellipsis, slice(N // 2 + 1))
+    for name, got, want in (
+            ("potential", potential_symbol(grid, 0.5, True, stored), potential_symbol(grid, 0.5)),
+            ("w_E", delta_eps(grid, 0.5, stored), delta_eps(grid, 0.5)),
+            ("w_n", i_eps(grid, 0.5, half), i_eps(grid, 0.5)[rfft_part]),
+            ("w_nt", grid.k_squared_block(half), k2[rfft_part]),
+            ("w_coupling", dealias_mask(grid, half).astype(float),
+             dealias_mask(grid)[rfft_part].astype(float))):
+        assert _same_bits(_unfold(grid, got), np.ascontiguousarray(want)), name
     lams = (4.0, 16.0, 64.0)[:batch]
     kern = dynamics._Kernel(grid, 0.5, lams, 0.5)
+    scratch = np.full(2 * batch * grid.size, np.nan)
     for h in (1e-3, 0.05 / 63):
-        kern.refill(h)
-        got = (kern.schrod, kern.cos, kern.sinc, kern.minus_lam_om_sin)
+        kern.refill(h, scratch)
+        got = (kern.schrod, *kern.rows)
         names = ("schrod_half", "cos", "sinc", "minus_lam_om_sin")
         for name, a, b in zip(names, got, _full_lattice_kernel(grid, 0.5, lams, h)):
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (h, name)
+            assert _same_bits(_unfold(grid, a), b), (h, name)
 
 
 # d=1 N=64 and d=2 N=128 lie on either side of the 256 KiB size from
