@@ -22,7 +22,7 @@ from .errors import ConfigError, QzakError
 from .field import real_field, to_spectral
 from .grid import _check_dimension, _check_size, make_grid
 from .state import (DEFAULT_NUM_SAMPLES, PRESET_KINDS, PresetParams, SimConfig,
-                    _gaussian, check_resolution)
+                    _gaussian, _padded_center, check_resolution)
 
 DEFAULT_L = 40.0 * math.pi
 # layer-decay's table multiplies f0's coefficients by |xi|^k: rounding at
@@ -206,15 +206,13 @@ def resolve_config(raw: dict) -> ExperimentConfig:
 
     if experiment == "sweep":
         lambdas = read.float_list("lambdas", [4.0, 8.0, 16.0, 32.0, 64.0])
-    else:
-        lambdas = (read.number("lambda", 4.0, low=1.0),)
-    _checked("lambdas" if "lambdas" in read.reads else "lambda",
-             harness._check_ladder, lambdas)
-    if experiment == "sweep":
+        _checked("lambdas", harness._check_ladder, lambdas)
         _checked("lambdas", harness._check_rate_lams, lambdas)
         # a repeated lam would run twice and count twice in the rate fit
         _expect(len(set(lambdas)) == len(lambdas), "lambdas",
                 f"a sweep needs strictly increasing entries, got {list(lambdas)}")
+    else:  # one lam >= 1 passes harness._check_ladder
+        lambdas = (read.number("lambda", 4.0, low=1.0),)
 
     raw_data = raw.get("data", {})
     _expect(isinstance(raw_data, dict), "data", "expected an object")
@@ -228,8 +226,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     tolerance = read.number("tolerance", 1e-5, positive=True)
     lambda_times = read.float_list(
         "lambda_times", [0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0])
-    for i, t in enumerate(lambda_times):
-        _checked(f"lambda_times[{i}]", layer._check_probe_time, t)
     probe_points = read.float_list("probe_points", [0.0, 1.0, 2.0, 20.0, 30.0, 40.0])
     k_max = read.number("k_max", 2, low=0, integer=True)
 
@@ -237,6 +233,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         _checked("dimension", dynamics._check_oracle_dimension, dimension)
         _checked("N", dynamics._check_oracle_size, N)
     if experiment == "layer-decay":
+        for i, t in enumerate(lambda_times):
+            _checked(f"lambda_times[{i}]", layer._check_probe_time, t)
         _checked("dimension", layer._check_probe_dimension, dimension)
         for i, p in enumerate(probe_points):
             _checked(f"probe_points[{i}]", layer._check_probe_point, p, L)
@@ -253,11 +251,13 @@ def resolve_config(raw: dict) -> ExperimentConfig:
             _checked(f"dt_list[{i}]", harness._check_dt_divides, dt, T)
 
     grid = make_grid(dimension, N, L)
-    # each Gaussian the run builds, named by its width key: the envelope,
-    # and for generic data the n0 and n1 bumps
+    # each Gaussian the run builds, named by its center and width keys: the
+    # envelope, and for generic data the n0 and n1 bumps
     generic = kind == "generic" and experiment != "layer-decay"
     bumps = ("", "n_", "n1_") if generic else ("",)
     for bump in bumps:
+        _checked(f"data.{bump}center", _padded_center, grid,
+                 getattr(params, f"{bump}center"))
         _checked(f"data.{bump}width", check_resolution, grid,
                  getattr(params, f"{bump}width"), getattr(params, f"{bump}center"),
                  params)

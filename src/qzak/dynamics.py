@@ -281,61 +281,39 @@ def _check_finite(t: float, arrays: tuple, lams: tuple | None = None) -> None:
                 f"field {name!r} became non-finite at t = {t:.6g}{where}")
 
 
-def _qz_state(grid: Grid, t: float, arrays: tuple) -> ZakharovState:
+def _state(grid: Grid, t: float, arrays: tuple) -> ZakharovState | SchrodingerState:
+    """The state of the grid-shaped arrays (E, n, nt) or (E,) at time t."""
+    if len(arrays) == 1:
+        return SchrodingerState(t=t, E=complex_field(grid, arrays[0]))
     E, n, nt = arrays
     return ZakharovState(t=t, E=complex_field(grid, E), n=real_field(grid, n),
                          nt=real_field(grid, nt))
 
 
-def _qmnls_state(grid: Grid, t: float, arrays: tuple) -> SchrodingerState:
-    return SchrodingerState(t=t, E=complex_field(grid, arrays[0]))
+def _step(s: ZakharovState | SchrodingerState, dt: float, build):
+    """One step of dt from the state s by the advance that build() loads
+    with the fields of s."""
+    if dt == 0.0:
+        raise ParameterError("dt must be nonzero")
+    arrays, advance = build()
+    advance(float(dt), True)
+    t = s.t + dt
+    _check_finite(t, arrays)
+    return _state(s.grid, t, tuple(a.reshape(s.grid.shape) for a in arrays))
 
 
 def qz_step(s: ZakharovState, dt: float, eps: float, lam: float,
             dealias: bool = True) -> ZakharovState:
     """One Strang step of the coupled system; dt may be negative."""
-    if dt == 0.0:
-        raise ParameterError("dt must be nonzero")
-    arrays, advance = _qz_advance(s.grid, float(eps), (float(lam),), bool(dealias),
-                                  (s.E.values, s.n.values, s.nt.values))
-    advance(float(dt), True)
-    t = s.t + dt
-    _check_finite(t, arrays)
-    return _qz_state(s.grid, t, tuple(a[0] for a in arrays))
+    return _step(s, dt, partial(_qz_advance, s.grid, float(eps), (float(lam),), bool(dealias),
+                                (s.E.values, s.n.values, s.nt.values)))
 
 
 def qmnls_step(s: SchrodingerState, dt: float, eps: float,
                dealias: bool = True) -> SchrodingerState:
     """One Strang step of the limit equation; dt may be negative."""
-    if dt == 0.0:
-        raise ParameterError("dt must be nonzero")
-    arrays, advance = _qmnls_advance(s.grid, float(eps), bool(dealias), (s.E.values,))
-    advance(float(dt), True)
-    t = s.t + dt
-    _check_finite(t, arrays)
-    return _qmnls_state(s.grid, t, arrays)
-
-
-def _plan(dt: float, targets: list, tol: float) -> list:
-    """One (target, full, landing) per sample interval: the march takes
-    full steps of dt, then the steps in the tuple landing, and is at
-    target. The step sizes and times are those of stepping t by
-    h = min(dt, target - t) until t is within tol of target, and then
-    setting t = target, bit for bit. Once h < dt, target - t only
-    shrinks, so no full step follows a landing one."""
-    plan, t = [], 0.0
-    for target in targets:
-        full, landing = 0, ()
-        while t < target - tol:
-            h = min(dt, target - t)
-            if h == dt:
-                full += 1
-            else:
-                landing += (h,)
-            t += h
-        plan.append((target, full, landing))
-        t = target
-    return plan
+    return _step(s, dt, partial(_qmnls_advance, s.grid, float(eps), bool(dealias),
+                                (s.E.values,)))
 
 
 def _march(config: SimConfig, arrays: tuple, advance, lams: tuple | None = None):
@@ -346,30 +324,48 @@ def _march(config: SimConfig, arrays: tuple, advance, lams: tuple | None = None)
     The arrays are advance's live buffers, which advance(h, full) steps
     in place: the next step overwrites them, so a caller copies what it
     keeps. Nothing is stepped until the caller asks for the next sample.
-    The steps are planned before the first one, and the march tells
-    advance which are full steps of dt and which land on a sample.
+    Each sample interval is stepped by h = min(dt, target - t), with full
+    telling a step of dt from one that lands on the sample, until t is
+    within the landing tolerance of the sample time; t is then set to it.
+    Once h < dt, target - t only shrinks, so no full step follows a
+    landing one within an interval.
 
     Finiteness is checked once per sample, not once per step. A
     non-finite value reaches every mode within one FFT and stays, so no
     non-finite sample is yielded; the error names the sample time, and
     the lam of the row when lams names the rows of a batch.
     """
-    dt = config.dt
+    dt, tol = config.dt, _LANDING_TOL * max(1.0, config.T)
     targets = list(config.sample_times)
     if not targets or abs(targets[-1] - config.T) > _LANDING_TOL:
         targets.append(config.T)
     if targets[0] <= _LANDING_TOL:
         yield 0.0, 0, arrays
         targets = targets[1:]
-    steps = 0
-    for target, full, landing in _plan(dt, targets, _LANDING_TOL * max(1.0, config.T)):
-        for _ in range(full):
-            advance(dt, True)
-        for h in landing:
-            advance(h, False)
-        steps += full + len(landing)
+    t, steps = 0.0, 0
+    for target in targets:
+        while t < target - tol:
+            h = min(dt, target - t)
+            advance(h, h == dt)
+            t += h
+            steps += 1
+        t = target
         _check_finite(target, arrays, lams)
         yield target, steps, arrays
+
+
+def _evolve(config: SimConfig, march, sink) -> Trajectory:
+    """Run march to its end: call sink(t, arrays) at each sample, or
+    without a sink keep a snapshot of copies of the arrays."""
+    samples = []
+    for t, steps, arrays in march:
+        if sink is not None:
+            sink(t, arrays)
+        else:
+            # n and nt are real parts of complex buffers: a contiguous
+            # copy keeps half the bytes a view would keep alive.
+            samples.append((t, _state(config.grid, t, tuple(a.copy() for a in arrays))))
+    return Trajectory(config=config, samples=tuple(samples), steps=steps)
 
 
 def qz_evolve(config: SimConfig, data: InitialData, sink=None, lams=None) -> Trajectory:
@@ -407,18 +403,9 @@ def qz_evolve(config: SimConfig, data: InitialData, sink=None, lams=None) -> Tra
     live, advance = _qz_advance(config.grid, config.eps, lams, config.dealias,
                                 (data.E0.values, data.n0.values, data.n1.values))
     del data
-    march = _march(config, live, advance, lams if batch else None)
-    samples = []
-    for t, steps, arrays in march:
-        if not batch:  # a batch of one: the sink and the states see its row
-            arrays = tuple(a[0] for a in arrays)
-        if sink is not None:
-            sink(t, arrays)
-        else:
-            # n and nt are real parts of complex buffers: a contiguous
-            # copy keeps half the bytes a view would keep alive.
-            samples.append((t, _qz_state(config.grid, t, tuple(a.copy() for a in arrays))))
-    return Trajectory(config=config, samples=tuple(samples), steps=steps)
+    if not batch:  # a batch of one: the sink and the states see its row
+        live = tuple(a.reshape(config.grid.shape) for a in live)
+    return _evolve(config, _march(config, live, advance, lams if batch else None), sink)
 
 
 def qmnls_evolve(config: SimConfig, E0: Field, sink=None) -> Trajectory:
@@ -432,13 +419,7 @@ def qmnls_evolve(config: SimConfig, E0: Field, sink=None) -> Trajectory:
     march = _march(config, *_qmnls_advance(config.grid, config.eps, config.dealias,
                                            (E0.values,)))
     del E0
-    samples = []
-    for t, steps, arrays in march:
-        if sink is not None:
-            sink(t, arrays)
-        else:
-            samples.append((t, _qmnls_state(config.grid, t, (arrays[0].copy(),))))
-    return Trajectory(config=config, samples=tuple(samples), steps=steps)
+    return _evolve(config, march, sink)
 
 
 def _check_oracle_dimension(d: int) -> None:
@@ -511,4 +492,4 @@ def oracle_evolve(config: SimConfig, data: InitialData):
     E, n, nt = np.fft.ifft(y)
     arrays = (E, n.real, nt.real)
     _check_finite(config.T, arrays)
-    return _qz_state(grid, config.T, arrays)
+    return _state(grid, config.T, arrays)

@@ -57,9 +57,11 @@ def write_manifest(out_dir, resolved_config: dict, files: list[str]) -> Path:
 
 
 def write_error(out_dir, message: str) -> None:
+    """Write error.txt if the out directory takes it; a failure to write
+    it leaves the run's own error and exit code as they are."""
     try:
         _write(out_dir, "error.txt", message + "\n")
-    except OutputError:
+    except OSError:  # OutputError among them
         pass
 
 

@@ -146,21 +146,31 @@ class PresetParams:
     edge_tol: float = 1e-12
 
 
+def _padded_center(grid: Grid, center: tuple[float, ...]) -> tuple[float, ...]:
+    """center with zeros appended up to one coordinate per grid axis."""
+    if len(center) > grid.d:
+        raise ParameterError(f"center {list(center)} has {len(center)} coordinates "
+                             f"on a {grid.d}-D grid")
+    return tuple(center) + (0.0,) * (grid.d - len(center))
+
+
 def _gaussian(grid: Grid, amplitude: float, width: float, center: tuple[float, ...]) -> np.ndarray:
-    center = tuple(center) + (0.0,) * (grid.d - len(center))
+    center = _padded_center(grid, center)
     r2 = sum((x - c) ** 2 for x, c in zip(grid.coordinates, center))
     return amplitude * np.exp(-r2 / width**2)
 
 
 def check_resolution(grid: Grid, width: float, center: tuple[float, ...],
                      params: PresetParams) -> None:
-    """Raise ResolutionError unless the Gaussian is resolved and inside the box."""
+    """Raise ResolutionError unless the Gaussian is resolved and inside the
+    box, and ParameterError for a center with more coordinates than the
+    grid has axes."""
     if width < params.min_points_per_width * grid.dx:
         raise ResolutionError(
             f"Gaussian width {width:g} is under-resolved: needs >= "
             f"{params.min_points_per_width:g} points per width (dx = {grid.dx:g})"
         )
-    center = tuple(center) + (0.0,) * (grid.d - len(center))
+    center = _padded_center(grid, center)
     margin = min(grid.L / 2.0 - abs(c) for c in center)
     if margin <= 0.0 or np.exp(-((margin / width) ** 2)) > params.edge_tol:
         raise ResolutionError(
@@ -204,7 +214,7 @@ def preset_initial_data(kind: str, params: PresetParams, grid: Grid, eps: float)
 
     check_resolution(grid, params.width, params.center, params)
     envelope = _gaussian(grid, params.amplitude, params.width, params.center)
-    center = tuple(params.center) + (0.0,) * (grid.d - len(params.center))
+    center = _padded_center(grid, params.center)
     phase = params.k0 * (grid.coordinates[0] - center[0])
     if params.chirp != 0.0:
         phase = phase + params.chirp * sum(
@@ -217,9 +227,9 @@ def preset_initial_data(kind: str, params: PresetParams, grid: Grid, eps: float)
         check_resolution(grid, params.n1_width, params.n1_center, params)
         n0_vals = _gaussian(grid, params.n_amplitude, params.n_width, params.n_center)
         if params.n_k0 != 0.0:
-            n_center = tuple(params.n_center) + (0.0,) * (grid.d - len(params.n_center))
+            n_center = _padded_center(grid, params.n_center)
             n0_vals = n0_vals * np.cos(params.n_k0 * (grid.coordinates[0] - n_center[0]))
-        n1_center = tuple(params.n1_center) + (0.0,) * (grid.d - len(params.n1_center))
+        n1_center = _padded_center(grid, params.n1_center)
         bump = _gaussian(grid, params.n1_amplitude, params.n1_width, params.n1_center)
         n1_vals = bump * (-2.0 * (grid.coordinates[0] - n1_center[0]) / params.n1_width**2)
         n0 = real_field(grid, n0_vals)

@@ -343,6 +343,16 @@ def test_unresolved_gaussian_exits_one_and_names_its_width(tmp_path, command, co
     assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
 
 
+@pytest.mark.parametrize("command", ["sweep", "layer-decay"])
+def test_center_longer_than_the_grid_exits_one(tmp_path, capsys, command):
+    # the second coordinate has no axis on a 1-D grid, so no run could use it
+    out = tmp_path / "out"
+    assert run_cli([command, "--override", "data.center=[0.0,5.0]",
+                    "--out", str(out), "--quiet"]) == 1
+    assert "data.center: center [0.0, 5.0] has 2 coordinates" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+
+
 @pytest.mark.parametrize("command,config,overrides,key", [
     ("layer-decay", "layer_decay.json", ["lambda_times=[1000]"], "lambda_times"),
     ("oracle-check", "oracle_check.json", ["dt0=10", "c_lambda=1e6", "lambda=64"], "dt0"),
@@ -412,6 +422,20 @@ def test_short_self_converge_dt_list_exits_one(tmp_path, capsys):
     assert "dt_list: dt list needs >= 4 entries" in capsys.readouterr().err
     assert (out / "error.txt").read_text().startswith("dt_list: ")
     assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["sweep", "--override", "N=15"], 1, "N: "),
+    (["layer-decay"], 2, "Is a directory"),
+])
+def test_unwritable_error_txt_keeps_the_exit_code(tmp_path, capsys, argv, code, message):
+    # error.txt is a directory: a config error (exit 1) and a runtime
+    # error (exit 2, the run cannot clear it) still report on stderr
+    out = tmp_path / "out"
+    (out / "error.txt").mkdir(parents=True)
+    assert run_cli(argv + ["--out", str(out), "--quiet"]) == code
+    assert message in capsys.readouterr().err
+    assert (out / "error.txt").is_dir()
 
 
 def test_unexpected_error_is_recorded_and_reraised(tmp_path, monkeypatch):

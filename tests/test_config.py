@@ -211,6 +211,9 @@ MOVED_RULES = {
     "resolution": (SWEEP, {"data": {"width": 0.01}}, "data.width",
                    lambda cfg: preset_initial_data(
                        "generic", PresetParams(width=0.01), cfg.sim.grid, 1.0)),
+    "center-length": (SWEEP, {"data": {"center": [0.0, 5.0]}}, "data.center",
+                      lambda cfg: preset_initial_data(
+                          "generic", PresetParams(center=(0.0, 5.0)), cfg.sim.grid, 1.0)),
     "oracle-dimension": (ORACLE, {"dimension": 2}, "dimension",
                          lambda cfg: oracle_evolve(
                              replace(cfg.sim, grid=make_grid(2, 32, cfg.sim.grid.L)),

@@ -135,7 +135,7 @@ def _stepped_chain(cfg, state, step):
 def _accumulated_steps(cfg):
     """(step sizes, sample times) of a march that accumulates t += h with
     h = min(dt, target - t) step by step and sets t to each target it
-    lands on: the march's loop before it planned its steps."""
+    lands on, written out here apart from the march's own loop."""
     dt, tol = cfg.dt, 1e-12 * max(1.0, cfg.T)
     targets = list(cfg.sample_times)
     if not targets or abs(targets[-1] - cfg.T) > 1e-12:
@@ -160,6 +160,11 @@ MARCH_SCHEDULES = {
     # full steps between samples, each interval ending on a landing step
     "full-and-landing": dict(T=0.5, sample_times=tuple(np.linspace(0.0, 0.5, 64))),
     "T-only": dict(T=0.5, sample_times=(0.5,)),
+    # the samples stop short of T, so the march appends T
+    "short-of-T": dict(T=0.5, sample_times=(0.0, 0.1, 0.2537)),
+    # a repeated sample: its interval is empty, so the same t is yielded
+    # twice with no step between
+    "repeated": dict(T=0.5, sample_times=(0.0, 0.2, 0.2, 0.5)),
 }
 
 
