@@ -277,9 +277,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
                     grid=grid, dt0=dt0, c_lam=c_lambda,
                     m=m, dealias=dealias,
                     sample_times=tuple(np.linspace(0.0, T, num_samples)))
-    if experiment == "oracle-check":
-        # named by the key that sets the step
-        _checked("dt0" if sim.dt == dt0 else "c_lambda", dynamics._oracle_steps, sim)
 
     return ExperimentConfig(
         experiment=experiment, sim=sim, data_kind=kind, data_params=params,

@@ -111,16 +111,15 @@ def qz_monitor(grid: Grid, eps: float, lam: float):
     w_n = _weights(grid, 0.5 / i_eps(grid, eps, stored), True)
     w_nt = _weights(grid, (0.5 / lam**2) * inv_k2, True)
     w_coupling = _weights(grid, dealias_mask(grid, stored).astype(float), True)
-    # the weights of a unit symbol, broadcast along the columns of each half
-    w_unit = [_column_weights(grid) * _forward_factor(grid) ** 2] * 2
     origin = (0,) * grid.d
     S_hat = np.empty(half, dtype=np.complex128)
 
     def measure(E: np.ndarray, n: np.ndarray, nt: np.ndarray) -> tuple:
+        # the norm of nt, which Plancherel gives from its samples
+        total = math.sqrt(grid.cell_volume * np.vdot(nt, nt))
         nt_hat = rfft(nt, out=S_hat)
         work = _head(nt, half)  # nt is spent
         zero = abs(nt_hat[origin]) * _forward_factor(grid)
-        total = np.sqrt(_sum_sq(grid, nt_hat, w_unit, work))
         if total > 0.0 and zero > ZERO_MODE_TOL * total:
             raise ZeroModeError(
                 "hamiltonian_qz (d_t n term) requires a zero-mean field "

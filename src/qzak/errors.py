@@ -34,10 +34,6 @@ class NonFiniteFieldError(QzakError, FloatingPointError):
     """A field developed NaN or Inf values during time stepping."""
 
 
-class InstabilityError(QzakError, ValueError):
-    """Explicit oracle step size violates its stability bound."""
-
-
 class WrapAroundError(QzakError, ValueError):
     """Requested probe horizon would let the wave wrap around the box."""
 

@@ -244,7 +244,7 @@ def self_convergence(config: SimConfig, data: InitialData, dt_list,
 
 
 def oracle_discrepancy(config: SimConfig, data: InitialData) -> float:
-    """L^2 distance between the split final state and the RK4 oracle's."""
+    """L^2 distance between the split final state and the oracle's."""
     split = qz_evolve(replace(config, sample_times=(config.T,)), data).final_state()
     reference = oracle_evolve(config, data)
     diff = Field(config.grid, split.E.values - reference.E.values)

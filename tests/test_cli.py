@@ -355,16 +355,12 @@ def test_center_longer_than_the_grid_exits_one(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command,config,overrides,key", [
     ("layer-decay", "layer_decay.json", ["lambda_times=[1000]"], "lambda_times"),
-    ("oracle-check", "oracle_check.json", ["dt0=10", "c_lambda=1e6", "lambda=64"], "dt0"),
-    ("oracle-check", "oracle_check.json", ["dt0=10", "c_lambda=320", "lambda=64"],
-     "c_lambda"),
     ("layer-decay", "layer_decay.json", ["lambdas=[8.0]"], "lambdas"),
 ])
-def test_probe_horizon_and_oracle_step_exit_one(tmp_path, command, config, overrides,
-                                                 key):
-    # the probe's wrap-around horizon and the oracle's RK4 step bound follow
-    # from the config alone; the run, not the config, used to refuse them.
-    # The probe depends on lam t only, so a layer-decay lambdas is unread.
+def test_probe_horizon_and_lambdas_exit_one(tmp_path, command, config, overrides, key):
+    # the probe's wrap-around horizon follows from the config alone; the
+    # run, not the config, used to refuse it. The probe depends on lam t
+    # only, so a layer-decay lambdas is unread.
     path = Path(__file__).resolve().parents[1] / "configs" / config
     out = tmp_path / "out"
     argv = [command, "--config", str(path), "--out", str(out), "--quiet"]

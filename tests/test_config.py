@@ -222,14 +222,6 @@ MOVED_RULES = {
                     lambda cfg: oracle_evolve(
                         replace(cfg.sim, grid=make_grid(1, 128, cfg.sim.grid.L)),
                         _data(cfg))),
-    "oracle-step-dt0": (ORACLE, {"dt0": 10.0, "c_lambda": 1e6, "lambda": 64.0}, "dt0",
-                        lambda cfg: oracle_evolve(
-                            replace(cfg.sim, dt0=10.0, c_lam=1e6, lam=64.0), _data(cfg))),
-    "oracle-step-c_lambda": (ORACLE, {"dt0": 10.0, "c_lambda": 320.0, "lambda": 64.0},
-                             "c_lambda",
-                             lambda cfg: oracle_evolve(
-                                 replace(cfg.sim, dt0=10.0, c_lam=320.0, lam=64.0),
-                                 _data(cfg))),
     "probe-dimension": (DECAY, {"dimension": 2, "N": 32}, "dimension",
                         lambda cfg: decay_probe(
                             _probe(cfg, make_grid(2, 32, cfg.sim.grid.L)), 1.0,

@@ -125,9 +125,9 @@ def test_monitor_measure_allocates_no_grid_array(rng, solver):
     # a call allocates no grid-sized array, and the monitor holds only its
     # weights, one half spectrum and, for the limit equation, |E|^2. A
     # call may allocate numpy's iteration buffer (np.getbufsize() float64
-    # elements, for the product with the broadcast column weights), which
-    # at N=256 is a quarter of a half-spectrum real array. The margin is
-    # 4 KiB for Python objects.
+    # elements, for the products with the row-reversed half of a stored
+    # weight), which at N=256 is a quarter of a half-spectrum real array.
+    # The margin is 4 KiB for Python objects.
     import tracemalloc
 
     from qzak.diagnostics import qmnls_monitor, qz_monitor
@@ -138,8 +138,8 @@ def test_monitor_measure_allocates_no_grid_array(rng, solver):
     half, rows, corner = 256 * 129, 129 * 256, 129 * 129
     if solver == "qz":
         monitor = lambda: qz_monitor(grid, 0.7, 3.0)
-        # S_hat; w_E; w_n, w_nt and w_coupling; w_unit
-        held = 16 * half + 8 * rows + 3 * 8 * corner + 8 * 129
+        # S_hat; w_E; w_n, w_nt and w_coupling
+        held = 16 * half + 8 * rows + 3 * 8 * corner
     else:
         monitor = lambda: qmnls_monitor(grid, 0.7)
         # S; S_hat; w_E; w_quartic

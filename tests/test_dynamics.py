@@ -12,7 +12,7 @@ from qzak import (InitialData, PresetParams, SchrodingerState, SimConfig,
                   qz_evolve, qz_step, real_field)
 from qzak import dynamics
 from qzak.dynamics import _check_finite, _march, _qz_advance
-from qzak.errors import InstabilityError, NonFiniteFieldError, ParameterError
+from qzak.errors import NonFiniteFieldError, ParameterError
 from qzak.field import dealias_mask
 from qzak.operators import (_halves, _schrodinger_group, _stored, delta_eps, i_eps,
                             omega_eps, potential_symbol, wave_cos, wave_propagator)
@@ -636,29 +636,85 @@ def test_qmnls_self_convergence_second_order(grid256, generic_data):
     assert 1.8 <= order <= 2.2
 
 
-def test_oracle_linear_regime_matches_exact_wave():
-    g = make_grid(1, 32, 4.0 * np.pi)
+def _wave_data(g):
+    # a free density wave: n(T) = cos(lam T omega) n0, E stays 0
     x = g.coordinates[0]
-    n0 = real_field(g, np.cos(2.0 * x))
-    zero = real_field(g, np.zeros(32))
-    E0 = complex_field(g, np.zeros(32, dtype=complex))
-    data = InitialData(E0=E0, n0=n0, n1=zero)
-    lam, eps, T = 4.0, 1.0, 0.1
-    cfg = SimConfig(eps=eps, lam=lam, T=T, grid=g, dt0=1e-3, sample_times=(T,))
-    final = oracle_evolve(cfg, data)
-    om = 2.0 * np.sqrt(1.0 + eps**2 * 4.0)
-    exact = np.cos(lam * T * om) * np.cos(2.0 * x)
-    assert np.max(np.abs(final.n.values - exact)) < 1e-8
+    zero = real_field(g, np.zeros(g.N))
+    data = InitialData(E0=complex_field(g, np.zeros(g.N, dtype=complex)),
+                       n0=real_field(g, np.cos(2.0 * x)), n1=zero)
+    return data, lambda final, lam, T: np.max(np.abs(
+        final.n.values - np.cos(lam * T * 2.0 * np.sqrt(5.0)) * np.cos(2.0 * x)))
 
 
-def test_oracle_refuses_unstable_step(grid64):
-    zero = real_field(grid64, np.zeros(64))
-    data = InitialData(E0=complex_field(grid64, np.zeros(64, dtype=complex)),
-                       n0=zero, n1=zero)
+def _envelope_data(g):
+    # a plane wave of constant |E|^2 drives no density, and turns by the
+    # Schrodinger symbol alone: E(T) = E0 exp(-i T (xi^2 + xi^4)) at eps = 1
+    x = g.coordinates[0]
+    amp, xi = 0.5, 8 * 2.0 * np.pi / g.L
+    zero = real_field(g, np.zeros(g.N))
+    data = InitialData(E0=complex_field(g, amp * np.exp(1j * xi * x)), n0=zero, n1=zero)
+    return data, lambda final, lam, T: np.max(np.abs(
+        final.E.values - data.E0.values * np.exp(-1j * T * (xi**2 + xi**4)))) / amp
+
+
+@pytest.mark.parametrize("case,tol", [(_wave_data, 1e-8), (_envelope_data, 1e-12)],
+                         ids=["wave", "envelope"])
+def test_oracle_linear_regime_matches_exact_wave(case, tol):
+    # the oracle applies the linear flow exactly, so only rounding is left
+    g = make_grid(1, 32, 4.0 * np.pi)
+    data, error = case(g)
+    lam, T = 4.0, 0.1
+    cfg = SimConfig(eps=1.0, lam=lam, T=T, grid=g, dt0=1e-3, sample_times=(T,))
+    assert error(oracle_evolve(cfg, data), lam, T) <= tol
+
+
+def test_oracle_takes_a_step_past_the_explicit_bound(grid64):
+    # h = 5, so lam omega h = 640 sqrt(5), about 1431, on the wave's mode:
+    # far outside classical RK4's stability region (2.8 on the imaginary
+    # axis), while the exact linear flow has no bound
+    data, error = _wave_data(grid64)
     cfg = SimConfig(eps=1.0, lam=64.0, T=10.0, grid=grid64, dt0=10.0, c_lam=640.0,
                     sample_times=(10.0,))
-    with pytest.raises(InstabilityError):
-        oracle_evolve(cfg, data)
+    final = oracle_evolve(cfg, data)
+    assert all(np.all(np.isfinite(f.values)) for f in (final.E, final.n, final.nt))
+    assert error(final, 64.0, 10.0) <= 1e-10
+
+
+def _criterion_6():
+    """The config and data of acceptance criterion 6."""
+    grid = make_grid(1, 32, 8.0 * np.pi)
+    params = PresetParams(amplitude=1.0, width=3.0, n_amplitude=0.5, n_width=3.0,
+                          n1_amplitude=0.3, n1_width=3.0, min_points_per_width=3.0,
+                          edge_tol=1e-7)
+    cfg = SimConfig(eps=1.0, lam=4.0, T=0.1, grid=grid, dt0=1e-3, c_lam=0.2, m=2,
+                    dealias=False, sample_times=(0.1,))
+    return cfg, preset_initial_data("generic", params, grid, eps=1.0)
+
+
+def test_oracle_substeps_converged(monkeypatch):
+    # four times the substeps move the reference far below the 1e-7
+    # discrepancy that criterion 6 measures against it
+    cfg, data = _criterion_6()
+    ref = oracle_evolve(cfg, data)
+    monkeypatch.setattr(dynamics, "_ORACLE_SUBSTEPS", 4 * dynamics._ORACLE_SUBSTEPS)
+    fine = oracle_evolve(cfg, data)
+    for name in ("E", "n"):
+        a, b = getattr(ref, name).values, getattr(fine, name).values
+        assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_oracle_transform_count(monkeypatch):
+    # the cost of a call as a count that repeats exactly: one inverse and
+    # one forward transform per stage, 2 substeps of 4 stages per split
+    # step, and one transform in and one out (1,602 here)
+    cfg, data = _criterion_6()
+    calls = []
+    for name in ("fft", "ifft"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, _f=transform, **k: calls.append(1) or _f(*a, **k))
+    oracle_evolve(cfg, data)
+    assert len(calls) <= 2000
 
 
 def test_oracle_guards(grid256, generic_data):
