@@ -28,7 +28,7 @@ from .layer import DecayProbeReport, decay_probe, q0_exact, q_field
 from .diagnostics import hamiltonian_qz, mass, spectral_tail
 from .harness import (RateFit, SelfConvergence, SweepRecord, fit_rate,
                       lambda_sweep, oracle_discrepancy, self_convergence)
-from .config import ExperimentConfig, parse_config
+from .config import ExperimentConfig
 from .cli import run_cli
 
 __all__ = [
@@ -44,5 +44,5 @@ __all__ = [
     "mass", "hamiltonian_qz", "spectral_tail",
     "SweepRecord", "RateFit", "SelfConvergence", "lambda_sweep", "fit_rate",
     "self_convergence", "oracle_discrepancy",
-    "ExperimentConfig", "parse_config", "run_cli",
+    "ExperimentConfig", "run_cli",
 ]

@@ -285,15 +285,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         out_dir=out_dir, resolved=read.resolved)
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("$", f"invalid JSON: {exc}") from exc
-    return resolve_config(raw)
-
-
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     """Apply repeatable ``key=value`` overrides with dotted key paths."""
     _expect(isinstance(raw, dict), "$", "top-level config must be an object")

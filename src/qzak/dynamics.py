@@ -74,12 +74,9 @@ def _blocks(grid: Grid, *arrays: np.ndarray, stored: bool = False) -> list:
 # every step lands on a sample holds one kernel). A kernel holds only the
 # symbols that depend on the step size, on their stored rows (see
 # operators._halves); each advance builds the potential symbol once.
-# |xi|^2 has the bits of mode j at mode -j, so a refill evaluates each
-# symbol in its (N/2+1)^d corner block of nonnegative modes (-N/2 among
-# them) and mirrors the columns in place. Its |xi|^2, omega_eps and
-# lam omega_eps, and its copy of the mirrored columns, go in the
-# advance's spent kick phase, so it allocates only wave_propagator's
-# mask (and, at d=2, numpy's iteration buffers for the strided corner).
+# A refill evaluates each symbol straight into the kernel's stored rows,
+# with |xi|^2 and omega_eps in the advance's spent kick phase, so it
+# allocates only k_squared_block's and wave_propagator's temporaries.
 class _Kernel:
     """Symbol arrays for one (grid, eps, lams) at the step size h that
     refill(h, scratch) last set, on their stored rows (operators._stored):
@@ -102,22 +99,16 @@ class _Kernel:
 
     def refill(self, h: float, scratch: np.ndarray) -> None:
         """Set the symbols to the step size h, with the flat real scratch
-        of 2 max(1, len(lams)) N^d elements or more as work space."""
-        grid, eps, top = self.grid, self.eps, self.grid.N // 2
-        corner = (top + 1,) * grid.d
-        k2, om, lam_om = scratch[:3 * math.prod(corner)].reshape((3,) + corner)
-        grid.k_squared_block(corner, out=k2)
-        _schrodinger_group(k2, eps, self.scale * h, self.schrod[0, ..., :top + 1])
+        of 2 prod(stored) elements or more (|xi|^2 and omega_eps on the
+        stored rows) as work space."""
+        stored = self.schrod.shape[1:]
+        k2, om = scratch[:2 * math.prod(stored)].reshape((2,) + stored)
+        self.grid.k_squared_block(stored, out=k2)
+        _schrodinger_group(k2, self.eps, self.scale * h, self.schrod[0])
         if self.lams:
-            _omega_eps(k2, eps, om, lam_om)
+            _omega_eps(k2, self.eps, om)  # k2 is spent: it is lam_om below
             for i, lam in enumerate(self.lams):
-                wave_propagator(om, lam, h, *self.rows[:, i, ..., :top + 1], lam_om)
-        # through scratch: numpy would copy the overlapping source itself
-        for a in (self.schrod, self.rows):
-            src = a[..., top - 1:0:-1]
-            staged = scratch[:src.nbytes // 8].view(a.dtype).reshape(src.shape)
-            np.copyto(staged, src)
-            a[..., top + 1:] = staged
+                wave_propagator(om, lam, h, *self.rows[:, i], k2)
         self.h = h
 
 

@@ -98,16 +98,16 @@ def omega_eps(grid: Grid, eps: float) -> np.ndarray:
     """Fourth-order wave frequency |xi| sqrt(1 + eps^2 |xi|^2)."""
     eps = _check_eps(eps)
     k2 = grid.k_squared
-    return _omega_eps(k2, eps, np.empty(k2.shape), np.empty(k2.shape))
+    return _omega_eps(k2, eps, np.empty(k2.shape))
 
 
-def _omega_eps(k2: np.ndarray, eps: float, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Write sqrt(k2) sqrt(1 + eps^2 k2) into out and return it, with work,
-    a real array of k2's shape, as scratch: the core of omega_eps, for a
+def _omega_eps(k2: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
+    """Write sqrt(k2) sqrt(1 + eps^2 k2) into out and return it, consuming
+    k2, which it overwrites with sqrt(k2): the core of omega_eps, for a
     caller that lends the memory (a kernel refill)."""
     np.multiply(eps * eps, k2, out=out)
     np.sqrt(np.add(1.0, out, out=out), out=out)
-    return np.multiply(np.sqrt(k2, out=work), out, out=out)
+    return np.multiply(np.sqrt(k2, out=k2), out, out=out)
 
 
 def unit_phase(x: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -3,10 +3,6 @@ from pathlib import Path
 
 import qzak
 
-# The library's JSON-text entry point: the CLI reads the raw dict itself so
-# that it can apply overrides, so no module calls it.
-ENTRY_POINTS = {"parse_config"}
-
 
 def _referenced_names(path: Path, imports_count: bool) -> set[str]:
     names = set()
@@ -63,5 +59,5 @@ def test_every_public_name_is_used_outside_tests():
             used |= _referenced_names(path, imports_count=True)
     used |= _traced_names(bench / "tracing.py")
     public = set(qzak.__all__) | _public_definitions(src)
-    unused = sorted(public - used - ENTRY_POINTS)
+    unused = sorted(public - used)
     assert unused == []

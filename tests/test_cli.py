@@ -262,6 +262,15 @@ def test_config_not_utf8_exits_one(tmp_path, capsys):
     assert (out / "error.txt").exists()
 
 
+def test_invalid_json_config_exits_one(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text("{not json")
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--config", str(path), "--out", str(out)]) == 1
+    for message in (capsys.readouterr().err, (out / "error.txt").read_text()):
+        assert "$: invalid JSON in" in message and "broken.json" in message
+
+
 @pytest.mark.parametrize("data", [5, "abc", [1], None])
 def test_data_not_an_object_exits_one(tmp_path, capsys, data):
     path = write_config(tmp_path, {**SWEEP_CONFIG, "data": data})

@@ -1,3 +1,4 @@
+import math
 import weakref
 from functools import partial
 
@@ -221,22 +222,23 @@ def test_march_keeps_each_kernel_only_while_it_needs_it(monkeypatch):
         assert len(live) == 0
 
 
-def test_kernel_build_allocates_only_the_kernel():
-    # A refill evaluates each symbol in the (N/2+1)^d corner block of the
-    # kernel's own arrays and mirrors the columns in place; |xi|^2,
-    # omega_eps and lam omega_eps go in the scratch it is lent, the size of
-    # the advance's phase row (a complex grid a lam), and so does the copy
-    # of the mirrored columns. It allocates only wave_propagator's boolean
-    # mask (1 B a corner point), numpy's iteration buffers for operations
-    # on the strided corner block (at most three of 8 B an element, up to
-    # 8192 elements), and 1 KiB for the squared wavenumbers of one axis
-    # and Python objects. The kernel holds rows 0..N/2 of the first axis.
+@pytest.mark.parametrize("N", [64, 256])
+def test_kernel_build_allocates_only_the_kernel(N):
+    # A refill evaluates each symbol straight into the kernel's own stored
+    # rows, with |xi|^2 and omega_eps in the scratch it is lent, 2 floats a
+    # stored point. Its peak is numpy's two iteration buffers (8 B an
+    # element, at most 8192 elements each) for the broadcast add of
+    # k_squared_block, with the squared wavenumbers of one axis and 2 KiB
+    # for Python objects. wave_propagator's boolean mask, 1 B a stored
+    # point, is smaller and alive at another moment. The kernel holds rows
+    # 0..N/2 of the first axis.
     import tracemalloc
 
-    grid = make_grid(2, 64, 16.0 * np.pi)
+    grid = make_grid(2, N, 16.0 * np.pi)
     lams = (16.0, 32.0)
     kern = dynamics._Kernel(grid, 1.0, lams, 0.5)
-    scratch = np.empty(2 * len(lams) * grid.size)
+    stored = (grid.N // 2 + 1) * grid.N
+    scratch = np.empty(2 * stored)
     kern.refill(1e-3, scratch)  # caches grid.wavenumbers_1d
     tracemalloc.start()
     try:
@@ -245,19 +247,19 @@ def test_kernel_build_allocates_only_the_kernel():
     finally:
         tracemalloc.stop()
     own = kern.schrod.nbytes + kern.rows.nbytes
-    assert own == (grid.N // 2 + 1) * grid.N * (16 + 3 * 8 * len(lams))
-    corner = (grid.N // 2 + 1) ** 2
-    assert peak <= corner + 3 * 8 * min(corner, 8192) + 1024
+    assert own == stored * (16 + 3 * 8 * len(lams))
+    assert peak <= 2 * 8 * min(stored, 8192) + 8 * grid.N + 2048
 
 
-def _full_lattice_kernel(grid, eps, lams, h):
-    """(schrod, cos, sinc, minus_lam_om_sin) of a step of size h, each
-    symbol evaluated on every mode of the lattice."""
+def _full_lattice_kernel(grid, eps, lams, h, scale):
+    """(schrod, cos, sinc, minus_lam_om_sin) of a step of size h, the
+    Schrodinger group over scale * h, each symbol evaluated on every mode
+    of the lattice."""
     om, lam_om = omega_eps(grid, eps), np.empty(grid.shape)
     rows = np.empty((3, len(lams)) + grid.shape)
     for i, lam in enumerate(lams):
         wave_propagator(om, lam, h, *rows[:, i], lam_om)
-    return (schrodinger_group(grid, eps, 0.5 * h)[np.newaxis],) + tuple(rows)
+    return (schrodinger_group(grid, eps, scale * h)[np.newaxis],) + tuple(rows)
 
 
 def _unfold(grid, stored):
@@ -275,15 +277,16 @@ def _same_bits(a, b):
 
 
 # At d=2 a march and a monitor store each symbol on rows 0..N/2 and read
-# rows N/2+1..N-1 reversed, and a refill evaluates each symbol in its
-# corner block of nonnegative modes and mirrors the columns: on the
-# premise that |xi|^2 has the same bits at modes j and -j and that numpy
-# evaluates each element to the same bits whatever the array's size and
-# strides; a numpy upgrade that breaks it must fail here. The step sizes
-# are a full step and one of simulate-2d's landing steps. The monitors'
-# weights are the symbols on the stored rows of the whole lattice (E's)
-# and of the half spectrum (the real fields').
-@pytest.mark.parametrize("batch", [1, 3])
+# rows N/2+1..N-1 as rows N/2-1..1 mirrored: on the premise that |xi|^2
+# has the same bits at modes j and -j and that numpy evaluates each
+# element to the same bits whatever the array's size; a numpy upgrade
+# that breaks it must fail here. A refill evaluates each symbol on the
+# stored rows and is lent exactly the scratch it needs, filled with NaN;
+# batch 0 is the limit equation's kernel. The step sizes are a full step
+# and one of simulate-2d's landing steps. The monitors' weights are the
+# symbols on the stored rows of the whole lattice (E's) and of the half
+# spectrum (the real fields').
+@pytest.mark.parametrize("batch", [0, 1, 3])
 @pytest.mark.parametrize("d,N", [(1, 16), (1, 64), (1, 256), (2, 16), (2, 64), (2, 256)])
 def test_mirrored_kernel_equals_the_full_lattice_bitwise(d, N, batch):
     grid = make_grid(d, N, 16.0 * np.pi)
@@ -305,13 +308,14 @@ def test_mirrored_kernel_equals_the_full_lattice_bitwise(d, N, batch):
              dealias_mask(grid)[rfft_part].astype(float))):
         assert _same_bits(_unfold(grid, got), np.ascontiguousarray(want)), name
     lams = (4.0, 16.0, 64.0)[:batch]
-    kern = dynamics._Kernel(grid, 0.5, lams, 0.5)
-    scratch = np.full(2 * batch * grid.size, np.nan)
+    scale = 0.5 if lams else 1.0
+    kern = dynamics._Kernel(grid, 0.5, lams, scale)
+    scratch = np.full(2 * math.prod(stored), np.nan)
+    names = ("schrod", "cos", "sinc", "minus_lam_om_sin")
     for h in (1e-3, 0.05 / 63):
         kern.refill(h, scratch)
-        got = (kern.schrod, *kern.rows)
-        names = ("schrod_half", "cos", "sinc", "minus_lam_om_sin")
-        for name, a, b in zip(names, got, _full_lattice_kernel(grid, 0.5, lams, h)):
+        want = _full_lattice_kernel(grid, 0.5, lams, h, scale)
+        for name, a, b in zip(names, (kern.schrod, *kern.rows), want):
             assert _same_bits(_unfold(grid, a), b), (h, name)
 
 
@@ -425,7 +429,7 @@ def test_advance_step_equals_plain_expressions_bitwise(d, N, batch):
     got, advance = _qz_advance(grid, 1.0, lams, True, _values(data))
     want = tuple(np.broadcast_to(a, (batch,) + a.shape) for a in _values(data))
     for h, full in ((1e-3, True), (1e-3, True), (4e-4, False), (1e-3, True), (2e-4, False)):
-        kern = _full_lattice_kernel(grid, 1.0, lams, h)
+        kern = _full_lattice_kernel(grid, 1.0, lams, h, 0.5)
         want = _plain_stacked_step(grid, kern, potential, *want, h)
         advance(h, full)
         for name, a, b in zip(("E", "n", "nt"), got, want, strict=True):
