@@ -25,10 +25,6 @@ from .state import (DEFAULT_NUM_SAMPLES, PRESET_KINDS, PresetParams, SimConfig,
                     _gaussian, _padded_center, check_resolution)
 
 DEFAULT_L = 40.0 * math.pi
-# layer-decay's table multiplies f0's coefficients by |xi|^k: rounding at
-# the top mode xi_max = pi N / L grows to eps_mach xi_max^k_max, and an
-# order whose growth passes this bound tabulates noise.
-_DECAY_NOISE_MAX = 1e-6
 
 # The keys each experiment reads, and the data keys of each preset kind and of
 # layer-decay's Gaussian. self-converge's m is unused, but a benchmark sets it.
@@ -230,7 +226,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     k_max = read.number("k_max", 2, low=0, integer=True)
 
     if experiment == "oracle-check":
-        _checked("dimension", dynamics._check_oracle_dimension, dimension)
         _checked("N", dynamics._check_oracle_size, N)
     if experiment == "layer-decay":
         for i, t in enumerate(lambda_times):
@@ -238,13 +233,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         _checked("dimension", layer._check_probe_dimension, dimension)
         for i, p in enumerate(probe_points):
             _checked(f"probe_points[{i}]", layer._check_probe_point, p, L)
-        # compared in logarithms, since xi_max^k_max overflows for large k_max
-        log_xi_max = math.log(math.pi * N / L)
-        log_bound = math.log(_DECAY_NOISE_MAX / np.finfo(float).eps)
-        _expect(k_max * log_xi_max <= log_bound, "k_max",
-                f"must be <= {math.floor(log_bound / log_xi_max)} on this grid: above "
-                f"it eps_mach (pi N / L)^k_max exceeds {_DECAY_NOISE_MAX:g} and "
-                f"the table is rounding noise, got {k_max}")
     if experiment == "self-converge":
         _checked("dt_list", harness._check_dt_list, dt_list)
         for i, dt in enumerate(dt_list):
@@ -262,6 +250,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
                  getattr(params, f"{bump}width"), getattr(params, f"{bump}center"),
                  params)
     if experiment == "layer-decay":
+        _checked("k_max", layer._check_k_max, grid, k_max)
         f0 = real_field(grid, _gaussian(grid, params.amplitude, params.width,
                                         params.center))
         _checked("data.amplitude", layer._check_probe_data, f0)

@@ -411,11 +411,6 @@ def qmnls_evolve(config: SimConfig, E0: Field, sink=None) -> Trajectory:
     return _evolve(config, march, sink)
 
 
-def _check_oracle_dimension(d: int) -> None:
-    if d != 1:
-        raise ParameterError("oracle_evolve supports d=1 only")
-
-
 def _check_oracle_size(N: int) -> None:
     if N > _ORACLE_MAX_POINTS:
         raise ParameterError(
@@ -426,30 +421,30 @@ def oracle_evolve(config: SimConfig, data: InitialData):
     """Unsplit reference integration of the coupled system: Lawson's
     integrating-factor RK4 (Lawson, SIAM J. Numer. Anal. 4, 1967).
 
-    The state is one (3, N) array of the spectral coefficients of
-    (E, n, nt). The linear flow is applied exactly: E's coefficients turn
-    by exp(i delta_eps s), and each mode of (n, nt) rotates at the
+    The state is one (3,) + grid.shape array of the spectral coefficients
+    of (E, n, nt). The linear flow is applied exactly: E's coefficients
+    turn by exp(i delta_eps s), and each mode of (n, nt) rotates at the
     frequency lam omega, with omega = sqrt(-delta_eps). RK4 integrates
     only the nonlinear terms -i (n E)^ and -lam^2 |xi|^2 (|E|^2)^, in the
     frame that the linear flow carries along, with _ORACLE_SUBSTEPS steps
-    per split step. No step size is refused: an explicit method's
-    stability bound comes from the stiff linear part, which is exact
-    here, and the nonlinear terms alone limit the step. The flow is built
-    here from delta_eps and k_squared, not from the split step's kernels,
-    so that the check stays independent of what it checks. Each stage
-    makes one inverse transform of the E and n rows and one forward
-    transform of the stacked products |E|^2 and n E. Intended for tiny
-    grids only; its checks of the grid also run in
-    ``config.resolve_config``.
+    per split step. As in the split step, dealias cuts (|E|^2)^ alone,
+    and n E is taken pointwise. No step size is refused: the stiff linear
+    part, which sets an explicit method's stability bound, is exact here.
+    Only the transforms (field._transforms) are shared with the split
+    step; the flow is built here from delta_eps and k_squared, so that
+    the check stays independent of what it checks. Each stage makes one
+    inverse transform of the E and n rows and one forward transform of
+    the stacked products |E|^2 and n E. Intended for tiny grids only;
+    its check of the grid also runs in ``config.resolve_config``.
     """
     grid = config.grid
-    _check_oracle_dimension(grid.d)
     _check_oracle_size(grid.N)
     if data.grid != grid:
         raise ParameterError("initial data grid does not match config grid")
 
     n_steps = max(1, round(config.T / (config.dt / _ORACLE_SUBSTEPS)))
     h = config.T / n_steps
+    fft, ifft, _ = _transforms(grid)
     mask = dealias_mask(grid) if config.dealias else None
     coupling = -config.lam**2 * grid.k_squared
     # the linear flow over h/2; two of them make the flow over h
@@ -464,15 +459,15 @@ def oracle_evolve(config: SimConfig, data: InitialData):
         return np.stack([turn * y[0], cos * y[1] + sinc * y[2], rate * y[1] + cos * y[2]])
 
     def nonlinear(y):
-        E, n = np.fft.ifft(y[:2])
-        S_hat, nE_hat = hat = np.fft.fft([np.abs(E) ** 2, n.real * E])
+        E, n = ifft(y[:2])
+        S_hat, nE_hat = fft([np.abs(E) ** 2, n.real * E])
         if mask is not None:
-            hat *= mask
+            S_hat *= mask
         return np.stack([-1j * nE_hat, np.zeros_like(S_hat), coupling * S_hat])
 
     # classical RK4 on exp(-L t) y, the linear flow L divided out, written
     # back in y: flow applies exp(L h/2), and flow(flow(.)) exp(L h)
-    y = np.fft.fft(np.stack([data.E0.values, data.n0.values, data.n1.values]))
+    y = fft(np.stack([data.E0.values, data.n0.values, data.n1.values]))
     for _ in range(n_steps):
         k1 = nonlinear(y)
         y_half = flow(y)
@@ -481,7 +476,7 @@ def oracle_evolve(config: SimConfig, data: InitialData):
         k4 = nonlinear(flow(y_half + h * k3))
         y = flow(flow(y + (h / 6.0) * k1) + (h / 3.0) * (k2 + k3)) + (h / 6.0) * k4
 
-    E, n, nt = np.fft.ifft(y)
+    E, n, nt = ifft(y)
     arrays = (E, n.real, nt.real)
     _check_finite(config.T, arrays)
     return _state(grid, config.T, arrays)

@@ -10,15 +10,21 @@ stationary phase.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import _fit_line
-from .errors import NonFiniteFieldError, ParameterError, WrapAroundError
+from .errors import ParameterError, WrapAroundError
 from .field import Field, inverse_values, real_field, to_spectral
 from .operators import _derivative_symbol, apply_multiplier, wave_cos
 from .state import InitialData, layer_velocity_source, q_field
+
+# The table multiplies f0's coefficients by |xi|^k: rounding at the top
+# mode xi_max = pi N / L grows to eps_mach xi_max^k_max, and an order
+# whose growth passes this bound tabulates noise.
+_DECAY_NOISE_MAX = 1e-6
 
 
 def q0_exact(t: float, lam: float, eps: float, f0: Field) -> Field:
@@ -75,6 +81,17 @@ def _check_probe_point(p, L: float) -> None:
                              f"[{-L / 2.0:.6g}, {L / 2.0:.6g})")
 
 
+def _check_k_max(grid, k_max: int) -> None:
+    # compared in logarithms, since xi_max^k_max overflows for large k_max
+    log_xi_max = math.log(math.pi * grid.N / grid.L)
+    log_bound = math.log(_DECAY_NOISE_MAX / np.finfo(float).eps)
+    if k_max * log_xi_max > log_bound:
+        raise ParameterError(
+            f"must be <= {math.floor(log_bound / log_xi_max)} on this grid: above "
+            f"it eps_mach (pi N / L)^k_max exceeds {_DECAY_NOISE_MAX:g} and "
+            f"the table is rounding noise, got {k_max}")
+
+
 def _check_probe_data(f0: Field) -> None:
     if not np.any(f0.values):
         raise ParameterError("the layer data is zero: its decay table measures nothing")
@@ -112,10 +129,10 @@ def decay_probe(f0: Field, eps: float, lam_times, k_max: int,
     The layer depends on lam and t only through lam t, so the probe takes
     the values of lam t. The k-th derivative is Lap^{k/2} Q0 for even k,
     d/dx Lap^{(k-1)/2} Q0 for odd k: one inverse transform per (lam t, k)
-    of the transformed f0. Raises NonFiniteFieldError when a large k_max
-    overflows |xi|^k. The checks of the dimension, the data (a zero f0
-    measures nothing), lam t values, probe points and horizon also run in
-    ``config.resolve_config``.
+    of the transformed f0. The checks of the dimension, the data (a zero
+    f0 measures nothing), lam t values, k_max (a table of rounding noise,
+    which also keeps |xi|^k far from overflow), probe points and horizon
+    also run in ``config.resolve_config``.
 
     Region per (lam t, x0): inner when lam t > 1 and |x0| <= lam t / 2,
     else outer (which also covers all early times). The inner exponent is
@@ -130,6 +147,7 @@ def decay_probe(f0: Field, eps: float, lam_times, k_max: int,
     _check_probe_time(min(lam_times, default=0.0))  # an empty list has no lam t > 0
     if k_max < 0:
         raise ParameterError(f"k_max must be >= 0, got {k_max}")
+    _check_k_max(grid, k_max)
     if len(probe_points) == 0:
         raise ParameterError("probe_points must name at least one point")
     for p in probe_points:
@@ -144,27 +162,19 @@ def decay_probe(f0: Field, eps: float, lam_times, k_max: int,
 
     d_x = _derivative_symbol(grid, 0)
     rows = []
-    # overflow and inf * 0 leave non-finite tables, which the check reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        symbols = [(-grid.k_squared) ** (k // 2) * (d_x if k % 2 else 1.0)
-                   for k in range(k_max + 1)]
-        for lam_t in lam_times:
-            q0_hat = f0_hat * wave_cos(grid, eps, 1.0, lam_t)
-            at_probes = []
-            for k, symbol in enumerate(symbols):
-                table = np.abs(inverse_values(grid, symbol * q0_hat).real)
-                if not np.all(np.isfinite(table)):
-                    raise NonFiniteFieldError(
-                        f"k_max = {k_max}: the order-{k} derivative of the layer is "
-                        f"not finite at lam t = {lam_t:.6g}; lower k_max")
-                at_probes.append(table[probe_idx])
-            for j, x0 in enumerate(probe_x):
-                inner = lam_t > 1.0 and abs(x0) <= lam_t / 2.0
-                sup_by_k = tuple(float(values[j]) for values in at_probes)
-                weight = (1.0 + abs(x0)) ** 2
-                rows.append(ProbeRow(
-                    lam_t=lam_t, x0=x0, region="inner" if inner else "outer",
-                    sup_by_k=sup_by_k, weighted_sup_by_k=tuple(v / weight for v in sup_by_k)))
+    symbols = [(-grid.k_squared) ** (k // 2) * (d_x if k % 2 else 1.0)
+               for k in range(k_max + 1)]
+    for lam_t in lam_times:
+        q0_hat = f0_hat * wave_cos(grid, eps, 1.0, lam_t)
+        at_probes = [np.abs(inverse_values(grid, symbol * q0_hat).real)[probe_idx]
+                     for symbol in symbols]
+        for j, x0 in enumerate(probe_x):
+            inner = lam_t > 1.0 and abs(x0) <= lam_t / 2.0
+            sup_by_k = tuple(float(values[j]) for values in at_probes)
+            weight = (1.0 + abs(x0)) ** 2
+            rows.append(ProbeRow(
+                lam_t=lam_t, x0=x0, region="inner" if inner else "outer",
+                sup_by_k=sup_by_k, weighted_sup_by_k=tuple(v / weight for v in sup_by_k)))
 
     return DecayProbeReport(rows=tuple(rows), inner_exponent=_fit_inner_exponent(rows),
                             outer_envelope_factor=_outer_envelope_factor(rows))

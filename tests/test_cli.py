@@ -122,6 +122,16 @@ def test_oracle_check_passes(tmp_path):
     assert payload["plane_wave_error"] <= payload["plane_wave_tolerance"]
 
 
+def test_oracle_check_runs_in_two_dimensions(tmp_path):
+    path = write_config(tmp_path, ORACLE_CONFIG)
+    out = tmp_path / "out"
+    assert run_cli(["oracle-check", "--config", path, "--out", str(out),
+                    "--override", "dimension=2", "--quiet"]) == 0
+    payload = json.loads((out / "oracle.json").read_text())
+    assert payload["discrepancy"] <= payload["tolerance"]
+    assert payload["plane_wave_error"] <= payload["plane_wave_tolerance"]
+
+
 def test_oracle_check_mismatch_exits_two(tmp_path, capsys):
     path = write_config(tmp_path, ORACLE_CONFIG)
     out = tmp_path / "out"

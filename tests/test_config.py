@@ -135,7 +135,7 @@ def test_solver_must_be_known(experiment):
     assert str(err.value) == "solver: must be one of qz/qmnls, got 'spooky'"
 
 
-@pytest.mark.parametrize("experiment", ["oracle-check", "layer-decay"])
+@pytest.mark.parametrize("experiment", ["layer-decay"])
 def test_dimension_two_rejected(experiment):
     with pytest.raises(ConfigError) as err:
         resolve_config({"experiment": experiment, "dimension": 2, "N": 32})
@@ -208,10 +208,6 @@ MOVED_RULES = {
     "center-length": (SWEEP, {"data": {"center": [0.0, 5.0]}}, "data.center",
                       lambda cfg: preset_initial_data(
                           "generic", PresetParams(center=(0.0, 5.0)), cfg.sim.grid, 1.0)),
-    "oracle-dimension": (ORACLE, {"dimension": 2}, "dimension",
-                         lambda cfg: oracle_evolve(
-                             replace(cfg.sim, grid=make_grid(2, 32, cfg.sim.grid.L)),
-                             _data(cfg))),
     "oracle-size": (ORACLE, {"N": 128}, "N",
                     lambda cfg: oracle_evolve(
                         replace(cfg.sim, grid=make_grid(1, 128, cfg.sim.grid.L)),
@@ -228,6 +224,9 @@ MOVED_RULES = {
     "probe-data": (DECAY, {"data": {"amplitude": 0.0}}, "data.amplitude",
                    lambda cfg: decay_probe(real_field(cfg.sim.grid, np.zeros(cfg.sim.grid.N)),
                                            1.0, [0.8], 2, cfg.probe_points)),
+    "decay-k-max": (DECAY, {"k_max": 8}, "k_max",
+                    lambda cfg: decay_probe(_probe(cfg), 1.0, [0.25, 1.0, 4.0], 8,
+                                            [0.0, 20.0])),
     "probe-horizon": (DECAY, {"lambda_times": [1000.0]}, "lambda_times",
                       lambda cfg: decay_probe(_probe(cfg), 1.0, [1000.0], 2,
                                               cfg.probe_points)),

@@ -684,9 +684,9 @@ def test_oracle_takes_a_step_past_the_explicit_bound(grid64):
     assert error(final, 64.0, 10.0) <= 1e-10
 
 
-def _criterion_6():
-    """The config and data of acceptance criterion 6."""
-    grid = make_grid(1, 32, 8.0 * np.pi)
+def _criterion_6(d=1):
+    """The config and data of acceptance criterion 6, on a grid of d axes."""
+    grid = make_grid(d, 32, 8.0 * np.pi)
     params = PresetParams(amplitude=1.0, width=3.0, n_amplitude=0.5, n_width=3.0,
                           n1_amplitude=0.3, n1_width=3.0, min_points_per_width=3.0,
                           edge_tol=1e-7)
@@ -707,18 +707,21 @@ def test_oracle_substeps_converged(monkeypatch):
         assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
 
 
-def test_oracle_transform_count(monkeypatch):
+@pytest.mark.parametrize("d", [1, 2])
+def test_oracle_transform_count(monkeypatch, d):
     # the cost of a call as a count that repeats exactly: one inverse and
     # one forward transform per stage, 2 substeps of 4 stages per split
-    # step, and one transform in and one out (1,602 here)
-    cfg, data = _criterion_6()
+    # step, and one transform in and one out (1,602 here), all of them
+    # fft/ifft at d=1 and fftn/ifftn at d=2
+    cfg, data = _criterion_6(d)
     calls = []
-    for name in ("fft", "ifft"):
+    for name in ("fft", "ifft", "fftn", "ifftn"):
         transform = getattr(np.fft, name)
-        monkeypatch.setattr(np.fft, name,
-                            lambda *a, _f=transform, **k: calls.append(1) or _f(*a, **k))
+        monkeypatch.setattr(np.fft, name, lambda *a, _f=transform, _n=name, **k:
+                            calls.append(_n) or _f(*a, **k))
     oracle_evolve(cfg, data)
-    assert len(calls) <= 2000
+    assert len(calls) == 1602
+    assert set(calls) == ({"fft", "ifft"} if d == 1 else {"fftn", "ifftn"})
 
 
 def test_oracle_guards(grid256, generic_data):

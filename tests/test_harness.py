@@ -314,13 +314,16 @@ def test_self_convergence_validates_dts():
         self_convergence(cfg, data, [4e-3, 2e-3, 1e-3, 5e-4], target="foo")
 
 
-def test_oracle_discrepancy_small():
-    g = make_grid(1, 32, 8.0 * np.pi)
+@pytest.mark.parametrize("d,dealias", [(1, False), (2, False), (1, True), (2, True)],
+                         ids=["d1", "d2", "d1-dealias", "d2-dealias"])
+def test_oracle_discrepancy_small(d, dealias):
+    # the oracle dealiases only what the split step dealiases, |E|^2
+    g = make_grid(d, 32, 8.0 * np.pi)
     params = PresetParams(amplitude=1.0, n_amplitude=0.5, n1_amplitude=0.3,
                           width=3.0, n_width=3.0, n1_width=3.0,
                           min_points_per_width=3.0, edge_tol=1e-7)
     data = preset_initial_data("generic", params, g, eps=1.0)
-    cfg = SimConfig(eps=1.0, lam=4.0, T=0.1, grid=g, dt0=1e-3, dealias=False,
+    cfg = SimConfig(eps=1.0, lam=4.0, T=0.1, grid=g, dt0=1e-3, dealias=dealias,
                     sample_times=(0.1,))
     assert oracle_discrepancy(cfg, data) <= 1e-5
 

@@ -6,7 +6,7 @@ from qzak import (PresetParams, SimConfig, ZakharovState, apply_multiplier,
                   complex_field, decay_probe, l2_norm, make_grid,
                   preset_initial_data, q0_exact, q_field, qz_evolve, real_field,
                   sobolev_norm)
-from qzak.errors import NonFiniteFieldError, ParameterError, WrapAroundError
+from qzak.errors import ParameterError, WrapAroundError
 from qzak.field import dealias_mask, inverse_values, to_spectral
 from qzak.layer import layer_initial_fields
 from qzak.operators import _derivative_symbol, i_eps
@@ -204,11 +204,14 @@ def test_decay_probe_transforms_f0_once(grid256, monkeypatch):
 
 
 def test_decay_probe_overflowing_order_raises():
-    # |xi|^220 overflows at the top modes of this grid
+    # eps_mach (pi N / L)^k_max passes 1e-6 from k_max = 7 on this grid, and
+    # |xi|^220 overflows at its top modes: both are refused before any table
     g = make_grid(1, 1024, 40.0 * np.pi)
     f0 = real_field(g, np.exp(-((g.coordinates[0] / 4.5) ** 2)))
-    with pytest.raises(NonFiniteFieldError, match="k_max = 220: the order-220"):
-        decay_probe(f0, 1.0, [0.25], 220, [0.0])
+    for k_max in (7, 8, 220):
+        with pytest.raises(ParameterError, match=f"must be <= 6 on this grid: .* got {k_max}$"):
+            decay_probe(f0, 1.0, [0.25, 1.0, 4.0], k_max, [0.0, 20.0])
+    decay_probe(f0, 1.0, [0.25], 6, [0.0])
 
 
 def test_decay_probe_early_time_no_decay():
