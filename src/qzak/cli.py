@@ -106,14 +106,10 @@ def _run_simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
 def _simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     """Write each sample and its mass and energy as it lands.
 
-    The sink copies the march's live arrays into one slot and submits
-    the sample to an executor with one worker thread, which writes its
-    snapshot and then measures it in the slot itself (the monitor
-    consumes its arguments) and writes its diagnostics row, while the
-    march steps on. One sample is in flight: the sink waits for the
-    worker to finish the last one before it refills the slot, so samples
-    are handled in order and the first failure, in the worker or in the
-    march, is the one raised.
+    The sink copies the march's live arrays into one slot, writes the
+    snapshot from the slot, measures the sample in the slot itself (the
+    monitor consumes its arguments) and writes its diagnostics row, all
+    before the march steps on.
 
     Every grid-sized buffer has one owner: _simulate hands the initial
     data to evolve and keeps no reference, so evolve frees it once its
@@ -122,9 +118,6 @@ def _simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     half-spectrum buffer and weights. The monitor's other work space is
     the slot's memory, which measure consumes.
     """
-    # imported here: it pulls in logging, and only simulate runs a worker
-    from concurrent.futures import ThreadPoolExecutor
-
     sim = cfg.sim
     data = preset_initial_data(cfg.data_kind, cfg.data_params, sim.grid, sim.eps)
     # start holds the initial data until the call to evolve takes it out,
@@ -138,35 +131,23 @@ def _simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     del data
     slot = tuple(np.empty(sim.grid.shape, complex if name == "E" else float)
                  for name in names)
-    pending = None   # the future of the sample in the slot; its result is the mass
+    final_mass = None
     with SnapshotWriter(out, sim.grid, names) as writer, \
-            open(out / "diagnostics.csv", "w") as diag, \
-            ThreadPoolExecutor(max_workers=1) as worker:
+            open(out / "diagnostics.csv", "w") as diag:
         diag.write("t,mass,hamiltonian\n")
 
-        def handle(t: float) -> float:
-            writer.write(t, slot)
-            m, energy = measure(*slot)
-            diag.write(f"{t!r},{m!r},{energy!r}\n")
-            return m
-
         def sink(t: float, arrays: tuple) -> None:
-            nonlocal pending
-            if pending is not None:
-                pending.result()
+            nonlocal final_mass
             for dst, src in zip(slot, arrays):
                 np.copyto(dst, src)
-            pending = worker.submit(handle, t)
+            writer.write(t, slot)
+            final_mass, energy = measure(*slot)
+            diag.write(f"{t!r},{final_mass!r},{energy!r}\n")
 
-        try:
-            evolve(sim, start.pop(), sink=sink)
-        finally:
-            # a failed sample came before whatever else stopped the march
-            if pending is not None:
-                pending.result()
+        evolve(sim, start.pop(), sink=sink)
         files = ["diagnostics.csv"] + writer.finish()
     _say(quiet, f"lambda={sim.lam:g} solver={cfg.solver} samples={len(writer.times)} "
-                f"final_mass={pending.result():.12e}")
+                f"final_mass={final_mass:.12e}")
     return files
 
 

@@ -97,9 +97,6 @@ def qz_monitor(grid: Grid, eps: float, lam: float):
     E and nt: once nt is transformed its array holds the real work space
     and then |E|^2, and once E's energy is taken its array holds the
     transform of n. The monitor keeps one half spectrum and the weights.
-    Not thread-safe: the monitor owns its buffer, so one thread at a time
-    may call it (in ``qzak simulate``, the one worker thread that handles
-    the samples).
     """
     fft, _, rfft = _transforms(grid)
     half = _half_shape(grid)
@@ -149,9 +146,7 @@ def qmnls_monitor(grid: Grid, eps: float):
     - (1/4) int |E|^2 (1 - eps^2 Lap)^-1 |E|^2 dx
 
     measure takes a writable contiguous complex E and consumes it: it
-    transforms E in place. Not thread-safe: the monitor owns its buffers,
-    so one thread at a time may call it (in ``qzak simulate``, the one
-    worker thread that handles the samples).
+    transforms E in place.
     """
     fft, _, rfft = _transforms(grid)
     w_E = _weights(grid, -0.5 * delta_eps(grid, eps, _stored(grid, grid.shape)))

@@ -317,20 +317,21 @@ def _march(config: SimConfig, arrays: tuple, advance, lams: tuple | None = None)
     telling a step of dt from one that lands on the sample, until t is
     within the landing tolerance of the sample time; t is then set to it.
     Once h < dt, target - t only shrinks, so no full step follows a
-    landing one within an interval.
+    landing one within an interval. A sample time within the landing
+    tolerance of 0 is taken as 0 and yielded before any step.
 
-    Finiteness is checked once per sample, not once per step. A
-    non-finite value reaches every mode within one FFT and stays, so no
-    non-finite sample is yielded; the error names the sample time, and
-    the lam of the row when lams names the rows of a batch.
+    Finiteness is checked once per sample, not once per step, t = 0
+    included. A non-finite value reaches every mode within one FFT and
+    stays, so no non-finite sample is yielded; the error names the
+    sample time, and the lam of the row when lams names the rows of a
+    batch.
     """
     dt, tol = config.dt, _LANDING_TOL * max(1.0, config.T)
     targets = list(config.sample_times)
     if not targets or abs(targets[-1] - config.T) > _LANDING_TOL:
         targets.append(config.T)
     if targets[0] <= _LANDING_TOL:
-        yield 0.0, 0, arrays
-        targets = targets[1:]
+        targets[0] = 0.0
     t, steps = 0.0, 0
     for target in targets:
         while t < target - tol:

@@ -61,8 +61,9 @@ class SimConfig:
         times = tuple(float(t) for t in self.sample_times)
         if not times:
             times = tuple(np.linspace(0.0, self.T, DEFAULT_NUM_SAMPLES))
-        if any(t < 0.0 or t > self.T + 1e-12 for t in times) or list(times) != sorted(times):
-            raise ParameterError("sample times must be sorted within [0, T]")
+        # a NaN fails every comparison, so it fails the range test
+        if not all(0.0 <= t <= self.T + 1e-12 for t in times) or list(times) != sorted(times):
+            raise ParameterError("sample times must be finite and sorted within [0, T]")
         object.__setattr__(self, "sample_times", times)
 
     @property

@@ -483,12 +483,16 @@ def test_python_dash_m_runs_the_cli():
         assert done.stdout.strip() == f"qzak {qzak.__version__}", module
 
 
-def test_cli_import_loads_no_worker_or_logging_modules():
-    # _simulate imports concurrent.futures, which pulls in logging, only
-    # when it runs; the 1-D workloads' start-up time and memory would pay
-    # for them if an import at module level brought them back
-    done = _fresh_python(["-c", "import sys, qzak.cli; print(sorted(m for m in "
-                          "('concurrent.futures', 'logging') if m in sys.modules))"])
+def test_cli_import_loads_no_worker_or_logging_modules(tmp_path):
+    # concurrent.futures pulls in logging; every run would pay their
+    # start-up time and memory, and no run needs either: simulate writes
+    # and measures each sample in the thread that marches
+    path = write_config(tmp_path, _simulate_config(1, 64, "qz"))
+    done = _fresh_python(["-c", "import sys, qzak.cli; assert qzak.cli.run_cli(["
+                          f"'simulate', '--config', {path!r}, '--out', "
+                          f"{str(tmp_path / 'out')!r}, '--quiet']) == 0; "
+                          "print(sorted(m for m in ('concurrent.futures', 'logging') "
+                          "if m in sys.modules))"])
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 
@@ -560,8 +564,8 @@ def test_simulate_stream_equals_library_path(tmp_path, d, N, solver):
 
 
 def test_slow_simulate_worker_sees_each_sample_as_it_landed(tmp_path, monkeypatch):
-    # The worker measures and writes a sample after the march has stepped
-    # on, so it must work on a copy, not on the march's live buffers.
+    # A slow monitor must still see each sample as it landed: the sink
+    # measures and writes a copy in the slot before the march steps on.
     import time
     from qzak import cli
 
@@ -579,10 +583,34 @@ def test_slow_simulate_worker_sees_each_sample_as_it_landed(tmp_path, monkeypatc
     _assert_simulate_equals_library_path(tmp_path, _simulate_config(2, 32, "qz"))
 
 
+@pytest.mark.parametrize("solver", ["qz", "qmnls"])
+def test_simulate_measures_and_writes_on_the_main_thread(tmp_path, monkeypatch, solver):
+    import threading
+    from qzak import cli
+    from qzak.outputs import SnapshotWriter
+
+    threads = []
+
+    def on_thread(call):
+        def recorded(*args):
+            threads.append(threading.current_thread())
+            return call(*args)
+        return recorded
+
+    monitor = f"{solver}_monitor"
+    real_monitor = getattr(cli, monitor)
+    monkeypatch.setattr(cli, monitor, lambda *args: on_thread(real_monitor(*args)))
+    monkeypatch.setattr(SnapshotWriter, "write", on_thread(SnapshotWriter.write))
+    assert run_cli(["simulate", "--config",
+                    write_config(tmp_path, _simulate_config(1, 64, solver)),
+                    "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    # each of the 5 samples is written once and measured once
+    assert threads == [threading.main_thread()] * 10
+
+
 @pytest.mark.parametrize("failing_call", [3, 5])
 def test_failed_simulate_leaves_only_error_txt(tmp_path, monkeypatch, failing_call):
-    # call 5 is the last sample, which the worker handles after the march
-    # has returned
+    # call 5 is the last sample, the one at T, where the march ends
     from qzak import cli
     from qzak.errors import NonFiniteFieldError
 
@@ -693,8 +721,8 @@ def _fail_on_third_call(call, exc):
 
 @pytest.mark.parametrize("stage", ["monitor", "writer"])
 def test_simulate_reports_the_first_failing_sample(tmp_path, monkeypatch, stage):
-    # sample 3 fails on the worker while the march goes on to fail at
-    # sample 4: the run reports sample 3, as a serial run would
+    # sample 3 fails in the sink, before the march could go on to fail
+    # at sample 4: the run reports sample 3
     import threading
     from qzak import cli
     from qzak.errors import NonFiniteFieldError, ZeroModeError

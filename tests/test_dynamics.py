@@ -550,6 +550,32 @@ def test_nonfinite_detection(grid64):
         qmnls_evolve(cfg, complex_field(grid64, np.full(64, 1e200 + 0j)))
 
 
+@pytest.mark.parametrize("march", ["single", "batched", "limit"])
+def test_march_checks_the_sample_at_t0(march):
+    grid = make_grid(1, 64, 8.0 * np.pi)
+    E0 = np.zeros(grid.shape, dtype=complex)
+    E0[7] = np.nan
+    zero = real_field(grid, np.zeros(grid.shape))
+    data = InitialData(E0=complex_field(grid, E0), n0=zero, n1=zero)
+    cfg = SimConfig(eps=1.0, lam=4.0, T=0.02, grid=grid, dt0=1e-3, c_lam=0.02,
+                    sample_times=(0.0, 0.01, 0.02))
+    calls = []
+
+    def sink(t, arrays):
+        calls.append(t)
+
+    where = r" \(lam = 4\)" if march == "batched" else ""
+    with pytest.raises(NonFiniteFieldError,
+                       match=rf"^field 'E' became non-finite at t = 0{where}$"):
+        if march == "single":
+            qz_evolve(cfg, data, sink=sink)
+        elif march == "batched":
+            qz_evolve(cfg, data, sink=sink, lams=(4.0, 8.0))
+        else:
+            qmnls_evolve(cfg, data.E0, sink=sink)
+    assert calls == []
+
+
 def test_batch_nonfinite_names_the_row_lambda():
     arrays = tuple(np.zeros((3, 16)) for _ in range(3))
     arrays[1][2, 5] = np.nan

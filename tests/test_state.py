@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,10 @@ def test_simconfig_validation(grid64):
         SimConfig(eps=1.0, lam=4.0, T=0.5, grid=grid64, sample_times=(0.2, 0.1))
     with pytest.raises(ParameterError):
         SimConfig(eps=1.0, lam=4.0, T=0.5, grid=grid64, sample_times=(0.2, 0.9))
+    with pytest.raises(ParameterError):
+        SimConfig(eps=1.0, lam=4.0, T=0.5, grid=grid64, sample_times=(math.nan,))
+    with pytest.raises(ParameterError):
+        SimConfig(eps=1.0, lam=4.0, T=0.5, grid=grid64, sample_times=(0.01, math.nan))
     cfg = SimConfig(eps=1.0, lam=8.0, T=0.5, grid=grid64, dt0=1e-2, c_lam=0.04)
     assert np.isclose(cfg.dt, 0.005)
     assert len(cfg.sample_times) == 64
