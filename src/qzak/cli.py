@@ -106,17 +106,16 @@ def _run_simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
 def _simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     """Write each sample and its mass and energy as it lands.
 
-    The sink copies the march's live arrays into one slot, writes the
-    snapshot from the slot, measures the sample in the slot itself (the
-    monitor consumes its arguments) and writes its diagnostics row, all
-    before the march steps on.
+    The sink writes the march's live arrays, measures them (the monitor
+    only reads them) and writes their diagnostics row, all before the
+    march steps on.
 
     Every grid-sized buffer has one owner: _simulate hands the initial
     data to evolve and keeps no reference, so evolve frees it once its
     advance has copied it, before the first step, and the run then holds
-    the march's buffers and kernel slots, the slot, and the monitor's
-    half-spectrum buffer and weights. The monitor's other work space is
-    the slot's memory, which measure consumes.
+    the march's buffers and kernel slots and the monitor's weights. The
+    monitor allocates its two half spectra and real half-spectrum work
+    array at the first sample, after the initial data is gone.
     """
     sim = cfg.sim
     data = preset_initial_data(cfg.data_kind, cfg.data_params, sim.grid, sim.eps)
@@ -129,8 +128,6 @@ def _simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
         evolve, start, names = qmnls_evolve, [data.E0], ("E",)
         measure = qmnls_monitor(sim.grid, sim.eps)
     del data
-    slot = tuple(np.empty(sim.grid.shape, complex if name == "E" else float)
-                 for name in names)
     final_mass = None
     with SnapshotWriter(out, sim.grid, names) as writer, \
             open(out / "diagnostics.csv", "w") as diag:
@@ -138,10 +135,8 @@ def _simulate(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
 
         def sink(t: float, arrays: tuple) -> None:
             nonlocal final_mass
-            for dst, src in zip(slot, arrays):
-                np.copyto(dst, src)
-            writer.write(t, slot)
-            final_mass, energy = measure(*slot)
+            writer.write(t, arrays)
+            final_mass, energy = measure(*arrays)
             diag.write(f"{t!r},{final_mass!r},{energy!r}\n")
 
         evolve(sim, start.pop(), sink=sink)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field, fields, replace
 
 import numpy as np
 
@@ -237,6 +237,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         _checked("dt_list", harness._check_dt_list, dt_list)
         for i, dt in enumerate(dt_list):
             _checked(f"dt_list[{i}]", harness._check_dt_divides, dt, T)
+            # each dt_list march lands on T alone
+            _checked(f"dt_list[{i}]", harness._check_steps, T, dt, 1)
 
     grid = make_grid(dimension, N, L)
     # each Gaussian the run builds, named by its center and width keys: the
@@ -266,6 +268,14 @@ def resolve_config(raw: dict) -> ExperimentConfig:
                     grid=grid, dt0=dt0, c_lam=c_lambda,
                     m=m, dealias=dealias,
                     sample_times=tuple(np.linspace(0.0, T, num_samples)))
+
+    if experiment in ("simulate", "sweep", "oracle-check"):
+        # the finest step is that of the largest lam, set by dt0 or by lam;
+        # the oracle check's split march lands on T alone
+        finest = replace(sim, lam=lambdas[-1]).dt
+        lam_key = "lambdas" if experiment == "sweep" else "lambda"
+        _checked("dt0" if finest == dt0 else lam_key, harness._check_steps, T, finest,
+                 1 if experiment == "oracle-check" else num_samples)
 
     return ExperimentConfig(
         experiment=experiment, sim=sim, data_kind=kind, data_params=params,

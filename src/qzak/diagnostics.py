@@ -3,15 +3,15 @@
 Every functional uses the same (L/N)^d measure as the norms, so values
 are comparable across resolutions and drifts are meaningful.
 
-The per-run monitors (qz_monitor, qmnls_monitor) measure in the arrays
-they are given: measure consumes E, and nt for the coupled system, which
-hold scratch when it returns; n is only read. Pass copies of anything
-that is still needed, as hamiltonian_qz and hamiltonian_qmnls do.
+The per-run monitors (qz_monitor, qmnls_monitor) only read the arrays
+they are given, strided views among them, so a caller passes its live
+arrays, as hamiltonian_qz and hamiltonian_qmnls pass a state's values.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -38,17 +38,18 @@ def mass(E: Field) -> float:
 
 
 # The energies are sums over the spectrum, evaluated by per-run monitors:
-# qz_monitor and qmnls_monitor build their weights and one half spectrum
-# once and return measure(arrays) -> (mass, energy), which allocates no
-# grid-sized array per call: its other work space is the memory of the
-# arguments it consumes, once their contents are spent. The complex E
-# takes a full transform, in place; the real fields n, nt and |E|^2 take
-# a real one (rfftn), whose half spectrum stands for the full one with
-# each column weighted 2 when it holds a conjugate pair and 1 for the
-# zero and Nyquist columns. Every weight includes the square of the
-# transform normalization and is stored on half the rows at d=2 (see
-# operators._halves); every product and sum keeps the bits of a weight
-# held on every row.
+# qz_monitor and qmnls_monitor build their weights once and return
+# measure(arrays) -> (mass, energy), which only reads its arguments and
+# allocates no grid-sized array per call. Every field is measured by a
+# real transform (rfftn), whose half spectrum stands for the full one
+# with each column weighted 2 when it holds a conjugate pair and 1 for
+# the zero and Nyquist columns. The complex E is measured as the pair
+# (Re E, Im E): for a weight w even in xi the cross terms of
+# |fft Re E + i fft Im E|^2 cancel in the sum, so sum(w |fft E|^2) =
+# sum(w |fft Re E|^2) + sum(w |fft Im E|^2). Every weight includes the
+# square of the transform normalization and is stored on half the rows
+# at d=2 (see operators._halves); every product and sum keeps the bits
+# of a weight held on every row.
 
 def _half_shape(grid: Grid) -> tuple:
     return grid.shape[:-1] + (grid.N // 2 + 1,)
@@ -66,13 +67,11 @@ def _column_weights(grid: Grid) -> np.ndarray:
     return col
 
 
-def _weights(grid: Grid, symbol: np.ndarray, real: bool = False) -> list:
-    """The _halves views of the weights w with sum(w |x|^2) = sum(symbol
-    |fhat|^2) for x = fhat (a stored symbol) or, when real, x = rfftn(f)
-    for a real f (a symbol even in xi, on the half spectrum's stored rows)."""
-    if real:
-        symbol = symbol * _column_weights(grid)
-    return _halves(grid, symbol * _forward_factor(grid) ** 2, True)
+def _weights(grid: Grid, symbol: np.ndarray) -> list:
+    """The _halves views of the weights w with sum(w |rfftn(f)|^2) =
+    sum(symbol |fhat|^2) for a real f, for a symbol even in xi on the
+    half spectrum's stored rows."""
+    return _halves(grid, symbol * _column_weights(grid) * _forward_factor(grid) ** 2, True)
 
 
 def _sum_sq(grid: Grid, x: np.ndarray, w: list, work: np.ndarray) -> float:
@@ -85,6 +84,33 @@ def _sum_sq(grid: Grid, x: np.ndarray, w: list, work: np.ndarray) -> float:
     return float(np.sum(work))
 
 
+def _work_space(grid: Grid):
+    """A function that returns a monitor's (spectra, work), allocated on
+    its first call: a monitor built before a march holds none of it
+    while the march starts. spectra has shape (2,) + the half spectrum
+    and work is a real half-spectrum array, the scratch of the sums."""
+    half = _half_shape(grid)
+    return cache(lambda: (np.empty((2,) + half, dtype=np.complex128), np.empty(half)))
+
+
+def _envelope(grid: Grid, rfft, E: np.ndarray, w_E: list, spectra: np.ndarray,
+              work: np.ndarray) -> tuple:
+    """(mass, sum(w_E |fft E|^2)) for an even weight w_E. spectra takes
+    the transforms of Re E and Im E, from one call of rfft on a real view
+    of both, and then |E|^2 in row 0's memory and its transform in row
+    1, which it holds on return."""
+    re = E.real
+    rfft(np.lib.stride_tricks.as_strided(re, (2,) + re.shape, (re.itemsize,) + re.strides,
+                                         writeable=False), out=spectra)
+    energy = _sum_sq(grid, spectra[0], w_E, work) + _sum_sq(grid, spectra[1], w_E, work)
+    S = _head(spectra[0].view(np.float64), grid.shape)
+    np.abs(E, out=S)
+    np.square(S, out=S)
+    m = float(_mass(grid, S))
+    rfft(S, out=spectra[1])
+    return m, energy
+
+
 def qz_monitor(grid: Grid, eps: float, lam: float):
     """Per-run measure(E, n, nt) -> (mass, Hamiltonian of the coupled system).
 
@@ -92,44 +118,42 @@ def qz_monitor(grid: Grid, eps: float, lam: float):
     + (1/2) ||n||^2 + (eps^2/2) ||grad n||^2 + int n |E|^2 dx
 
     The coupling integral is taken over the 2/3 band, by Plancherel.
-    Raises ZeroModeError unless nt has zero mean. measure takes writable
-    contiguous arrays, complex E and real n and nt, reads n and consumes
-    E and nt: once nt is transformed its array holds the real work space
-    and then |E|^2, and once E's energy is taken its array holds the
-    transform of n. The monitor keeps one half spectrum and the weights.
+    Raises ZeroModeError unless nt has zero mean. measure takes complex
+    E and real n and nt, strided views among them (the real parts of a
+    march's complex buffers), and only reads them. Its spectra row 0
+    holds the transform of nt, then with row 1 those of E (see
+    _envelope), then the transform of n beside that of |E|^2.
     """
-    fft, _, rfft = _transforms(grid)
-    half = _half_shape(grid)
-    stored = _stored(grid, half)
+    rfft = _transforms(grid)[2]
+    stored = _stored(grid, _half_shape(grid))
     k2 = grid.k_squared_block(stored)
     inv_k2 = np.zeros_like(k2)
     np.divide(1.0, k2, out=inv_k2, where=k2 > 0.0)
-    w_E = _weights(grid, -delta_eps(grid, eps, _stored(grid, grid.shape)))
-    w_n = _weights(grid, 0.5 / i_eps(grid, eps, stored), True)
-    w_nt = _weights(grid, (0.5 / lam**2) * inv_k2, True)
-    w_coupling = _weights(grid, dealias_mask(grid, stored).astype(float), True)
+    w_E = _weights(grid, -delta_eps(grid, eps, stored))
+    w_n = _weights(grid, 0.5 / i_eps(grid, eps, stored))
+    w_nt = _weights(grid, (0.5 / lam**2) * inv_k2)
+    w_coupling = _weights(grid, dealias_mask(grid, stored).astype(float))
     origin = (0,) * grid.d
-    S_hat = np.empty(half, dtype=np.complex128)
+    work_space = _work_space(grid)
 
     def measure(E: np.ndarray, n: np.ndarray, nt: np.ndarray) -> tuple:
-        # the norm of nt, which Plancherel gives from its samples
-        total = math.sqrt(grid.cell_volume * np.vdot(nt, nt))
-        nt_hat = rfft(nt, out=S_hat)
-        work = _head(nt, half)  # nt is spent
+        spectra, work = work_space()
+        # the norm of nt, which Plancherel gives from its samples. The real
+        # part of a march's buffer has a flat view, which np.dot hands to
+        # BLAS; np.vdot of the strided array took 250 times as long (d=2
+        # N=256, numpy 2.4).
+        flat = nt.reshape(-1)
+        total = math.sqrt(grid.cell_volume * np.dot(flat, flat))
+        nt_hat = rfft(nt, out=spectra[0])
         zero = abs(nt_hat[origin]) * _forward_factor(grid)
         if total > 0.0 and zero > ZERO_MODE_TOL * total:
             raise ZeroModeError(
                 "hamiltonian_qz (d_t n term) requires a zero-mean field "
                 f"(|zero mode| = {zero:.3e}, norm = {total:.3e})")
         energy = _sum_sq(grid, nt_hat, w_nt, work)
-        S = nt
-        np.abs(E, out=S)
-        np.square(S, out=S)
-        m = float(_mass(grid, S))
-        rfft(S, out=S_hat)
-        E_hat = fft(E, out=E)
-        energy += _sum_sq(grid, E_hat, w_E, S)
-        n_hat = rfft(n, out=_head(E, half))  # E is spent
+        m, E_energy = _envelope(grid, rfft, E, w_E, spectra, work)
+        energy += E_energy
+        n_hat, S_hat = rfft(n, out=spectra[0]), spectra[1]
         energy += _sum_sq(grid, n_hat, w_n, work)
         # Re(conj(n_hat) S_hat), in the spent n_hat
         np.conjugate(n_hat, out=n_hat)
@@ -145,37 +169,29 @@ def qmnls_monitor(grid: Grid, eps: float):
     (1/2)||grad E||^2 + (eps^2/2)||Lap E||^2
     - (1/4) int |E|^2 (1 - eps^2 Lap)^-1 |E|^2 dx
 
-    measure takes a writable contiguous complex E and consumes it: it
-    transforms E in place.
+    measure takes a complex E and only reads it (see _envelope).
     """
-    fft, _, rfft = _transforms(grid)
-    w_E = _weights(grid, -0.5 * delta_eps(grid, eps, _stored(grid, grid.shape)))
-    w_quartic = _weights(grid, 0.25 * potential_symbol(
-        grid, eps, shape=_stored(grid, _half_shape(grid))), True)
-    S = np.empty(grid.shape)
-    S_hat = np.empty(_half_shape(grid), dtype=np.complex128)
-    work = _head(S, S_hat.shape)  # S is spent after E's energy
+    rfft = _transforms(grid)[2]
+    stored = _stored(grid, _half_shape(grid))
+    w_E = _weights(grid, -0.5 * delta_eps(grid, eps, stored))
+    w_quartic = _weights(grid, 0.25 * potential_symbol(grid, eps, shape=stored))
+    work_space = _work_space(grid)
 
     def measure(E: np.ndarray) -> tuple:
-        np.abs(E, out=S)
-        np.square(S, out=S)
-        m = float(_mass(grid, S))
-        rfft(S, out=S_hat)
-        E_hat = fft(E, out=E)
-        energy = _sum_sq(grid, E_hat, w_E, S)
-        return m, energy - _sum_sq(grid, S_hat, w_quartic, work)
+        spectra, work = work_space()
+        m, energy = _envelope(grid, rfft, E, w_E, spectra, work)
+        return m, energy - _sum_sq(grid, spectra[1], w_quartic, work)
     return measure
 
 
 def hamiltonian_qz(s: ZakharovState, eps: float, lam: float) -> float:
     """Energy of the coupled system; see ``qz_monitor``."""
-    return qz_monitor(s.grid, eps, lam)(s.E.values.copy(), s.n.values.copy(),
-                                        s.nt.values.copy())[1]
+    return qz_monitor(s.grid, eps, lam)(s.E.values, s.n.values, s.nt.values)[1]
 
 
 def hamiltonian_qmnls(E: Field, eps: float) -> float:
     """Energy of the limit equation; see ``qmnls_monitor``."""
-    return qmnls_monitor(E.grid, eps)(E.values.copy())[1]
+    return qmnls_monitor(E.grid, eps)(E.values)[1]
 
 
 def _outer_modes(grid: Grid, fraction: float) -> np.ndarray:

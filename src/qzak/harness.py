@@ -210,6 +210,22 @@ def _check_dt_divides(dt: float, T: float) -> None:
         raise ParameterError(f"dt {dt} does not divide T = {T}")
 
 
+# the most split steps a march may take: the committed configs take at
+# most 2,000, and 10^7 steps at d=1 run for more than 20 minutes
+_MAX_STEPS = 10**7
+
+
+def _check_steps(T: float, dt: float, samples: int) -> None:
+    """Refuse a march to T by dt that lands on samples sample times, when
+    its ceil(T/dt) steps of dt and one landing step a sample are more
+    than _MAX_STEPS. That holds exactly when T/dt + samples is, since
+    _MAX_STEPS - samples is an integer; T/dt may overflow to inf."""
+    steps = T / dt + samples
+    if steps > _MAX_STEPS:
+        raise ParameterError(f"a march to T = {T:g} by dt = {dt:g} takes about "
+                             f"{steps:.3g} steps, more than {_MAX_STEPS:.0e}")
+
+
 def self_convergence(config: SimConfig, data: InitialData, dt_list,
                      target: str = "qz") -> SelfConvergence:
     """Measure the splitting order from final states at T.

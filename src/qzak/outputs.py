@@ -125,9 +125,14 @@ class SnapshotWriter:
 
     def write(self, t: float, arrays: tuple) -> None:
         """Append one sample. tofile writes a strided array (a real view
-        into a complex buffer) element by element: pass contiguous ones."""
+        into a complex buffer) element by element, so such an array goes
+        out through contiguous copies of blocks of at most 1/8 of its
+        rows (of its elements at d=1), one at a time."""
         for fh, arr, dtype in zip(self._files, arrays, self._dtypes):
-            np.asarray(arr, dtype=dtype).tofile(fh)
+            arr = np.asarray(arr, dtype=dtype)
+            rows = len(arr) if arr.flags.c_contiguous else max(1, len(arr) // 8)
+            for start in range(0, len(arr), rows):
+                np.ascontiguousarray(arr[start:start + rows]).tofile(fh)
         self.times.append(t)
 
     def close(self) -> None:

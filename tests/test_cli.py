@@ -565,7 +565,7 @@ def test_simulate_stream_equals_library_path(tmp_path, d, N, solver):
 
 def test_slow_simulate_worker_sees_each_sample_as_it_landed(tmp_path, monkeypatch):
     # A slow monitor must still see each sample as it landed: the sink
-    # measures and writes a copy in the slot before the march steps on.
+    # writes and measures the march's live arrays before it steps on.
     import time
     from qzak import cli
 
@@ -683,6 +683,26 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch, command):
         assert run_cli(argv + ["--override", override]) == 1
         assert (out / "error.txt").exists()
         assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, override, key", [
+    ("simulate", "dt0=1e-300", "dt0"),
+    ("sweep", "dt0=1e-300", "dt0"),
+    ("oracle-check", "dt0=1e-300", "dt0"),
+    ("oracle-check", "lambda=1e12", "lambda"),
+    ("sweep", "lambdas=[4.0, 8.0, 1e12]", "lambdas"),
+    ("self-converge", "dt_list=[4e-3, 2e-3, 1e-3, 1e-300]", "dt_list[3]"),
+])
+def test_march_of_too_many_steps_exits_one(tmp_path, capsys, command, override, key):
+    # the step count is bounded before anything runs, and the error names
+    # the key that set the step size
+    path = write_config(tmp_path, _RERUN_CONFIGS[command])
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", path, "--out", str(out), "--quiet",
+                    "--override", override]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+    assert "steps, more than 1e+07" in (out / "error.txt").read_text()
 
 
 # numpy.linalg's solvers, each of which calls LAPACK
@@ -810,18 +830,21 @@ def test_simulate_memory_is_bounded_by_the_grid(tmp_path, monkeypatch):
     path = write_config(tmp_path, raw)
     N, rows = 64, 64 // 2 + 1
     sample_bytes = N * N * (16 + 8 + 8)
-    # The run's buffers, in bytes: the march's four complex grids and the
-    # slot (64 + 32 a grid point); on rows 0..N/2 of the lattice, its one
-    # step kernel, every step landing on a sample (40 a point), the
-    # potential symbol (8) and the monitor's w_E (8); the monitor's half
-    # spectrum (16 a point of an N x (N/2+1) array) and its w_n, w_nt and
+    # The run's buffers, in bytes: the march's four complex grids (64 a
+    # grid point); on rows 0..N/2 of the lattice, its one step kernel,
+    # every step landing on a sample (40 a point), and the potential
+    # symbol (8); the monitor's two half spectra and real work array (32
+    # + 8 a point of an N x (N/2+1) array) and its w_E, w_n, w_nt and
     # w_coupling on rows 0..N/2 of it (8 each); and the wave rotation's
-    # two blocks of at most 8192 complex elements. At N=64 that is 139.5 B
-    # a grid point. The initial data is freed before the first step. The
-    # margin of two samples covers numpy's casting and iteration buffers,
-    # the output files' buffers and the run's Python objects.
-    held = (N * N * (64 + 32) + rows * N * (40 + 8 + 8) + N * rows * 16
-            + 3 * rows * rows * 8 + 2 * min(N * N, 8192) * 16)
+    # two blocks of at most 8192 complex elements. At N=64 that is 117.9 B
+    # a grid point. The initial data is freed before the first step, and
+    # the monitor allocates its spectra at the first sample. The margin
+    # of one sample (32 B a point) covers numpy's casting and iteration
+    # buffers (16 B a point here), the snapshot writer's row blocks, the
+    # output files' buffers and the run's Python objects; a run that also
+    # held a copy of each sample would exceed it.
+    held = (N * N * 64 + rows * N * (40 + 8) + N * rows * (32 + 8)
+            + 4 * rows * rows * 8 + 2 * min(N * N, 8192) * 16)
     grids = []
 
     def preset(*args):
@@ -840,6 +863,6 @@ def test_simulate_memory_is_bounded_by_the_grid(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < held + 2 * sample_bytes
+    assert peak < held + sample_bytes
     # the grid caches no |xi|^2, which the margin could hide
     assert [vars(grid).get("k_squared") for grid in grids] == [None, None]

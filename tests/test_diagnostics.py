@@ -95,9 +95,9 @@ def test_real_transform_hamiltonians_match_full_spectrum(rng, d, N):
 @pytest.mark.parametrize("solver", ["qz", "qmnls"])
 @pytest.mark.parametrize("d, N", [(1, 32), (2, 16)])
 def test_monitors_measure_in_the_arrays_they_are_given(rng, solver, d, N):
-    # measure consumes E, and nt for the coupled system, as scratch, but
-    # leaves n alone. The values are those of mass and of the
-    # Hamiltonians, which pass copies.
+    # measure only reads its arguments, which it takes as a march passes
+    # them: E a row of a complex stack, n and nt the strided real parts of
+    # the next rows. The values are those of mass and of the Hamiltonians.
     from qzak.diagnostics import qmnls_monitor, qz_monitor
 
     grid = make_grid(d, N, 5.0)
@@ -108,55 +108,62 @@ def test_monitors_measure_in_the_arrays_they_are_given(rng, solver, d, N):
     nt -= np.mean(nt)
     state = ZakharovState(t=0.0, E=complex_field(grid, E), n=real_field(grid, n),
                           nt=real_field(grid, nt))
-    slot = [E.copy(), n.copy(), nt.copy()]
+    H = np.zeros((4,) + grid.shape, dtype=complex)
+    H[0], H[1].real, H[2].real = E, n, nt
+    H[1:].imag = rng.standard_normal((3,) + grid.shape)
+    before = H.copy()
+    live = (H[0], H[1].real, H[2].real)
+    assert not live[1].flags.c_contiguous and not live[2].flags.c_contiguous
     if solver == "qz":
-        got = qz_monitor(grid, eps, lam)(*slot)
+        got = qz_monitor(grid, eps, lam)(*live)
         want = hamiltonian_qz(state, eps, lam)
-        assert np.array_equal(slot[1], n)
     else:
-        got = qmnls_monitor(grid, eps)(slot[0])
+        got = qmnls_monitor(grid, eps)(live[0])
         want = hamiltonian_qmnls(state.E, eps)
     assert got == (mass(state.E), want)
+    assert H.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("solver", ["qz", "qmnls"])
 def test_monitor_measure_allocates_no_grid_array(rng, solver):
-    # measure's work space is the memory of the arguments it consumes, so
-    # a call allocates no grid-sized array, and the monitor holds only its
-    # weights, one half spectrum and, for the limit equation, |E|^2. A
-    # call may allocate numpy's iteration buffer (np.getbufsize() float64
-    # elements, for the products with the row-reversed half of a stored
-    # weight), which at N=256 is a quarter of a half-spectrum real array.
-    # The margin is 4 KiB for Python objects.
+    # A monitor holds its weights, and from its first call on two half
+    # spectra and one real half-spectrum array, its work space; a later
+    # call allocates no grid-sized array. A call may allocate numpy's
+    # iteration buffer (np.getbufsize() float64 elements, for the
+    # products with the row-reversed half of a stored weight), which at
+    # N=256 is a quarter of a half-spectrum real array. The margin is
+    # 4 KiB for Python objects.
     import tracemalloc
 
     from qzak.diagnostics import qmnls_monitor, qz_monitor
 
     grid = make_grid(2, 256, 5.0)
-    # the half spectrum, and the weights on rows 0..N/2 of the lattice and
-    # of the half spectrum
-    half, rows, corner = 256 * 129, 129 * 256, 129 * 129
+    # the half spectrum, and the weights on rows 0..N/2 of it
+    half, corner = 256 * 129, 129 * 129
     if solver == "qz":
         monitor = lambda: qz_monitor(grid, 0.7, 3.0)
-        # S_hat; w_E; w_n, w_nt and w_coupling
-        held = 16 * half + 8 * rows + 3 * 8 * corner
+        # w_E, w_n, w_nt and w_coupling
+        weights = 4 * 8 * corner
     else:
         monitor = lambda: qmnls_monitor(grid, 0.7)
-        # S; S_hat; w_E; w_quartic
-        held = 8 * grid.size + 16 * half + 8 * rows + 8 * corner
+        # w_E and w_quartic
+        weights = 2 * 8 * corner
+    work_space = 2 * 16 * half + 8 * half
     E = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     n, nt = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
     nt -= np.mean(nt)
-    args = lambda: (E.copy(), n.copy(), nt.copy())[:3 if solver == "qz" else 1]
-    monitor()(*args())  # caches the grid's symbols and the FFT plans
+    args = (E, n, nt)[:3 if solver == "qz" else 1]
+    monitor()(*args)  # caches the grid's symbols and the FFT plans
     tracemalloc.start()
     try:
         measure = monitor()
-        assert tracemalloc.get_traced_memory()[0] <= held + 4096
-        slot = args()
+        held = tracemalloc.get_traced_memory()[0]
+        assert held <= weights + 4096
+        measure(*args)
+        assert tracemalloc.get_traced_memory()[0] - held <= work_space + 4096
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        measure(*slot)
+        measure(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -164,17 +171,17 @@ def test_monitor_measure_allocates_no_grid_array(rng, solver):
 
 
 def _full_weight_monitors(grid, eps, lam):
-    """The measures of qz_monitor and qmnls_monitor as they were with every
-    weight held on the whole lattice or half spectrum, one product each."""
+    """The measures of qz_monitor and qmnls_monitor with every weight held
+    on the whole half spectrum, one product each."""
     from qzak.diagnostics import _column_weights, _half_shape, _head, _mass
     from qzak.field import _forward_factor, _transforms
     from qzak.operators import delta_eps, i_eps, potential_symbol
 
-    fft, _, rfft = _transforms(grid)
+    rfft = _transforms(grid)[2]
     f2 = _forward_factor(grid) ** 2
     half = _half_shape(grid)
 
-    def real_weights(symbol):
+    def weights(symbol):
         return symbol[..., :grid.N // 2 + 1] * _column_weights(grid) * f2
 
     def sum_sq(x, w, work):
@@ -183,40 +190,41 @@ def _full_weight_monitors(grid, eps, lam):
         np.multiply(work, w, out=work)
         return float(np.sum(work))
 
+    def envelope(E, w_E, spectra, work):
+        # the transforms of Re E and Im E, then |E|^2 in row 0's memory
+        # and its transform in row 1
+        rfft(np.stack((E.real, E.imag)), out=spectra)
+        energy = sum_sq(spectra[0], w_E, work) + sum_sq(spectra[1], w_E, work)
+        S = _head(spectra[0].view(np.float64), grid.shape)
+        np.square(np.abs(E, out=S), out=S)
+        m = float(_mass(grid, S))
+        rfft(S, out=spectra[1])
+        return m, energy
+
     k2 = grid.k_squared
     inv_k2 = np.zeros_like(k2)
     np.divide(1.0, k2, out=inv_k2, where=k2 > 0.0)
-    w_E, w_n = -delta_eps(grid, eps) * f2, real_weights(0.5 / i_eps(grid, eps))
-    w_nt = real_weights((0.5 / lam**2) * inv_k2)
-    w_coupling = real_weights(dealias_mask(grid).astype(float))
-    S_hat = np.empty(half, dtype=np.complex128)
+    w_E, w_n = weights(-delta_eps(grid, eps)), weights(0.5 / i_eps(grid, eps))
+    w_nt = weights((0.5 / lam**2) * inv_k2)
+    w_coupling = weights(dealias_mask(grid).astype(float))
+    spectra, work = np.empty((2,) + half, dtype=np.complex128), np.empty(half)
 
     def qz(E, n, nt):
-        nt_hat = rfft(nt, out=S_hat)
-        work = _head(nt, half)
-        energy = sum_sq(nt_hat, w_nt, work)
-        S = nt
-        np.square(np.abs(E, out=S), out=S)
-        m = float(_mass(grid, S))
-        rfft(S, out=S_hat)
-        energy += sum_sq(fft(E, out=E), w_E, S)
-        n_hat = rfft(n, out=_head(E, half))
+        energy = sum_sq(rfft(nt, out=spectra[0]), w_nt, work)
+        m, E_energy = envelope(E, w_E, spectra, work)
+        energy += E_energy
+        n_hat = rfft(n, out=spectra[0])
         energy += sum_sq(n_hat, w_n, work)
-        np.multiply(np.conjugate(n_hat, out=n_hat), S_hat, out=n_hat)
+        np.multiply(np.conjugate(n_hat, out=n_hat), spectra[1], out=n_hat)
         np.multiply(n_hat.real, w_coupling, out=work)
         return m, energy + float(np.sum(work))
 
-    w_E_limit = -0.5 * delta_eps(grid, eps) * f2
-    w_quartic = real_weights(0.25 * potential_symbol(grid, eps))
-    S = np.empty(grid.shape)
-    S_hat_limit = np.empty(half, dtype=np.complex128)
+    w_E_limit = weights(-0.5 * delta_eps(grid, eps))
+    w_quartic = weights(0.25 * potential_symbol(grid, eps))
 
     def qmnls(E):
-        np.square(np.abs(E, out=S), out=S)
-        m = float(_mass(grid, S))
-        rfft(S, out=S_hat_limit)
-        energy = sum_sq(fft(E, out=E), w_E_limit, S)
-        return m, energy - sum_sq(S_hat_limit, w_quartic, _head(S, half))
+        m, energy = envelope(E, w_E_limit, spectra, work)
+        return m, energy - sum_sq(spectra[1], w_quartic, work)
     return qz, qmnls
 
 
@@ -234,10 +242,9 @@ def test_half_row_monitors_equal_full_weight_monitors_bitwise(rng, N):
         E = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         n, nt = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
         nt -= np.mean(nt)
-        got = qz_monitor(grid, eps, lam)(E.copy(), n.copy(), nt.copy())
-        want = want_qz(E.copy(), n.copy(), nt.copy())
+        got, want = qz_monitor(grid, eps, lam)(E, n, nt), want_qz(E, n, nt)
         assert [v.hex() for v in got] == [v.hex() for v in want]
-        got, want = qmnls_monitor(grid, eps)(E.copy()), want_qmnls(E.copy())
+        got, want = qmnls_monitor(grid, eps)(E), want_qmnls(E)
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
 

@@ -2,10 +2,11 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qzak import InitialData, SimConfig, SweepRecord, complex_field, make_grid, qz_evolve, real_field
 from qzak.harness import fit_rate
-from qzak.outputs import (SWEEP_HEADER, write_manifest, write_outputs,
+from qzak.outputs import (SWEEP_HEADER, SnapshotWriter, write_manifest, write_outputs,
                           write_plot_script, write_ratefit, write_snapshots,
                           write_sweep_csv)
 
@@ -89,6 +90,30 @@ def test_snapshot_round_trip_bit_exact(tmp_path, rng):
         assert np.array_equal(back["n"][i], state.n.values)
         assert np.array_equal(back["nt"][i], state.nt.values)
     np.testing.assert_array_equal(back["times"], [t for t, _ in traj.samples])
+
+
+@pytest.mark.parametrize("d, N", [(1, 1024), (2, 256), (2, 16)])
+def test_snapshot_writer_writes_a_strided_array_by_row_blocks(tmp_path, rng, d, N):
+    # the real part of a complex grid, as a march passes n and nt, goes out
+    # with the bytes of its contiguous copy, through one copied block of at
+    # most 1/8 of its rows (elements at d=1) at a time
+    import tracemalloc
+
+    grid = make_grid(d, N, 5.0)
+    values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    view = values.real
+    block = max(1, N // 8) * view[0].nbytes  # a row at d=2, a float at d=1
+    with SnapshotWriter(tmp_path, grid, ("n",)) as writer:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            writer.write(0.0, (view,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        writer.finish()
+    assert (tmp_path / "snapshots_n.bin").read_bytes() == np.ascontiguousarray(view).tobytes()
+    assert peak - base <= block + 4096
 
 
 def test_plot_script_mentions_reference_slopes(tmp_path):
