@@ -22,7 +22,7 @@ from .errors import ConfigError, QzakError
 from .field import real_field, to_spectral
 from .grid import _check_dimension, _check_size, make_grid
 from .state import (DEFAULT_NUM_SAMPLES, PRESET_KINDS, PresetParams, SimConfig,
-                    _gaussian, _padded_center, check_resolution)
+                    _gaussian, _padded_center, check_carrier, check_resolution)
 
 DEFAULT_L = 40.0 * math.pi
 
@@ -251,6 +251,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         _checked(f"data.{bump}width", check_resolution, grid,
                  getattr(params, f"{bump}width"), getattr(params, f"{bump}center"),
                  params)
+    for key in ("k0", "chirp", "n_k0") if generic else ("k0", "chirp"):
+        _checked(f"data.{key}", check_carrier, grid, params, key)
     if experiment == "layer-decay":
         _checked("k_max", layer._check_k_max, grid, k_max)
         f0 = real_field(grid, _gaussian(grid, params.amplitude, params.width,

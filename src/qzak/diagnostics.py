@@ -1,11 +1,11 @@
 """Conserved and monitored functionals.
 
-Every functional uses the same (L/N)^d measure as the norms, so values
-are comparable across resolutions and drifts are meaningful.
-
-The per-run monitors (qz_monitor, qmnls_monitor) only read the arrays
-they are given, strided views among them, so a caller passes its live
-arrays, as hamiltonian_qz and hamiltonian_qmnls pass a state's values.
+Every functional uses the (L/N)^d measure of the norms, and the spectral
+ones are the weighted half-spectrum sums of norms. The per-run monitors
+(qz_monitor, qmnls_monitor) build their weights once and return
+measure(arrays) -> (mass, energy), which only reads its arguments,
+strided views among them, and allocates no grid-sized array per call, so
+a caller passes its live arrays.
 """
 
 from __future__ import annotations
@@ -16,9 +16,11 @@ from functools import cache
 import numpy as np
 
 from .errors import ParameterError, ZeroModeError
-from .field import Field, _forward_factor, _transforms, dealias_mask, to_spectral
+from .field import Field, _forward_factor, _transforms, dealias_mask
 from .grid import Grid
-from .operators import _halves, _multiply, _stored, delta_eps, i_eps, potential_symbol
+from .norms import (_half_block, _half_shape, _half_spectra, _norm_sq, _pair, _sum_sq,
+                    _weights)
+from .operators import _halves, _multiply, delta_eps, i_eps, potential_symbol
 from .state import ZakharovState
 
 ZERO_MODE_TOL = 1e-10
@@ -37,58 +39,16 @@ def mass(E: Field) -> float:
     return float(_mass(E.grid, np.abs(E.values) ** 2))
 
 
-# The energies are sums over the spectrum, evaluated by per-run monitors:
-# qz_monitor and qmnls_monitor build their weights once and return
-# measure(arrays) -> (mass, energy), which only reads its arguments and
-# allocates no grid-sized array per call. Every field is measured by a
-# real transform (rfftn), whose half spectrum stands for the full one
-# with each column weighted 2 when it holds a conjugate pair and 1 for
-# the zero and Nyquist columns. The complex E is measured as the pair
-# (Re E, Im E): for a weight w even in xi the cross terms of
-# |fft Re E + i fft Im E|^2 cancel in the sum, so sum(w |fft E|^2) =
-# sum(w |fft Re E|^2) + sum(w |fft Im E|^2). Every weight includes the
-# square of the transform normalization and is stored on half the rows
-# at d=2 (see operators._halves); every product and sum keeps the bits
-# of a weight held on every row.
-
-def _half_shape(grid: Grid) -> tuple:
-    return grid.shape[:-1] + (grid.N // 2 + 1,)
-
-
 def _head(a: np.ndarray, shape: tuple) -> np.ndarray:
     """A C-contiguous view of shape over the first elements of the
     contiguous array a, as work space in a's spent memory."""
     return a.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
-def _column_weights(grid: Grid) -> np.ndarray:
-    col = np.full(grid.N // 2 + 1, 2.0)
-    col[0] = col[-1] = 1.0
-    return col
-
-
-def _weights(grid: Grid, symbol: np.ndarray) -> list:
-    """The _halves views of the weights w with sum(w |rfftn(f)|^2) =
-    sum(symbol |fhat|^2) for a real f, for a symbol even in xi on the
-    half spectrum's stored rows."""
-    return _halves(grid, symbol * _column_weights(grid) * _forward_factor(grid) ** 2, True)
-
-
-def _sum_sq(grid: Grid, x: np.ndarray, w: list, work: np.ndarray) -> float:
-    """sum(w |x|^2), for the _halves views w of a stored weight, with the
-    real array work of x's shape as scratch."""
-    np.abs(x, out=work)
-    np.square(work, out=work)
-    views = _halves(grid, work)
-    _multiply(views, w, views)
-    return float(np.sum(work))
-
-
 def _work_space(grid: Grid):
-    """A function that returns a monitor's (spectra, work), allocated on
-    its first call: a monitor built before a march holds none of it
-    while the march starts. spectra has shape (2,) + the half spectrum
-    and work is a real half-spectrum array, the scratch of the sums."""
+    """A function that returns a monitor's spectra, of shape (2,) + the
+    half spectrum, and real half-spectrum work, allocated on its first
+    call: a monitor built before a march holds none of it as it starts."""
     half = _half_shape(grid)
     return cache(lambda: (np.empty((2,) + half, dtype=np.complex128), np.empty(half)))
 
@@ -99,13 +59,10 @@ def _envelope(grid: Grid, rfft, E: np.ndarray, w_E: list, spectra: np.ndarray,
     the transforms of Re E and Im E, from one call of rfft on a real view
     of both, and then |E|^2 in row 0's memory and its transform in row
     1, which it holds on return."""
-    re = E.real
-    rfft(np.lib.stride_tricks.as_strided(re, (2,) + re.shape, (re.itemsize,) + re.strides,
-                                         writeable=False), out=spectra)
-    energy = _sum_sq(grid, spectra[0], w_E, work) + _sum_sq(grid, spectra[1], w_E, work)
+    rfft(_pair(E), out=spectra)
+    energy = sum(float(_sum_sq(grid, x, w_E, work)) for x in spectra)
     S = _head(spectra[0].view(np.float64), grid.shape)
-    np.abs(E, out=S)
-    np.square(S, out=S)
+    np.square(np.abs(E, out=S), out=S)
     m = float(_mass(grid, S))
     rfft(S, out=spectra[1])
     return m, energy
@@ -125,7 +82,7 @@ def qz_monitor(grid: Grid, eps: float, lam: float):
     _envelope), then the transform of n beside that of |E|^2.
     """
     rfft = _transforms(grid)[2]
-    stored = _stored(grid, _half_shape(grid))
+    stored = _half_block(grid)
     k2 = grid.k_squared_block(stored)
     inv_k2 = np.zeros_like(k2)
     np.divide(1.0, k2, out=inv_k2, where=k2 > 0.0)
@@ -150,11 +107,11 @@ def qz_monitor(grid: Grid, eps: float, lam: float):
             raise ZeroModeError(
                 "hamiltonian_qz (d_t n term) requires a zero-mean field "
                 f"(|zero mode| = {zero:.3e}, norm = {total:.3e})")
-        energy = _sum_sq(grid, nt_hat, w_nt, work)
+        energy = float(_sum_sq(grid, nt_hat, w_nt, work))
         m, E_energy = _envelope(grid, rfft, E, w_E, spectra, work)
         energy += E_energy
         n_hat, S_hat = rfft(n, out=spectra[0]), spectra[1]
-        energy += _sum_sq(grid, n_hat, w_n, work)
+        energy += float(_sum_sq(grid, n_hat, w_n, work))
         # Re(conj(n_hat) S_hat), in the spent n_hat
         np.conjugate(n_hat, out=n_hat)
         np.multiply(n_hat, S_hat, out=n_hat)
@@ -172,7 +129,7 @@ def qmnls_monitor(grid: Grid, eps: float):
     measure takes a complex E and only reads it (see _envelope).
     """
     rfft = _transforms(grid)[2]
-    stored = _stored(grid, _half_shape(grid))
+    stored = _half_block(grid)
     w_E = _weights(grid, -0.5 * delta_eps(grid, eps, stored))
     w_quartic = _weights(grid, 0.25 * potential_symbol(grid, eps, shape=stored))
     work_space = _work_space(grid)
@@ -180,7 +137,7 @@ def qmnls_monitor(grid: Grid, eps: float):
     def measure(E: np.ndarray) -> tuple:
         spectra, work = work_space()
         m, energy = _envelope(grid, rfft, E, w_E, spectra, work)
-        return m, energy - _sum_sq(grid, spectra[1], w_quartic, work)
+        return m, energy - float(_sum_sq(grid, spectra[1], w_quartic, work))
     return measure
 
 
@@ -194,25 +151,19 @@ def hamiltonian_qmnls(E: Field, eps: float) -> float:
     return qmnls_monitor(E.grid, eps)(E.values)[1]
 
 
-def _outer_modes(grid: Grid, fraction: float) -> np.ndarray:
-    """The flat mask of the modes with some per-axis |j| >= fraction*N/2."""
-    j = np.abs(grid.mode_indices_1d)
-    outer = j >= fraction * grid.N / 2.0
-    return (outer if grid.d == 1 else np.logical_or.outer(outer, outer)).reshape(-1)
+def _tail_weights(grid: Grid, fraction: float) -> tuple:
+    """The weights of spectral_tail's total and of its outer modes, those
+    with some per-axis |j| >= fraction*N/2, on the stored block."""
+    rows, *cols = stored = _half_block(grid)
+    outer = np.abs(grid.mode_indices_1d) >= fraction * grid.N / 2.0
+    mask = outer[:rows] if grid.d == 1 else np.logical_or.outer(outer[:rows], outer[:cols[0]])
+    return _weights(grid, np.ones(stored)), _weights(grid, mask)
 
 
-def _spectral_tail(grid: Grid, coeffs: np.ndarray, outer: np.ndarray,
-                   work: np.ndarray | None = None):
-    """``spectral_tail`` of the field with spectral coefficients coeffs, or
-    of each field of a stack of them, on the modes outer = _outer_modes(...).
-    np.compress keeps each field's selected modes contiguous, so that each
-    field sums to the bits of a lone one. work, a real array of coeffs'
-    shape, is used as scratch when given."""
-    power = np.abs(coeffs, out=work)
-    np.square(power, out=power)
-    power = power.reshape(power.shape[:power.ndim - grid.d] + (-1,))
-    total = np.sum(power, axis=-1)
-    tail = np.sum(np.compress(outer, power, axis=-1), axis=-1)
+def _tail(grid: Grid, spectra: np.ndarray, weights: tuple, work: np.ndarray) -> np.ndarray:
+    """spectral_tail of each field whose half spectra stack on the leading
+    axis of spectra, for weights = _tail_weights(...) (see norms._norm_sq)."""
+    total, tail = (_norm_sq(grid, spectra, w, work) for w in weights)
     return np.divide(tail, total, out=np.zeros_like(total), where=total != 0.0)
 
 
@@ -220,7 +171,8 @@ def spectral_tail(f: Field, fraction: float) -> float:
     """Energy fraction carried by per-axis mode indices |j| >= fraction*N/2."""
     if not (0.0 < fraction < 1.0):
         raise ParameterError(f"fraction must lie in (0, 1), got {fraction}")
-    return float(_spectral_tail(f.grid, to_spectral(f), _outer_modes(f.grid, fraction)))
+    spectra, work = _half_spectra(f.grid, f.values)
+    return float(_tail(f.grid, spectra, _tail_weights(f.grid, fraction), work))
 
 
 def drift(series: list[float]) -> float:

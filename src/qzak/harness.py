@@ -16,12 +16,13 @@ from operator import attrgetter
 
 import numpy as np
 
-from .diagnostics import _fit_line, _mass, _outer_modes, _spectral_tail, drift
+from .diagnostics import _fit_line, _mass, _tail, _tail_weights, drift
 from .errors import DegenerateInputError, ParameterError
-from .field import Field, _forward_factor, _transforms, to_spectral
-from .norms import _sobolev_norm, _sobolev_weight, l2_norm
+from .field import Field, _transforms
+from .norms import (_half_block, _half_shape, _norm_sq, _pair, _sobolev_weight, _sum_sq,
+                    _weights, l2_norm)
 from .dynamics import _march, _qmnls_advance, oracle_evolve, qmnls_evolve, qz_evolve
-from .operators import omega_eps, potential_symbol
+from .operators import _halves, _multiply, _omega_eps, potential_symbol
 from .state import InitialData, SimConfig, q_field
 
 @dataclass(frozen=True)
@@ -59,63 +60,55 @@ def _run_group(config: SimConfig, data: InitialData, m: int, lams: tuple,
     of every row on the march's live arrays against the sample of a fresh
     limit march on the reference config, stepped in lockstep.
 
-    Each sample costs one transform call on the stack of E - E_ref
-    (differenced in physical space), n, |E|^2 and E, each row of which
-    keeps the bits of a lone transform. Q and the layer
-    cos(lam t omega_eps) f0 are formed from coefficients, and only
-    running maxima and the masses are kept. The Sobolev weight, the tail
-    modes, omega_eps and every grid-sized work array are built once per
-    group, and each sample is reduced over the rows of the batch at
-    once; every row sums to the bits of a lone field. Every record
-    carries the batch's wall time: its march, the group's reference
-    march and the measurement of its samples.
+    A sample costs one rfft call on a real stack of each row's E - E_ref
+    and E as (Re, Im) pairs, |E|^2 and n, whose half spectra the sums of
+    norms reduce. Q and the layer cos(lam t omega_eps) f0 are formed on the
+    half spectrum with symbols on stored half rows, built once per group
+    like every work array, and only running maxima and the masses are
+    kept. Every record carries the batch's wall time: its march, the
+    group's reference march and the measurement of its samples.
     """
     start = time.perf_counter()
     grid, eps = config.grid, config.eps
-    fft, _, _ = _transforms(grid)
-    factor = _forward_factor(grid)
-    potential = potential_symbol(grid, eps)
-    weight = _sobolev_weight(grid, m)
-    outer = _outer_modes(grid, 2.0 / 3.0)
-    om = omega_eps(grid, eps)
+    rfft = _transforms(grid)[2]
+    stored = _half_block(grid)
+    w_m = _weights(grid, _sobolev_weight(grid, m))
+    tail_weights = _tail_weights(grid, 2.0 / 3.0)
+    potential = _halves(grid, potential_symbol(grid, eps, shape=stored), True)
+    om = _omega_eps(grid.k_squared_block(stored), eps, np.empty(stored))
     lam_column = np.reshape(lams, (-1,) + (1,) * grid.d)
     reference_march = _march(reference, *_qmnls_advance(grid, eps, reference.dealias,
                                                         (data.E0.values,)))
     sup_err_E, sup_err_Q, sup_Q, max_tail = (np.zeros(len(lams)) for _ in range(4))
     masses = []
-    # The work arrays of every sample. The rows of X are transformed by
-    # one call; the real fields n and |E|^2 go in with zero imaginary
-    # parts, which gives the bits of their real transforms. S keeps |E|^2
-    # for the mass and power is the real scratch.
-    shape = (len(lams),) + grid.shape
-    X = np.empty((4,) + shape, dtype=np.complex128)
-    diff_hat, Q_hat, S_hat, E_hat = X
-    S, power = np.empty(shape), np.empty(shape)
-    lam_t = np.empty_like(lam_column)
+    X = np.empty((6, len(lams)) + grid.shape)
+    spectra = np.empty((6, len(lams)) + _half_shape(grid), dtype=np.complex128)
+    work = np.empty(spectra[:2].shape)
+    layer, lam_t = np.empty((len(lams),) + stored), np.empty_like(lam_column)
 
     def measure(t: float, arrays: tuple) -> None:
         E, n, _ = arrays
         _, _, (E_ref,) = next(reference_march)
-        np.subtract(E, E_ref, out=diff_hat)
-        np.copyto(Q_hat, n)
-        np.square(np.abs(E, out=S), out=S)
-        np.copyto(S_hat, S)
-        np.copyto(E_hat, E)
-        fft(X, out=X)
-        np.multiply(diff_hat, factor, out=diff_hat)
-        np.multiply(E_hat, factor, out=E_hat)
-        # Q_hat = (fft(n) + potential fft(S)) factor
-        np.add(Q_hat, np.multiply(potential, S_hat, out=S_hat), out=Q_hat)
-        np.multiply(Q_hat, factor, out=Q_hat)
-        np.maximum(sup_err_E, _sobolev_norm(grid, diff_hat, weight, power), out=sup_err_E)
-        np.maximum(sup_Q, _sobolev_norm(grid, Q_hat, weight, power), out=sup_Q)
-        # wave_cos of each row: cos(lam t omega_eps), with lam t formed first
-        layer = np.multiply(np.multiply(lam_column, t, out=lam_t), om, out=power)
-        np.cos(layer, out=layer)
-        np.subtract(Q_hat, np.multiply(f0_hat, layer, out=S_hat), out=Q_hat)
-        np.maximum(sup_err_Q, _sobolev_norm(grid, Q_hat, weight, power), out=sup_err_Q)
-        np.maximum(max_tail, _spectral_tail(grid, E_hat, outer, power), out=max_tail)
-        masses.append(_mass(grid, S))
+        pair = _pair(E)
+        np.subtract(pair, _pair(E_ref)[:, None], out=X[:2])
+        np.copyto(X[2:4], pair)
+        np.square(np.abs(E, out=X[4]), out=X[4])
+        np.copyto(X[5], n)
+        rfft(X, out=spectra)
+        masses.append(_mass(grid, X[4]))
+        np.maximum(sup_err_E, np.sqrt(_norm_sq(grid, spectra[:2], w_m, work)), out=sup_err_E)
+        np.maximum(max_tail, _tail(grid, spectra[2:4], tail_weights, work), out=max_tail)
+        # Q_hat = rfft(n) + potential rfft(|E|^2) in row 5, and Q_hat minus
+        # cos(lam t omega_eps) f0_hat, with lam t formed first, in row 4
+        S_hat = _halves(grid, spectra[4])
+        _multiply(S_hat, potential, S_hat)
+        np.add(spectra[5], spectra[4], out=spectra[5])
+        np.cos(np.multiply(np.multiply(lam_column, t, out=lam_t), om, out=layer), out=layer)
+        _multiply(_halves(grid, f0_hat), _halves(grid, layer, True), S_hat)
+        np.subtract(spectra[5], spectra[4], out=spectra[4])
+        err_Q, Q = np.sqrt(_sum_sq(grid, spectra[4:], w_m, work))
+        np.maximum(sup_err_Q, err_Q, out=sup_err_Q)
+        np.maximum(sup_Q, Q, out=sup_Q)
 
     steps = qz_evolve(config, data, sink=measure, lams=lams).steps
     walltime = time.perf_counter() - start
@@ -150,7 +143,7 @@ def lambda_sweep(config: SimConfig, data: InitialData, lambdas,
         raise ParameterError("data grid does not match config grid")
 
     reference = replace(config, lam=lambdas[0])
-    f0_hat = to_spectral(q_field(data.initial_state(), config.eps))
+    f0_hat = _transforms(config.grid)[2](q_field(data.initial_state(), config.eps).values)
 
     records = []
     runs = [replace(config, lam=lam) for lam in lambdas]

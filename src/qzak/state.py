@@ -180,6 +180,21 @@ def check_resolution(grid: Grid, width: float, center: tuple[float, ...],
         )
 
 
+def check_carrier(grid: Grid, params: PresetParams, key: str) -> None:
+    """Raise ResolutionError unless the largest local wavenumber of the
+    carrier that key sets lies in the 2/3 band (2/3) pi/dx: |k0|, or
+    |k0| + 2 |chirp| R at the radius R where the envelope falls to
+    edge_tol, or |n_k0|. A sampled carrier beyond the band folds into it
+    as another wave, so that the built data's spectrum cannot show it."""
+    radius = params.width * math.sqrt(-math.log(params.edge_tol))
+    wavenumber = {"k0": abs(params.k0), "n_k0": abs(params.n_k0),
+                  "chirp": abs(params.k0) + 2.0 * (abs(params.chirp) * radius)}[key]
+    band = (2.0 / 3.0) * math.pi / grid.dx
+    if not wavenumber <= band:
+        raise ResolutionError(f"the carrier set by {key} reaches wavenumber {wavenumber:g}, "
+                              f"beyond the 2/3 band {band:g} of the grid (dx = {grid.dx:g})")
+
+
 def ieps_intensity(E: Field, eps: float) -> np.ndarray:
     """Samples of I_eps |E|^2 with the dealiased quadratic product."""
     symbol = potential_symbol(E.grid, eps)
@@ -214,6 +229,8 @@ def preset_initial_data(kind: str, params: PresetParams, grid: Grid, eps: float)
     _check_eps(eps)
 
     check_resolution(grid, params.width, params.center, params)
+    for key in ("k0", "chirp"):
+        check_carrier(grid, params, key)
     envelope = _gaussian(grid, params.amplitude, params.width, params.center)
     center = _padded_center(grid, params.center)
     phase = params.k0 * (grid.coordinates[0] - center[0])
@@ -226,6 +243,7 @@ def preset_initial_data(kind: str, params: PresetParams, grid: Grid, eps: float)
     if kind == "generic":
         check_resolution(grid, params.n_width, params.n_center, params)
         check_resolution(grid, params.n1_width, params.n1_center, params)
+        check_carrier(grid, params, "n_k0")
         n0_vals = _gaussian(grid, params.n_amplitude, params.n_width, params.n_center)
         if params.n_k0 != 0.0:
             n_center = _padded_center(grid, params.n_center)

@@ -362,6 +362,25 @@ def test_unresolved_gaussian_exits_one_and_names_its_width(tmp_path, command, co
     assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
 
 
+@pytest.mark.parametrize("command,config,override,key", [
+    ("simulate", "simulate.json", "data.k0=100", "data.k0"),
+    ("sweep", "sweep_generic.json", "data.n_k0=100", "data.n_k0"),
+    ("sweep", "sweep_well_prepared.json", "data.chirp=1.0", "data.chirp"),
+])
+def test_unresolved_carrier_exits_one_and_names_its_key(tmp_path, command, config,
+                                                        override, key):
+    # the committed grids keep (2/3) pi/dx = 17.07. k0 = 100 folds to about
+    # -2.4 when sampled, where the built E0's spectrum looks resolved, and
+    # the simulate used to exit 0 with H = 76.75 against 0.427. A chirp of 1
+    # reaches 2 x 1 x 10.5 = 21 within the edge rule's radius.
+    path = Path(__file__).resolve().parents[1] / "configs" / config
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(path), "--override", override,
+                    "--out", str(out), "--quiet"]) == 1
+    assert (out / "error.txt").read_text().startswith(f"{key}: the carrier set by ")
+    assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+
+
 @pytest.mark.parametrize("command", ["sweep", "layer-decay"])
 def test_center_longer_than_the_grid_exits_one(tmp_path, capsys, command):
     # the second coordinate has no axis on a 1-D grid, so no run could use it

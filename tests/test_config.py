@@ -205,6 +205,9 @@ MOVED_RULES = {
     "resolution": (SWEEP, {"data": {"width": 0.01}}, "data.width",
                    lambda cfg: preset_initial_data(
                        "generic", PresetParams(width=0.01), cfg.sim.grid, 1.0)),
+    "carrier": (SWEEP, {"data": {"n_k0": 100.0}}, "data.n_k0",
+                lambda cfg: preset_initial_data(
+                    "generic", PresetParams(n_k0=100.0), cfg.sim.grid, 1.0)),
     "center-length": (SWEEP, {"data": {"center": [0.0, 5.0]}}, "data.center",
                       lambda cfg: preset_initial_data(
                           "generic", PresetParams(center=(0.0, 5.0)), cfg.sim.grid, 1.0)),
@@ -364,14 +367,15 @@ VALUES = {
     "lambda_times": [0.5, 1.0], "probe_points": [0.0, 3.0], "k_max": 1,
 }
 DATA_VALUES = {
-    "amplitude": 0.5, "width": 4.0, "k0": 0.2, "chirp": 0.1, "center": [1.0],
+    "amplitude": 0.5, "width": 4.0, "k0": 0.2, "chirp": 0.005, "center": [1.0],
     "n_amplitude": 0.4, "n_width": 4.5, "n_k0": 0.5, "n_center": [0.5],
     "n1_amplitude": 0.2, "n1_width": 4.5, "n1_center": [-1.0],
     "min_points_per_width": 1.25, "edge_tol": 1e-6,
 }
 # Gaussians that the N = 32 grids above resolve (dx <= 40 pi / 32 = 3.93),
-# with each value of DATA_VALUES in place of theirs: resolve_config rejects
-# data that the run could not build.
+# with each value of DATA_VALUES in place of theirs, whose carriers stay in
+# the 2/3 band (2/3) pi/dx = 0.53: resolve_config rejects data that the run
+# could not build.
 RESOLVED = {"width": 5.0, "min_points_per_width": 1.0}
 RESOLVED_DATA = {"generic": {**RESOLVED, "n_width": 5.0, "n1_width": 5.0},
                  "compatible": RESOLVED, "well-prepared": RESOLVED,

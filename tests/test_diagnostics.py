@@ -173,7 +173,8 @@ def test_monitor_measure_allocates_no_grid_array(rng, solver):
 def _full_weight_monitors(grid, eps, lam):
     """The measures of qz_monitor and qmnls_monitor with every weight held
     on the whole half spectrum, one product each."""
-    from qzak.diagnostics import _column_weights, _half_shape, _head, _mass
+    from qzak.diagnostics import _head, _mass
+    from qzak.norms import _column_weights, _half_shape
     from qzak.field import _forward_factor, _transforms
     from qzak.operators import delta_eps, i_eps, potential_symbol
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -176,25 +178,42 @@ def test_sweep_memory_does_not_grow_with_samples():
 
 
 def test_sweep_builds_symbols_once_per_group(monkeypatch):
-    # omega_eps is built once per dt group, never per sample (a kernel
-    # build forms it in the advance's work space, through its core)
-    calls = [0]
-    omega = operators.omega_eps
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return omega(*args, **kwargs)
-
-    for module in (operators, dynamics, harness):
-        monkeypatch.setattr(module, "omega_eps", counted, raising=False)
+    # the weights, the potential and omega_eps are built once per dt group,
+    # never per sample: every symbol builder the sweep looks up is counted
+    built = []
+    for name in ("_weights", "_sobolev_weight", "_tail_weights", "potential_symbol",
+                 "_omega_eps"):
+        build = getattr(harness, name)
+        monkeypatch.setattr(harness, name,
+                            lambda *a, _f=build, _n=name, **k: built.append(_n) or _f(*a, **k))
     cfg, data = small_sweep_setup()
     counts = []
     for samples in (9, 17):
-        calls[0] = 0
+        built.clear()
         run = replace(cfg, sample_times=tuple(np.linspace(0.0, cfg.T, samples)))
         lambda_sweep(run, data, [4.0, 8.0, 16.0], 2)
-        counts.append(calls[0])
-    assert counts[0] == counts[1]
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("setup,groups", [(small_sweep_setup, 1), (cross_group_sweep_setup, 2),
+                                          (compatible_2d_sweep_setup, 1)])
+def test_sweep_measures_each_sample_with_one_real_transform(monkeypatch, setup, groups):
+    # one rfft call per sample on the stack of every row of a group, one for
+    # f0, and no complex transform of the sweep's own: the marches and
+    # q_field make those
+    calls = []
+    for name in ("fft", "ifft", "rfft", "fftn", "ifftn", "rfftn"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _f=transform, _n=name, **k: calls.append(
+            (_n, sys._getframe(1).f_globals["__name__"])) or _f(*a, **k))
+    cfg, data = setup()
+    lambda_sweep(cfg, data, [4.0, 8.0, 16.0, 64.0], 2)
+    real = "rfft" if cfg.grid.d == 1 else "rfftn"
+    assert [name for name, module in calls if module == "qzak.harness"] == (
+        [real] * (groups * len(cfg.sample_times) + 1))
+    assert {module for name, module in calls if name != real} == {"qzak.dynamics",
+                                                                  "qzak.state"}
 
 
 def test_sweep_rejects_unsorted(grid256):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qzak import Field, l2_norm, make_grid, real_field, sobolev_norm, to_spectral
+from qzak import (Field, complex_field, l2_norm, make_grid, real_field, sobolev_norm,
+                  spectral_tail, to_spectral)
 from qzak.errors import ParameterError
 from qzak.field import inverse_values
 from qzak.operators import _derivative_symbol
@@ -68,3 +69,50 @@ def test_negative_arguments_rejected(grid16):
     f = real_field(grid16, np.ones(16))
     with pytest.raises(ParameterError):
         sobolev_norm(f, -2)
+
+
+def _brute_sum(f, symbol):
+    """sum(symbol |fhat|^2) over the full lattice."""
+    return float(np.sum(symbol * np.abs(to_spectral(f)) ** 2))
+
+
+def _outer_lattice(grid, fraction):
+    outer = np.abs(grid.mode_indices_1d) >= fraction * grid.N / 2.0
+    return outer if grid.d == 1 else np.logical_or.outer(outer, outer)
+
+
+def _half_spectrum_cases(rng, grid):
+    """Real and complex fields with energy in the zero and Nyquist columns,
+    and at d=2 fields whose energy sits only in outer rows."""
+    x = grid.coordinates[-1]
+    zero_and_nyquist = 1.5 + np.cos(np.pi * x / grid.dx) + 0.1 * rng.standard_normal(grid.shape)
+    cases = [zero_and_nyquist, zero_and_nyquist + 1j * rng.standard_normal(grid.shape)]
+    if grid.d == 2:
+        row = 2.0 * np.pi * (grid.N // 2 - 3) * grid.coordinates[0] / grid.L
+        cases += [np.cos(row) + 0.5 * np.cos(np.pi * x / grid.dx), np.exp(1j * row)]
+    return cases
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 32)])
+def test_half_spectrum_sums_match_the_full_lattice(rng, d, N):
+    grid = make_grid(d, N, 3.0)
+    for values in _half_spectrum_cases(rng, grid):
+        f = (complex_field if np.iscomplexobj(values) else real_field)(grid, values)
+        for m in (0, 2):
+            want = np.sqrt(_brute_sum(f, (1.0 + grid.k_squared) ** m))
+            assert sobolev_norm(f, m) == pytest.approx(want, rel=1e-13, abs=0.0)
+        total = _brute_sum(f, 1.0)
+        for fraction in (0.5, 2.0 / 3.0):
+            want = _brute_sum(f, _outer_lattice(grid, fraction)) / total
+            assert spectral_tail(f, fraction) == pytest.approx(want, rel=1e-13, abs=1e-16)
+
+
+def test_outer_row_energy_is_all_tail():
+    # energy only in rows +-(N/2 - 3) of a d=2 lattice: the stored block's
+    # mask must count rows N/2+1..N-1 as the rows they mirror
+    grid = make_grid(2, 32, 3.0)
+    row = 2.0 * np.pi * (grid.N // 2 - 3) * grid.coordinates[0] / grid.L
+    for values in (np.cos(row), np.exp(1j * row), np.exp(-1j * row)):
+        f = (complex_field if np.iscomplexobj(values) else real_field)(grid, values)
+        assert spectral_tail(f, 2.0 / 3.0) == pytest.approx(1.0, rel=1e-13)
+        assert spectral_tail(f, 0.9) < 1e-28

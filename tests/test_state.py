@@ -9,6 +9,7 @@ from qzak import (InitialData, PresetParams, SimConfig, apply_multiplier,
                   real_field)
 from qzak.errors import ParameterError, ResolutionError
 from qzak.operators import delta_eps
+from qzak.state import check_carrier
 
 
 def test_compatible_defect_vanishes(grid256, grid2d):
@@ -132,3 +133,20 @@ def test_preset_2d_smoke(grid2d):
     assert data.E0.values.shape == (32, 32)
     norm = l2_norm(data.n1)
     assert abs(np.mean(data.n1.values)) <= 1e-12 * max(norm, 1.0)
+
+
+def test_carrier_rule_keeps_the_band_and_names_the_key_that_leaves_it(grid256):
+    # each carrier's largest local wavenumber against (2/3) pi/dx = 8.53; the
+    # chirp's counts at the edge rule's radius, beside k0
+    band = (2.0 / 3.0) * math.pi / grid256.dx
+    radius = 2.0 * math.sqrt(-math.log(1e-12))
+    beyond = np.nextafter(band, np.inf)
+    check_carrier(grid256, PresetParams(k0=-band), "k0")
+    chirped = PresetParams(k0=0.5 * band, chirp=0.3 * band / radius)
+    check_carrier(grid256, chirped, "k0")
+    for params, key in ((PresetParams(k0=beyond), "k0"), (chirped, "chirp"),
+                        (PresetParams(n_k0=-beyond), "n_k0")):
+        with pytest.raises(ResolutionError, match=f"the carrier set by {key} "):
+            check_carrier(grid256, params, key)
+        with pytest.raises(ResolutionError, match=f"the carrier set by {key} "):
+            preset_initial_data("generic", params, grid256, eps=1.0)
