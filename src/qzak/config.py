@@ -22,7 +22,8 @@ from .errors import ConfigError, QzakError
 from .field import real_field, to_spectral
 from .grid import _check_dimension, _check_size, make_grid
 from .state import (DEFAULT_NUM_SAMPLES, PRESET_KINDS, PresetParams, SimConfig,
-                    _gaussian, _padded_center, check_carrier, check_resolution)
+                    _gaussian, _padded_center, check_amplitude, check_carrier,
+                    check_resolution)
 
 DEFAULT_L = 40.0 * math.pi
 
@@ -241,8 +242,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
             _checked(f"dt_list[{i}]", harness._check_steps, T, dt, 1)
 
     grid = make_grid(dimension, N, L)
-    # each Gaussian the run builds, named by its center and width keys: the
-    # envelope, and for generic data the n0 and n1 bumps
+    # each Gaussian the run builds, named by its center, width and amplitude
+    # keys: the envelope, and for generic data the n0 and n1 bumps
     generic = kind == "generic" and experiment != "layer-decay"
     bumps = ("", "n_", "n1_") if generic else ("",)
     for bump in bumps:
@@ -251,6 +252,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         _checked(f"data.{bump}width", check_resolution, grid,
                  getattr(params, f"{bump}width"), getattr(params, f"{bump}center"),
                  params)
+        if experiment != "layer-decay":  # the probe never squares its Gaussian
+            _checked(f"data.{bump}amplitude", check_amplitude, grid, params, f"{bump}amplitude")
     for key in ("k0", "chirp", "n_k0") if generic else ("k0", "chirp"):
         _checked(f"data.{key}", check_carrier, grid, params, key)
     if experiment == "layer-decay":

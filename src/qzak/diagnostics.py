@@ -16,11 +16,11 @@ from functools import cache
 import numpy as np
 
 from .errors import ParameterError, ZeroModeError
-from .field import Field, _forward_factor, _transforms, dealias_mask
+from .field import Field, _forward_factor, _transforms
 from .grid import Grid
 from .norms import (_half_block, _half_shape, _half_spectra, _norm_sq, _pair, _sum_sq,
                     _weights)
-from .operators import _halves, _multiply, delta_eps, i_eps, potential_symbol
+from .operators import _halves, _multiply, dealias_mask, delta_eps, i_eps, potential_symbol
 from .state import ZakharovState
 
 ZERO_MODE_TOL = 1e-10

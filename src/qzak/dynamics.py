@@ -18,10 +18,10 @@ from functools import partial
 import numpy as np
 
 from .errors import NonFiniteFieldError, ParameterError
-from .field import Field, _transforms, complex_field, dealias_mask, real_field
+from .field import Field, _transforms, complex_field, real_field
 from .grid import Grid
 from .operators import (_halves, _multiply, _omega_eps, _schrodinger_group, _stored,
-                        delta_eps, potential_symbol, unit_phase, wave_propagator)
+                        dealias_mask, delta_eps, potential_symbol, unit_phase, wave_propagator)
 from .state import InitialData, SchrodingerState, SimConfig, ZakharovState
 
 _LANDING_TOL = 1e-12

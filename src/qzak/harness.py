@@ -22,7 +22,7 @@ from .field import Field, _transforms
 from .norms import (_half_block, _half_shape, _norm_sq, _pair, _sobolev_weight, _sum_sq,
                     _weights, l2_norm)
 from .dynamics import _march, _qmnls_advance, oracle_evolve, qmnls_evolve, qz_evolve
-from .operators import _halves, _multiply, _omega_eps, potential_symbol
+from .operators import _DEALIAS_BAND, _halves, _multiply, _omega_eps, _wave_cos, potential_symbol
 from .state import InitialData, SimConfig, q_field
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def _run_group(config: SimConfig, data: InitialData, m: int, lams: tuple,
     rfft = _transforms(grid)[2]
     stored = _half_block(grid)
     w_m = _weights(grid, _sobolev_weight(grid, m))
-    tail_weights = _tail_weights(grid, 2.0 / 3.0)
+    tail_weights = _tail_weights(grid, _DEALIAS_BAND)
     potential = _halves(grid, potential_symbol(grid, eps, shape=stored), True)
     om = _omega_eps(grid.k_squared_block(stored), eps, np.empty(stored))
     lam_column = np.reshape(lams, (-1,) + (1,) * grid.d)
@@ -103,7 +103,7 @@ def _run_group(config: SimConfig, data: InitialData, m: int, lams: tuple,
         S_hat = _halves(grid, spectra[4])
         _multiply(S_hat, potential, S_hat)
         np.add(spectra[5], spectra[4], out=spectra[5])
-        np.cos(np.multiply(np.multiply(lam_column, t, out=lam_t), om, out=layer), out=layer)
+        _wave_cos(np.multiply(lam_column, t, out=lam_t), om, layer)
         _multiply(_halves(grid, f0_hat), _halves(grid, layer, True), S_hat)
         np.subtract(spectra[5], spectra[4], out=spectra[4])
         err_Q, Q = np.sqrt(_sum_sq(grid, spectra[4:], w_m, work))
@@ -171,8 +171,8 @@ def fit_rate(records: list[SweepRecord], which: str = "E-error") -> RateFit:
         raise ParameterError(f"which must be 'E-error', 'Q-error' or 'Q-norm', got {which!r}")
     lams = [r.lam for r in records]
     _check_rate_lams(lams)
-    if any(e <= 0.0 for e in errors):
-        raise DegenerateInputError("rate fit needs strictly positive errors")
+    if not all(0.0 < e < np.inf for e in errors):
+        raise DegenerateInputError("rate fit needs strictly positive, finite errors")
     xs = np.log(lams)
     ys = np.log(errors)
     slope, intercept = _fit_line(xs, ys)

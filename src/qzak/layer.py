@@ -18,7 +18,8 @@ import numpy as np
 from .diagnostics import _fit_line
 from .errors import ParameterError, WrapAroundError
 from .field import Field, inverse_values, real_field, to_spectral
-from .operators import _derivative_symbol, apply_multiplier, wave_cos
+from .operators import (_check_eps, _check_lam, _derivative_symbol, _omega_eps, _wave_cos,
+                        apply_multiplier)
 from .state import InitialData, layer_velocity_source, q_field
 
 # The table multiplies f0's coefficients by |xi|^k: rounding at the top
@@ -30,7 +31,8 @@ _DECAY_NOISE_MAX = 1e-6
 def q0_exact(t: float, lam: float, eps: float, f0: Field) -> Field:
     """Cosine-propagated layer: cos(lam t omega_eps) f0, evaluated in one shot.
     No module of the package calls this; it stays because ``benchmarks/`` times it."""
-    return apply_multiplier(f0, wave_cos(f0.grid, eps, lam, t))
+    om = _omega_eps(f0.grid.k_squared, _check_eps(eps), np.empty(f0.grid.shape))
+    return apply_multiplier(f0, _wave_cos(_check_lam(lam) * t, om, om))
 
 
 def layer_initial_fields(data: InitialData, eps: float) -> tuple[Field, Field]:
@@ -164,8 +166,9 @@ def decay_probe(f0: Field, eps: float, lam_times, k_max: int,
     rows = []
     symbols = [(-grid.k_squared) ** (k // 2) * (d_x if k % 2 else 1.0)
                for k in range(k_max + 1)]
+    om = _omega_eps(grid.k_squared, _check_eps(eps), np.empty(grid.shape))
     for lam_t in lam_times:
-        q0_hat = f0_hat * wave_cos(grid, eps, 1.0, lam_t)
+        q0_hat = f0_hat * _wave_cos(lam_t, om)
         at_probes = [np.abs(inverse_values(grid, symbol * q0_hat).real)[probe_idx]
                      for symbol in symbols]
         for j, x0 in enumerate(probe_x):

@@ -1,20 +1,23 @@
 """Fourier symbols for the fourth-order Schrodinger/wave calculus.
 
-Every symbol the solvers and measurements use is built here, on the
-wavenumber lattice with k2 = |xi|^2:
+Each symbol's formula is written once, here, on the wavenumber lattice
+with k2 = |xi|^2, and every solver and measurement takes it from there:
 
-    delta_eps            -(k2 + eps^2 k2^2)
+    delta_eps            -(k2 + eps^2 k2^2), from _dispersion
     i_eps                1 / (1 + eps^2 k2)
-    omega_eps            sqrt(k2) sqrt(1 + eps^2 k2)
-    _schrodinger_group   exp(-i t (k2 + eps^2 k2^2)), built by unit_phase
-    wave_cos             cos(lam t omega_eps)
-    wave_propagator      the exact wave step: cos(lam t omega_eps),
+    _omega_eps           omega_eps = sqrt(k2) sqrt(1 + eps^2 k2)
+    _schrodinger_group   exp(-i t (k2 + eps^2 k2^2)), from _dispersion
+    _wave_cos            cos(lam t omega_eps)
+    wave_propagator      the exact wave step: _wave_cos,
                          sin(lam t omega_eps) / (lam omega_eps) (value t
                          at xi=0) and -lam omega_eps sin(lam t omega_eps)
+    _DEALIAS_BAND        the 2/3 band, per-axis |j| <= (2/3) N/2 (|xi_i| <= (2/3) pi/dx)
     potential_symbol     i_eps on the 2/3 band (all of i_eps without dealiasing)
 
-delta_eps, i_eps and potential_symbol take the shape of a leading block of
-the lattice to evaluate them on (Grid.k_squared_block), the whole by default.
+dynamics.oracle_evolve and oracle-check's plane wave write their own,
+because they check the kernels built from these. delta_eps, i_eps,
+dealias_mask and potential_symbol take the shape of a leading block of the
+lattice to evaluate them on (Grid.k_squared_block), the whole by default.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .field import Field, dealias_mask, inverse_values, to_spectral
+from .field import Field, inverse_values, to_spectral
 from .grid import Grid
 
 
@@ -38,22 +41,36 @@ def _check_lam(lam) -> float:
     return float(lam)
 
 
-def _check_t(t, name: str) -> None:
-    if t is None:
-        raise ParameterError(f"{name} requires t")
+def _dispersion(k2: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
+    """Write k2 + eps^2 k2^2, which is -delta_eps, into out (not k2)."""
+    x = np.multiply(eps * eps, k2, out=out)
+    np.multiply(x, k2, out=x)
+    return np.add(k2, x, out=x)
 
 
 def delta_eps(grid: Grid, eps: float, shape: tuple | None = None) -> np.ndarray:
     """Fourth-order Laplacian Lap - eps^2 Lap^2."""
-    eps = _check_eps(eps)
     k2 = grid.k_squared_block(shape or grid.shape)
-    return -(k2 + eps * eps * k2 * k2)
+    return -_dispersion(k2, _check_eps(eps), np.empty_like(k2))
 
 
 def i_eps(grid: Grid, eps: float, shape: tuple | None = None) -> np.ndarray:
     """Smoothing inverse (1 - eps^2 Lap)^-1."""
     eps = _check_eps(eps)
     return 1.0 / (1.0 + eps * eps * grid.k_squared_block(shape or grid.shape))
+
+
+_DEALIAS_BAND = 2.0 / 3.0  # the 2/3 rule (Orszag 1971), a fraction of the Nyquist mode
+
+
+def dealias_mask(grid: Grid, shape: tuple | None = None) -> np.ndarray:
+    """2/3-rule retention mask, keeping per-axis |j| <= N/3, with a shape on
+    the leading block of the lattice of that shape (Grid.k_squared_block)."""
+    keep = np.abs(grid.mode_indices_1d) <= _DEALIAS_BAND * grid.N / 2.0
+    rows, *cols = shape or grid.shape
+    if grid.d == 1:
+        return keep[:rows]
+    return np.logical_and.outer(keep[:rows], keep[:cols[0]])
 
 
 def potential_symbol(grid: Grid, eps: float, dealias: bool = True,
@@ -94,17 +111,10 @@ def _multiply(views: list, symbol: list, out: list) -> None:
         np.multiply(a, s, out=o)
 
 
-def omega_eps(grid: Grid, eps: float) -> np.ndarray:
-    """Fourth-order wave frequency |xi| sqrt(1 + eps^2 |xi|^2)."""
-    eps = _check_eps(eps)
-    k2 = grid.k_squared
-    return _omega_eps(k2, eps, np.empty(k2.shape))
-
-
 def _omega_eps(k2: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
-    """Write sqrt(k2) sqrt(1 + eps^2 k2) into out and return it, consuming
-    k2, which it overwrites with sqrt(k2): the core of omega_eps, for a
-    caller that lends the memory (a kernel refill)."""
+    """Write the fourth-order wave frequency omega_eps = sqrt(k2)
+    sqrt(1 + eps^2 k2) into out and return it, consuming k2, which it
+    overwrites with sqrt(k2)."""
     np.multiply(eps * eps, k2, out=out)
     np.sqrt(np.add(1.0, out, out=out), out=out)
     return np.multiply(np.sqrt(k2, out=k2), out, out=out)
@@ -130,17 +140,17 @@ def _schrodinger_group(k2: np.ndarray, eps: float, t: float, out: np.ndarray) ->
     """Write the free propagator exp(i t Delta_eps) of the envelope on
     k2 = |xi|^2 into the complex array out of k2's shape and return it."""
     # -t (k2 + eps^2 k2^2), formed in out.imag with no temporary
-    x = np.multiply(eps * eps, k2, out=out.imag)
-    np.multiply(x, k2, out=x)
-    np.add(k2, x, out=x)
+    x = _dispersion(k2, eps, out.imag)
     return unit_phase(np.multiply(-t, x, out=x), out)
 
 
-def wave_cos(grid: Grid, eps: float, lam: float, t: float) -> np.ndarray:
-    """Cosine propagator cos(lam t omega_eps) of the density wave."""
-    lam = _check_lam(lam)
-    _check_t(t, "wave_cos")
-    return np.cos(lam * t * omega_eps(grid, eps))
+def _wave_cos(lam_t, om: np.ndarray, angle=None, out=None) -> np.ndarray:
+    """The wave cosine cos(lam t omega_eps) for om = omega_eps and lam_t =
+    lam t formed first (a float, or a column for a stack), with the angle
+    lam_t om written into angle (a new array by default) and the cosine
+    into out (angle by default)."""
+    angle = np.multiply(lam_t, om, out=angle)
+    return np.cos(angle, out=angle if out is None else out)
 
 
 def wave_propagator(om: np.ndarray, lam: float, t: float, cos: np.ndarray,
@@ -151,16 +161,13 @@ def wave_propagator(om: np.ndarray, lam: float, t: float, cos: np.ndarray,
     -lam om sin(lam t om) into rate. lam_om, a real array of om's shape,
     is scratch.
 
-    One sin serves both sin symbols. cos has the bits of wave_cos, and
-    each element the bits of a lone evaluation of its expression. The
-    angle and the sin are formed in sinc, so the only temporary is the
-    boolean mask of om > 0.
+    One sin serves both sin symbols, and each element has the bits of a
+    lone evaluation of its expression. The angle and the sin are formed
+    in sinc, so the only temporary is the boolean mask of om > 0.
     """
     lam = _check_lam(lam)
-    _check_t(t, "wave_propagator")
-    angle = np.multiply(lam * t, om, out=sinc)
-    np.cos(angle, out=cos)
-    sin = np.sin(angle, out=angle)
+    _wave_cos(lam * t, om, sinc, cos)
+    sin = np.sin(sinc, out=sinc)
     np.multiply(lam, om, out=lam_om)
     np.negative(np.multiply(lam_om, sin, out=rate), out=rate)
     nz = om > 0.0

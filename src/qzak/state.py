@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResolutionError
-from .field import (Field, complex_field, dealias_mask, real_field,
-                    require_same_grid)
+from .field import Field, complex_field, real_field, require_same_grid
 from .grid import Grid
 from .norms import l2_norm
-from .operators import (_check_eps, _check_lam, apply_multiplier, delta_eps,
-                        potential_symbol)
+from .operators import (_DEALIAS_BAND, _check_eps, _check_lam, apply_multiplier,
+                        dealias_mask, delta_eps, potential_symbol)
 
 MEAN_TOL = 1e-12
 PRESET_KINDS = ("generic", "compatible", "well-prepared")
@@ -189,10 +188,20 @@ def check_carrier(grid: Grid, params: PresetParams, key: str) -> None:
     radius = params.width * math.sqrt(-math.log(params.edge_tol))
     wavenumber = {"k0": abs(params.k0), "n_k0": abs(params.n_k0),
                   "chirp": abs(params.k0) + 2.0 * (abs(params.chirp) * radius)}[key]
-    band = (2.0 / 3.0) * math.pi / grid.dx
+    band = _DEALIAS_BAND * math.pi / grid.dx
     if not wavenumber <= band:
         raise ResolutionError(f"the carrier set by {key} reaches wavenumber {wavenumber:g}, "
                               f"beyond the 2/3 band {band:g} of the grid (dx = {grid.dx:g})")
+
+
+def check_amplitude(grid: Grid, params: PresetParams, key: str) -> None:
+    """Raise ParameterError unless a^2 N^d is finite for the amplitude a
+    that key names: a field's squares sum over the N^d modes of an
+    unnormalized transform, so a larger a overflows to inf."""
+    amplitude = getattr(params, key)
+    if not math.isfinite(amplitude * amplitude * grid.size):
+        raise ParameterError(f"{key} = {amplitude:g} overflows: {key}^2 N^d is not "
+                             f"finite for N^d = {grid.size}")
 
 
 def ieps_intensity(E: Field, eps: float) -> np.ndarray:
@@ -231,6 +240,7 @@ def preset_initial_data(kind: str, params: PresetParams, grid: Grid, eps: float)
     check_resolution(grid, params.width, params.center, params)
     for key in ("k0", "chirp"):
         check_carrier(grid, params, key)
+    check_amplitude(grid, params, "amplitude")
     envelope = _gaussian(grid, params.amplitude, params.width, params.center)
     center = _padded_center(grid, params.center)
     phase = params.k0 * (grid.coordinates[0] - center[0])
@@ -244,6 +254,8 @@ def preset_initial_data(kind: str, params: PresetParams, grid: Grid, eps: float)
         check_resolution(grid, params.n_width, params.n_center, params)
         check_resolution(grid, params.n1_width, params.n1_center, params)
         check_carrier(grid, params, "n_k0")
+        for key in ("n_amplitude", "n1_amplitude"):
+            check_amplitude(grid, params, key)
         n0_vals = _gaussian(grid, params.n_amplitude, params.n_width, params.n_center)
         if params.n_k0 != 0.0:
             n_center = _padded_center(grid, params.n_center)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qzak import PresetParams, make_grid, preset_initial_data, q_field, sobolev_norm
+from qzak.operators import _omega_eps
 
 
 @pytest.fixture
@@ -47,6 +48,11 @@ def random_real_values(rng, grid):
 
 def random_complex_values(rng, grid):
     return rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+
+
+def omega_eps(grid, eps):
+    """The wave frequency omega_eps on every mode of the lattice."""
+    return _omega_eps(grid.k_squared, eps, np.empty(grid.shape))
 
 
 def compatibility_defect(data, eps, m):

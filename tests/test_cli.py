@@ -381,6 +381,38 @@ def test_unresolved_carrier_exits_one_and_names_its_key(tmp_path, command, confi
     assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
 
 
+@pytest.mark.parametrize("command,config,key", [
+    ("sweep", "sweep_generic.json", "data.amplitude"),
+    ("sweep", "sweep_generic.json", "data.n_amplitude"),
+    ("sweep", "sweep_generic.json", "data.n1_amplitude"),
+    ("simulate", "simulate.json", "data.amplitude"),
+    ("oracle-check", "oracle_check.json", "data.amplitude"),
+])
+def test_overflowing_amplitude_exits_one_and_names_its_key(tmp_path, command, config, key):
+    # amplitude^2 N^d overflows. The sweep with n_amplitude = 1e300 used to
+    # exit 0 with inf in sweep.csv and NaN in ratefit_q.json; the other runs
+    # exited 2 once a sample found a non-finite field.
+    path = Path(__file__).resolve().parents[1] / "configs" / config
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(path), "--override", f"{key}=1e300",
+                    "--override", "T=0.02", "--out", str(out), "--quiet"]) == 1
+    assert (out / "error.txt").read_text().startswith(f"{key}: ")
+    assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_whose_norms_overflow_exits_two(tmp_path):
+    # amplitude^2 N^d = 1e303 passes the amplitude rule, but Q holds
+    # I_eps |E|^2 ~ 1e300, whose squared H^m norm overflows: the rate fit
+    # refuses the inf Q error
+    path = Path(__file__).resolve().parents[1] / "configs" / "sweep_generic.json"
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--config", str(path), "--override", "data.amplitude=1e150",
+                    "--override", "T=0.02", "--out", str(out), "--quiet"]) == 2
+    assert "finite errors" in (out / "error.txt").read_text()
+    assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+
+
 @pytest.mark.parametrize("command", ["sweep", "layer-decay"])
 def test_center_longer_than_the_grid_exits_one(tmp_path, capsys, command):
     # the second coordinate has no axis on a 1-D grid, so no run could use it

@@ -208,6 +208,9 @@ MOVED_RULES = {
     "carrier": (SWEEP, {"data": {"n_k0": 100.0}}, "data.n_k0",
                 lambda cfg: preset_initial_data(
                     "generic", PresetParams(n_k0=100.0), cfg.sim.grid, 1.0)),
+    "amplitude": (SWEEP, {"data": {"n1_amplitude": 1e300}}, "data.n1_amplitude",
+                  lambda cfg: preset_initial_data(
+                      "generic", PresetParams(n1_amplitude=1e300), cfg.sim.grid, 1.0)),
     "center-length": (SWEEP, {"data": {"center": [0.0, 5.0]}}, "data.center",
                       lambda cfg: preset_initial_data(
                           "generic", PresetParams(center=(0.0, 5.0)), cfg.sim.grid, 1.0)),

@@ -6,9 +6,12 @@ from qzak import (InitialData, PresetParams, SimConfig, ZakharovState,
                   preset_initial_data, qmnls_evolve, qz_evolve, qz_step,
                   real_field, spectral_tail, to_spectral)
 from qzak.diagnostics import drift, hamiltonian_qmnls
-from qzak.operators import omega_eps
-from qzak.field import dealias_mask, inverse_values
+from qzak.field import inverse_values
+from qzak.operators import dealias_mask
 from qzak.errors import ParameterError, ZeroModeError
+
+from conftest import omega_eps
+
 
 def test_mass_constant_field(grid16):
     E = complex_field(grid16, np.full(16, 1.5 + 0.5j))

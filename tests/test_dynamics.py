@@ -14,9 +14,10 @@ from qzak import (InitialData, PresetParams, SchrodingerState, SimConfig,
 from qzak import dynamics
 from qzak.dynamics import _check_finite, _march, _qz_advance
 from qzak.errors import NonFiniteFieldError, ParameterError
-from qzak.field import dealias_mask
-from qzak.operators import (_halves, _schrodinger_group, _stored, delta_eps, i_eps,
-                            omega_eps, potential_symbol, wave_cos, wave_propagator)
+from qzak.operators import (_halves, _schrodinger_group, _stored, dealias_mask, delta_eps,
+                            i_eps, potential_symbol, wave_propagator)
+
+from conftest import omega_eps
 
 
 def _values(data):
@@ -353,7 +354,7 @@ def _plain_qz_step(grid, E, n, nt, h, eps, lam):
     fft, ifft = np.fft.fftn, np.fft.ifftn
     om = omega_eps(grid, eps)
     half = schrodinger_group(grid, eps, 0.5 * h)
-    cos, sinc = wave_cos(grid, eps, lam, h), np.full(grid.shape, h)
+    cos, sinc = np.cos(lam * h * om), np.full(grid.shape, h)
     nz = om > 0.0
     sinc[nz] = np.sin(lam * h * om[nz]) / (lam * om[nz])
     E = np.multiply(E, np.exp(-0.5j * h * n))
@@ -625,7 +626,6 @@ def test_qmnls_step_unitary_and_reversible(grid256, generic_data):
 def test_qmnls_step_potential_follows_dealias(rng, grid64):
     # one Strang step by hand: kick by -I_eps |E|^2, dealiased or not
     from qzak import SchrodingerState
-    from qzak.field import dealias_mask
     from qzak.operators import i_eps
     E0 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     s = SchrodingerState(t=0.0, E=complex_field(grid64, E0))

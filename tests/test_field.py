@@ -3,7 +3,7 @@ import pytest
 
 from qzak import real_field, complex_field, to_spectral
 from qzak.errors import InconsistentGridError, RepresentationError
-from qzak.field import dealias_mask, inverse_values
+from qzak.field import inverse_values
 from qzak.norms import l2_norm
 
 from conftest import random_complex_values, random_real_values
@@ -76,38 +76,3 @@ def test_fields_immutable(grid16):
         f.values = np.zeros(16)
     with pytest.raises(ValueError):
         f.values[0] = 2.0
-
-
-def test_dealias_keeps_inner_band(rng, grid64):
-    coeffs = np.zeros(64, dtype=complex)
-    j = grid64.mode_indices_1d
-    inner = np.abs(j) <= 64 / 3
-    coeffs[inner] = random_complex_values(rng, grid64)[inner]
-    mask = dealias_mask(grid64)
-    assert np.array_equal(mask, inner)
-    assert np.array_equal(coeffs * mask, coeffs)
-
-
-def test_dealias_kills_nyquist(grid64):
-    j = grid64.mode_indices_1d
-    mask = dealias_mask(grid64)
-    assert not mask[j == -32].any()
-    # the mask keeps each mode with its conjugate, so a real product stays real
-    assert np.array_equal(mask, mask[(-np.arange(64)) % 64])
-
-
-def test_dealias_idempotent(rng, grid64):
-    mask = dealias_mask(grid64)
-    assert mask.dtype == bool
-    once = random_complex_values(rng, grid64) * mask
-    assert np.array_equal(once * mask, once)
-
-
-def test_dealias_mask_2d_cross(grid2d):
-    mask = dealias_mask(grid2d)
-    j = np.abs(grid2d.mode_indices_1d)
-    keep = j <= 32 / 3
-    assert mask.shape == (32, 32)
-    # a mode survives only if both axis indices are inside the band
-    assert mask[np.argmax(~keep), np.argmax(keep)] == False  # noqa: E712
-    assert mask[np.argmax(keep), np.argmax(keep)] == True  # noqa: E712

@@ -300,6 +300,13 @@ def test_fit_degenerate_inputs():
         fit_rate(synthetic_records([0.1, 0.05, 0.02], [4.0, 8.0, 16.0]), "bogus")
 
 
+def test_fit_refuses_a_non_finite_error():
+    # an overflowed norm is inf, and its log-log fit would be NaN
+    for bad in (np.inf, np.nan):
+        with pytest.raises(DegenerateInputError, match="finite errors"):
+            fit_rate(synthetic_records([0.1, bad, 0.02], [4.0, 8.0, 16.0]), "Q-error")
+
+
 def test_self_convergence_linear_regime_machine_zero():
     from qzak import InitialData, complex_field, real_field
     g = make_grid(1, 64, 2.0 * np.pi)

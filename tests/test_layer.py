@@ -7,9 +7,9 @@ from qzak import (PresetParams, SimConfig, ZakharovState, apply_multiplier,
                   preset_initial_data, q0_exact, q_field, qz_evolve, real_field,
                   sobolev_norm)
 from qzak.errors import ParameterError, WrapAroundError
-from qzak.field import dealias_mask, inverse_values, to_spectral
+from qzak.field import inverse_values, to_spectral
 from qzak.layer import layer_initial_fields
-from qzak.operators import _derivative_symbol, i_eps
+from qzak.operators import _derivative_symbol, dealias_mask, i_eps
 
 
 def test_q_field_compatible_vanishes(grid256):

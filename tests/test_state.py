@@ -9,7 +9,7 @@ from qzak import (InitialData, PresetParams, SimConfig, apply_multiplier,
                   real_field)
 from qzak.errors import ParameterError, ResolutionError
 from qzak.operators import delta_eps
-from qzak.state import check_carrier
+from qzak.state import check_amplitude, check_carrier
 
 
 def test_compatible_defect_vanishes(grid256, grid2d):
@@ -150,3 +150,14 @@ def test_carrier_rule_keeps_the_band_and_names_the_key_that_leaves_it(grid256):
             check_carrier(grid256, params, key)
         with pytest.raises(ResolutionError, match=f"the carrier set by {key} "):
             preset_initial_data("generic", params, grid256, eps=1.0)
+
+
+def test_amplitude_rule_names_the_key_whose_square_overflows(grid256):
+    # a^2 N^d must be finite for each amplitude that the kind reads; N^d = 256
+    check_amplitude(grid256, PresetParams(amplitude=1e150), "amplitude")
+    for key in ("amplitude", "n_amplitude", "n1_amplitude"):
+        params = PresetParams(**{key: 1e300})
+        with pytest.raises(ParameterError, match=f"^{key} = 1e\\+300 overflows"):
+            preset_initial_data("generic", params, grid256, eps=1.0)
+    # compatible data reads no density amplitude
+    preset_initial_data("compatible", PresetParams(n_amplitude=1e300), grid256, eps=1.0)
